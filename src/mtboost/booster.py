@@ -23,6 +23,7 @@ from .errors import (
     EmptyDataset,
     FeatureCountMismatch,
     FormatVersionMismatch,
+    InvalidParameter,
     MapperMismatch,
     TaskIndexOutOfRange,
 )
@@ -77,13 +78,13 @@ class BoosterParams:
     def __post_init__(self):
         object.__setattr__(self, "objectives", validate_objectives(self.objectives))
         if self.num_iterations < 1:
-            raise ValueError("num_iterations must be >= 1")
+            raise InvalidParameter("num_iterations must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
+            raise InvalidParameter("learning_rate must be in (0, 1]")
         if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
+            raise InvalidParameter("lambda_reg must be >= 0")
         if not 0 <= self.main_task_index < len(self.objectives):
-            raise ValueError("main_task_index out of range")
+            raise InvalidParameter("main_task_index out of range")
 
     def growth_params(self) -> GrowthParams:
         return GrowthParams(
@@ -147,25 +148,27 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
     Validation data must be binned with the training mapper. With
     early_stopping_rounds > 0 and validation data present, training stops
     once the main task's validation loss has not improved for that many
-    iterations, and the returned model is truncated to the best iteration.
+    iterations, and the returned model is truncated to the best iteration:
+    its trees and its training log both end there, so the last log row
+    describes the returned model.
     """
     if dataset.m == 0:
         raise EmptyDataset("training dataset has no rows")
     n = dataset.n
     if len(params.objectives) != n:
-        raise ValueError(f"{len(params.objectives)} objectives for {n} label columns")
+        raise InvalidParameter(f"{len(params.objectives)} objectives for {n} label columns")
     for t, kind in enumerate(params.objectives):
         if kind == BINARY_LOGLOSS:
             col = dataset.labels[:, t]
             if not np.isin(col, (0.0, 1.0)).all():
-                raise ValueError(f"task {t} labels must all be 0 or 1 for {kind}")
+                raise InvalidParameter(f"task {t} labels must all be 0 or 1 for {kind}")
     if params.mt.n_selected > n:
-        raise ValueError(f"n_selected={params.mt.n_selected} exceeds task count {n}")
+        raise InvalidParameter(f"n_selected={params.mt.n_selected} exceeds task count {n}")
     if valid is not None:
         if valid.mapper != dataset.mapper:
             raise MapperMismatch("validation data was binned with a different mapper")
         if valid.n != n:
-            raise ValueError("validation label count differs from training")
+            raise InvalidParameter("validation label count differs from training")
 
     mt = replace(params.mt, seed=params.mt.seed + params.seed)
     growth = params.growth_params()
@@ -214,6 +217,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
 
     if params.early_stopping_rounds > 0 and valid is not None and best_iter >= 0:
         trees = trees[: best_iter + 1]
+        log = log[: best_iter + 1]
 
     return BoosterModel(
         trees=trees,

@@ -22,6 +22,7 @@ from .data import (
     fit_bins,
     load_csv,
     log_transform,
+    log_transform_columns,
     read_feature_matrix,
     write_csv,
 )
@@ -193,11 +194,10 @@ def _features_from_csv(model, csv_path):
             raise FeatureCountMismatch(f"input CSV lacks feature column {name!r}")
     cols = [header.index(name) for name in model.feature_names]
     features = matrix[:, cols].copy()
-    for name in opts.get("log_transform_features") or ():
-        f = model.feature_names.index(name)
-        col = features[:, f]
-        valid = ~np.isnan(col)
-        features[valid, f] = np.log10(col[valid] + 1.0)
+    transform = opts.get("log_transform_features") or ()
+    log_transform_columns(
+        features, [model.feature_names.index(name) for name in transform], model.feature_names
+    )
     return features
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyFile,
+    InvalidParameter,
     MissingLabelColumn,
     NegativeInput,
     NonNumericLabel,
@@ -176,13 +177,20 @@ def _format_value(v: float) -> str:
 def log_transform(table: RawTable, feature_indices) -> RawTable:
     """Replace selected feature values x with log10(x + 1); NaN passes through."""
     features = table.features.copy()
+    log_transform_columns(features, feature_indices, table.feature_names)
+    return RawTable(features, table.labels, table.feature_names, table.task_names)
+
+
+def log_transform_columns(features: np.ndarray, feature_indices, feature_names) -> None:
+    """In place, replace the listed columns x with log10(x + 1); NaN passes
+    through. Raises NegativeInput when a listed column holds a negative value.
+    """
     for f in sorted(feature_indices):
         col = features[:, f]
         if np.any(col < 0):
-            raise NegativeInput(f"feature {table.feature_names[f]!r} has negative values")
+            raise NegativeInput(f"feature {feature_names[f]!r} has negative values")
         mask = ~np.isnan(col)
         features[mask, f] = np.log10(col[mask] + 1.0)
-    return RawTable(features, table.labels, table.feature_names, table.task_names)
 
 
 @dataclass(frozen=True)
@@ -233,7 +241,7 @@ def fit_bins(table: RawTable, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
     A constant (or all-missing) feature yields a single finite bin.
     """
     if max_bins < 2:
-        raise ValueError("max_bins must be >= 2")
+        raise InvalidParameter("max_bins must be >= 2")
     boundaries = []
     for f in range(table.d):
         col = table.features[:, f]

@@ -82,6 +82,10 @@ class TooFewSamples(MtboostError, ValueError):
     """Not enough rows to form the requested folds."""
 
 
+class InvalidParameter(MtboostError, ValueError):
+    """A training parameter, or its combination with the data, is invalid."""
+
+
 class ConfigError(MtboostError, ValueError):
     """Config file problem; message carries file, line and key."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteGradient
+from .errors import InvalidParameter, NonFiniteGradient
 from .objectives import GradHess
 
 TASK_SELECT_POLICIES = ("always_main", "uniform_random", "weighted")
@@ -44,8 +44,8 @@ class MTConfig:
 
     ``gamma_boost`` amplifies the chosen tasks' weights (useful range 10 to
     100; higher helps when tasks conflict). Target means control the common
-    scale gradients are normalized to; the std targets are reported as
-    diagnostics but not enforced, since a single scalar weight cannot hit a
+    scale gradients are normalized to; the std targets are kept in the
+    model file but not enforced, since a single scalar weight cannot hit a
     mean and a std at once.
     """
 
@@ -62,21 +62,29 @@ class MTConfig:
 
     def __post_init__(self):
         if self.gamma_boost < 1.0:
-            raise ValueError("gamma_boost must be >= 1")
+            raise InvalidParameter("gamma_boost must be >= 1")
         if self.task_select not in TASK_SELECT_POLICIES:
-            raise ValueError(f"unknown task_select {self.task_select!r}")
+            raise InvalidParameter(f"unknown task_select {self.task_select!r}")
         if self.corr_mode not in CORR_MODES:
-            raise ValueError(f"unknown corr_mode {self.corr_mode!r}")
+            raise InvalidParameter(f"unknown corr_mode {self.corr_mode!r}")
         if self.n_selected < 1:
-            raise ValueError("n_selected must be >= 1")
+            raise InvalidParameter("n_selected must be >= 1")
         if self.task_select == "weighted":
             if not self.task_weights:
-                raise ValueError("weighted task selection needs task_weights")
+                raise InvalidParameter("weighted task selection needs task_weights")
             total = sum(self.task_weights)
             if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"task_weights must sum to 1, got {total}")
+                raise InvalidParameter(f"task_weights must sum to 1, got {total}")
+            if min(self.task_weights) < 0:
+                raise InvalidParameter("task_weights must be nonnegative")
+            nonzero = sum(w > 0 for w in self.task_weights)
+            if self.n_selected > nonzero:
+                raise InvalidParameter(
+                    f"n_selected={self.n_selected} exceeds the {nonzero} tasks "
+                    "with nonzero task_weights"
+                )
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise InvalidParameter("seed must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -88,8 +96,6 @@ class EnsembleGrad:
     chosen_tasks: frozenset[int]
     w: np.ndarray  # (n,) gradient weights, boost applied
     v: np.ndarray  # (n,) hessian weights
-    g_weighted_std: np.ndarray  # (n,) achieved std of w_t * |g_t|, diagnostic
-    h_weighted_std: np.ndarray  # (n,) achieved std of v_t * h_t, diagnostic
 
 
 def normalize_weights(g: np.ndarray, target_mean: float) -> np.ndarray:
@@ -127,7 +133,7 @@ def select_tasks(config: MTConfig, n_tasks: int, iteration: int) -> frozenset[in
         return frozenset(map(int, picks))
     weights = np.asarray(config.task_weights, dtype=np.float64)
     if weights.shape != (n_tasks,):
-        raise ValueError(f"task_weights has length {weights.size}, expected {n_tasks}")
+        raise InvalidParameter(f"task_weights has length {weights.size}, expected {n_tasks}")
     picks = rng.choice(n_tasks, size=k, replace=False, p=weights)
     return frozenset(map(int, picks))
 
@@ -153,15 +159,7 @@ def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int) -> Ensemb
         h_e += v[t] * h[:, t]
     np.maximum(h_e, H_E_FLOOR, out=h_e)
 
-    return EnsembleGrad(
-        g_e=g_e,
-        h_e=h_e,
-        chosen_tasks=chosen,
-        w=w,
-        v=v,
-        g_weighted_std=np.std(np.abs(g) * w, axis=0),
-        h_weighted_std=np.std(h * v, axis=0),
-    )
+    return EnsembleGrad(g_e=g_e, h_e=h_e, chosen_tasks=chosen, w=w, v=v)
 
 
 def pearson_to_main(g: np.ndarray) -> float:

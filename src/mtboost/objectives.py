@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import InvalidParameter, LengthMismatch, ShapeMismatch
 
 REGRESSION_L2 = "regression_l2"
 BINARY_LOGLOSS = "binary_logloss"
@@ -28,7 +28,9 @@ def validate_objectives(kinds) -> tuple[str, ...]:
     kinds = tuple(kinds)
     for kind in kinds:
         if kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective {kind!r}; expected one of {OBJECTIVE_KINDS}")
+            raise InvalidParameter(
+                f"unknown objective {kind!r}; expected one of {OBJECTIVE_KINDS}"
+            )
     return kinds
 
 

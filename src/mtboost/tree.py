@@ -11,9 +11,10 @@ updating gradients, so the same structure serves every task.
 
 Determinism rules used throughout: samples are accumulated in ascending
 index order, features are scanned in ascending order, bins left to right,
-and ties keep the first candidate. The left child's histogram is built
-directly; the right child's is derived by subtracting it from the parent's,
-which makes parent = left + right an exact identity.
+and ties keep the first candidate. Of the two children of a split, the one
+with fewer samples gets its histogram built directly; its sibling's is
+derived by subtracting it from the parent's, which makes
+parent = built + derived an exact identity.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyLeaf
+from .errors import EmptyLeaf, InvalidParameter
 
 # Missing values always route to the right child: the missing bin index is
 # larger than any finite threshold bin.
@@ -47,13 +48,13 @@ class GrowthParams:
 
     def __post_init__(self):
         if self.max_leaves < 1:
-            raise ValueError("max_leaves must be >= 1")
+            raise InvalidParameter("max_leaves must be >= 1")
         if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+            raise InvalidParameter("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+            raise InvalidParameter("min_samples_leaf must be >= 1")
         if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
+            raise InvalidParameter("lambda_reg must be >= 0")
 
 
 @dataclass(eq=False)
@@ -74,20 +75,22 @@ class Histogram:
 def build_histograms(sample_indices, dataset: Dataset, g_e, h_e) -> Histogram:
     """Accumulate gradient/hessian histograms for one node.
 
-    Samples are visited in ascending index order per feature, so repeated
-    calls on the same arguments are bit-identical.
+    ``sample_indices`` must be ascending (the grower's sample lists are,
+    since boolean masks keep order). Samples are then visited in ascending
+    index order per feature, so repeated calls on the same arguments are
+    bit-identical.
     """
-    idx = np.sort(np.asarray(sample_indices, dtype=np.int64))
+    idx = np.asarray(sample_indices, dtype=np.intp)
     finite = dataset.mapper.finite_bin_counts
     n_bins_max = int(finite.max()) + 1  # room for the missing bin
     d = dataset.d
-    sum_g = np.zeros((d, n_bins_max), dtype=np.float64)
-    sum_h = np.zeros((d, n_bins_max), dtype=np.float64)
-    count = np.zeros((d, n_bins_max), dtype=np.int64)
+    sum_g = np.empty((d, n_bins_max), dtype=np.float64)
+    sum_h = np.empty((d, n_bins_max), dtype=np.float64)
+    count = np.empty((d, n_bins_max), dtype=np.int64)
     g_node = g_e[idx]
     h_node = h_e[idx]
     for f in range(d):
-        bins = dataset.binned_by_feature[f][idx]
+        bins = dataset.binned_by_feature[f][idx].astype(np.intp)
         sum_g[f] = np.bincount(bins, weights=g_node, minlength=n_bins_max)
         sum_h[f] = np.bincount(bins, weights=h_node, minlength=n_bins_max)
         count[f] = np.bincount(bins, minlength=n_bins_max)
@@ -129,52 +132,48 @@ def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
     ``node_totals`` is the node's (G_e, H_e, count). A boundary at bin b
     sends bins <= b left and everything else (missing bin included) right.
     Both children must satisfy min_samples_leaf and min_hess_leaf; ties are
-    broken toward the lower feature index, then the lower bin index. Returns
-    None when no candidate beats min_gain_to_split.
+    broken toward the lower feature index, then the lower bin index. A NaN
+    gain never wins. Returns None when no candidate beats min_gain_to_split.
     """
     g_tot, h_tot, c_tot = node_totals
     if c_tot < 2 * params.min_samples_leaf:
         return None
     lam = params.lambda_reg
-    best = None
-    best_gain = params.min_gain_to_split
-    for f in range(hist.sum_g.shape[0]):
-        nb = int(hist.finite_bins[f])
-        if nb < 2:
-            continue
-        lg = np.cumsum(hist.sum_g[f, : nb - 1])
-        lh = np.cumsum(hist.sum_h[f, : nb - 1])
-        lc = np.cumsum(hist.count[f, : nb - 1])
-        rg = g_tot - lg
-        rh = h_tot - lh
-        rc = c_tot - lc
-        valid = (
-            (lc >= params.min_samples_leaf)
-            & (rc >= params.min_samples_leaf)
-            & (lh >= params.min_hess_leaf)
-            & (rh >= params.min_hess_leaf)
-        )
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (
-                lg * lg / (lh + lam)
-                + rg * rg / (rh + lam)
-                - (lg + rg) ** 2 / (lh + rh + lam)
-            ) - params.gamma_reg
-        gains[~valid] = -np.inf
-        b = int(np.argmax(gains))
-        gain = float(gains[b])
-        if gain > best_gain:
-            best_gain = gain
-            best = SplitInfo(
-                feature=f,
-                threshold_bin=b,
-                gain=gain,
-                left_sums=(float(lg[b]), float(lh[b]), int(lc[b])),
-                right_sums=(float(rg[b]), float(rh[b]), int(rc[b])),
-            )
-    return best
+    # All (d, B) boundaries at once; column b is "bins <= b go left".
+    lg = np.cumsum(hist.sum_g, axis=1)
+    lh = np.cumsum(hist.sum_h, axis=1)
+    lc = np.cumsum(hist.count, axis=1)
+    rg = g_tot - lg
+    rh = h_tot - lh
+    rc = c_tot - lc
+    # The last finite bin, the missing bin and the padding cannot be boundaries.
+    boundary = np.arange(lg.shape[1]) < hist.finite_bins[:, None] - 1
+    valid = (
+        boundary
+        & (lc >= params.min_samples_leaf)
+        & (rc >= params.min_samples_leaf)
+        & (lh >= params.min_hess_leaf)
+        & (rh >= params.min_hess_leaf)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (
+            lg * lg / (lh + lam)
+            + rg * rg / (rh + lam)
+            - (lg + rg) ** 2 / (lh + rh + lam)
+        ) - params.gamma_reg
+    gains[~valid | np.isnan(gains)] = -np.inf
+    # Row-major argmax: first maximum = lowest feature, then lowest bin.
+    f, b = np.unravel_index(int(np.argmax(gains)), gains.shape)
+    gain = float(gains[f, b])
+    if not gain > params.min_gain_to_split:
+        return None
+    return SplitInfo(
+        feature=int(f),
+        threshold_bin=int(b),
+        gain=gain,
+        left_sums=(float(lg[f, b]), float(lh[f, b]), int(lc[f, b])),
+        right_sums=(float(rg[f, b]), float(rh[f, b]), int(rc[f, b])),
+    )
 
 
 @dataclass
@@ -197,7 +196,8 @@ class TreeSkeleton:
     nodes: list[TreeNode]
     n_leaves: int
     # Present only when growth ran with capture_histograms=True; one entry
-    # per internal node: (node hist, left child hist, right child hist).
+    # per internal node: (node hist, built child hist, derived child hist),
+    # where the built child is the one with fewer samples.
     captures: list[tuple[Histogram, Histogram, Histogram]] | None = None
 
 
@@ -268,10 +268,15 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams,
         left_mask = col <= best.threshold_bin
         left_samples = cand.samples[left_mask]
         right_samples = cand.samples[~left_mask]
-        left_hist = build_histograms(left_samples, dataset, g_e, h_e)
-        right_hist = subtract_histograms(cand.hist, left_hist)
+        # Build the smaller child's histogram; derive its sibling's.
+        build_left = len(left_samples) <= len(right_samples)
+        built = build_histograms(
+            left_samples if build_left else right_samples, dataset, g_e, h_e
+        )
+        derived = subtract_histograms(cand.hist, built)
+        left_hist, right_hist = (built, derived) if build_left else (derived, built)
         if captures is not None:
-            captures.append((cand.hist, left_hist, right_hist))
+            captures.append((cand.hist, built, derived))
 
         depth = cand.depth + 1
         add_candidate(left_samples, left_hist, best.left_sums, depth, (node_id, "left"))

@@ -15,6 +15,7 @@ from mtboost.data import RawTable, apply_bins, fit_bins
 from mtboost.errors import (
     FeatureCountMismatch,
     FormatVersionMismatch,
+    InvalidParameter,
     MapperMismatch,
     TaskIndexOutOfRange,
 )
@@ -100,6 +101,29 @@ class TestTrain:
             key=lambda i: model.training_log[i].valid[0],
         )
         assert len(model.trees) == best + 1
+
+    def test_early_stopping_log_matches_model(self, rng):
+        table = regression_table(rng, m=300, n=2)
+        mapper = fit_bins(table, 32)
+        ds = apply_bins(table, mapper)
+        vs = apply_bins(regression_table(np.random.default_rng(999), m=100, n=2), mapper)
+        params = reg_params(num_iterations=60, early_stopping_rounds=3)
+        model = train(ds, params, vs)
+        assert len(model.trees) < params.num_iterations  # stopping did trigger
+        assert len(model.training_log) == len(model.trees)
+        main_losses = [row.valid[params.main_task_index] for row in model.training_log]
+        assert main_losses[-1] == min(main_losses)
+
+    def test_invalid_parameters_are_typed(self, rng):
+        with pytest.raises(InvalidParameter):
+            reg_params(learning_rate=2.0)
+        with pytest.raises(InvalidParameter):
+            MTConfig(gamma_boost=0.5)
+        ds = binned(regression_table(rng))
+        with pytest.raises(InvalidParameter):
+            train(ds, reg_params(n=3))
+        with pytest.raises(InvalidParameter):
+            train(ds, reg_params(mt=MTConfig(n_selected=3)))
 
     def test_single_task_reduction_matches_scalar_reference(self):
         for seed in range(4):

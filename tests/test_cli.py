@@ -155,3 +155,52 @@ class TestPipeline:
         assert run(["predict", "--model", model, "--data", data, "--out", preds]) == 0
         rows = preds.read_text().splitlines()
         assert len(rows) == 301
+
+    @pytest.mark.parametrize("extra", [
+        "learning_rate = 2\n",
+        "max_bins = 1\n",
+        "task_select = weighted\ntask_weights = 1.5, -0.5\n",
+        "task_select = weighted\ntask_weights = 1.0, 0.0\nn_selected = 2\n",
+    ])
+    def test_invalid_parameter_is_one_line_error(self, workdir, capsys, extra):
+        data = workdir / "data.csv"
+        run(["synth", "--scenario", "noisy_tasks", "--m", "200", "--d", "3",
+             "--seed", "5", "--out", data])
+        bad = workdir / "bad.txt"
+        bad.write_text(CONFIG + extra)  # later lines override CONFIG's
+        capsys.readouterr()
+        code = run(["train", "--config", bad, "--data", data, "--out", workdir / "m.txt"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: InvalidParameter: ")
+
+    def test_negative_log_feature_at_predict_time(self, workdir, capsys):
+        data = workdir / "ts.csv"
+        run(["synth", "--scenario", "timeseries_ratio", "--m", "300",
+             "--seed", "2", "--out", data])
+        cfg = workdir / "ts_cfg.txt"
+        cfg.write_text(
+            "label_columns = next_value, next_ratio\n"
+            "objectives = regression_l2, regression_l2\n"
+            "num_iterations = 3\nmin_samples_leaf = 5\n"
+            "log_transform_features = value_now\n"
+        )
+        model = workdir / "ts_model.txt"
+        assert run(["train", "--config", cfg, "--data", data, "--out", model]) == 0
+        lines = data.read_text().splitlines()
+        col = lines[0].split(",").index("value_now")
+        cells = lines[5].split(",")
+        cells[col] = "-3.5"
+        lines[5] = ",".join(cells)
+        negative = workdir / "ts_negative.csv"
+        negative.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for args in (["predict", "--out", workdir / "p.csv"], ["eval", "--metric", "rmse"]):
+            code = run([args[0], "--model", model, "--data", negative, *args[1:]])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("error: NegativeInput: ")
+            assert "value_now" in err
+        assert not (workdir / "p.csv").exists()

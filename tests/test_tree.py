@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,63 @@ class TestFindBestSplit:
         assert split.right_sums[2] >= 2
 
 
+    def test_matches_enumeration_wide(self, rng):
+        # Realistic width: 20 features with 1 to 255 finite bins (so the
+        # (d, B) scan pads most rows), missing-bin rows, and exact copies of
+        # features so that ties must go to the lower feature index.
+        m = 1500
+        finite = [255, 1, 2, 40, 255, 7, 2, 128, 1, 255, 3, 64, 200, 5, 255, 16, 90, 2, 31, 255]
+        binned = np.column_stack([rng.integers(0, nb, size=m) for nb in finite])
+        for f in (1, 3, 6, 12, 17):
+            binned[rng.random(m) < 0.1, f] = finite[f]  # missing bin
+        for dup, src in ((9, 4), (14, 4), (19, 0)):
+            binned[:, dup] = binned[:, src]
+            finite[dup] = finite[src]
+        ds = make_binned_dataset(binned, finite_bins=finite)
+        signals = (
+            binned[:, 4] > 100,  # a finite boundary of feature 4 (and its copies)
+            binned[:, 12] == finite[12],  # missingness, which no boundary isolates
+            np.zeros(m, dtype=bool),
+        )
+        for trial in range(3):
+            g = rng.normal(size=m) + 2.0 * signals[trial]
+            h = rng.uniform(0.2, 2.0, size=m)
+            params = loose_params(
+                min_samples_leaf=(1, 25, 200)[trial],
+                min_hess_leaf=(0.0, 5.0, 50.0)[trial],
+                lambda_reg=(0.0, 0.5, 2.0)[trial],
+            )
+            hist = build_histograms(np.arange(m), ds, g, h)
+            got = find_best_split(hist, (float(g.sum()), float(h.sum()), m), params)
+            want = enumerate_best_split(
+                binned, finite, g, h,
+                lam=params.lambda_reg, gamma_reg=params.gamma_reg,
+                min_samples_leaf=params.min_samples_leaf,
+                min_hess_leaf=params.min_hess_leaf,
+                min_gain=params.min_gain_to_split,
+            )
+            assert (got.feature, got.threshold_bin) == (want[0], want[1])
+            assert got.gain == pytest.approx(want[2], rel=1e-9)
+            if trial == 0:
+                assert got.feature == 4  # the planted feature, not its copies
+
+    def test_nan_gain_never_wins(self):
+        # Zero hessians with lambda 0: the boundary after bin 0 has
+        # G_L = H_L = 0, so its gain is 0/0 = NaN; the boundary after bin 1
+        # has the finite gain 0.5 * (4/1 + 4/1 - 0/2) = 4.
+        ds = make_binned_dataset([[0], [1], [2]], finite_bins=[3])
+        g = np.array([0.0, -2.0, 2.0])
+        h = np.array([0.0, 1.0, 1.0])
+        params = loose_params(lambda_reg=0.0, min_hess_leaf=0.0)
+        hist = build_histograms(np.arange(3), ds, g, h)
+        split = find_best_split(hist, (0.0, 2.0, 3), params)
+        assert (split.feature, split.threshold_bin) == (0, 1)
+        assert split.gain == 4.0 and math.isfinite(split.gain)
+        # A node whose only boundary has a NaN gain has no split at all.
+        only_nan = build_histograms(np.arange(2), ds, g, h)
+        assert find_best_split(only_nan, (-2.0, 1.0, 2), params) is None
+
+
 class TestGrowTree:
     def test_stump(self, rng):
         ds = make_binned_dataset(rng.integers(0, 4, size=(20, 2)))
@@ -279,6 +338,33 @@ class TestGrowTree:
             assert np.array_equal(recomputed.sum_g, right.sum_g)
             assert np.array_equal(recomputed.sum_h, right.sum_h)
             assert np.array_equal(recomputed.count, right.count)
+
+
+    def test_smaller_child_built_larger_derived(self, rng):
+        # Skewed bins make the smaller child the left one at some splits and
+        # the right one at others.
+        binned = np.column_stack([
+            rng.choice(8, size=300, p=[0.4, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05]),
+            rng.choice(8, size=300, p=[0.05, 0.05, 0.05, 0.05, 0.1, 0.1, 0.2, 0.4]),
+            rng.integers(0, 8, size=300),
+        ])
+        ds = make_binned_dataset(binned, finite_bins=[8, 8, 8])
+        g = rng.normal(size=300) + np.where(binned[:, 0] == 0, 1.0, 0.0)
+        h = rng.uniform(0.5, 1.5, size=300)
+        skeleton, _ = grow_tree(
+            ds, g, h, loose_params(max_leaves=12, min_samples_leaf=3),
+            capture_histograms=True,
+        )
+        sides = set()
+        for node, (parent, built, derived) in zip(skeleton.nodes, skeleton.captures):
+            assert np.array_equal(derived.sum_g, parent.sum_g - built.sum_g)
+            assert np.array_equal(derived.sum_h, parent.sum_h - built.sum_h)
+            assert np.array_equal(derived.count, parent.count - built.count)
+            n_built = int(built.count[0].sum())
+            assert n_built <= int(derived.count[0].sum())
+            n_left = int(built.count[node.feature, : node.threshold_bin + 1].sum())
+            sides.add("left" if n_left == n_built else "right")
+        assert sides == {"left", "right"}
 
 
 class TestFitLeafValues:
