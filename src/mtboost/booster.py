@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,16 @@ from .tree import (
 
 MODEL_FORMAT_MARKER = "mtboost-model-v1"
 
+# Annotation of a parameter field -> type tag. The CLI parses config values
+# by these tags and load_model checks the params JSON against them.
+PARAM_TYPES = {
+    "int": "int",
+    "float": "float",
+    "str": "str",
+    "tuple[str, ...]": "strlist",
+    "tuple[float, ...] | None": "floatlist",
+}
+
 
 @dataclass(frozen=True)
 class BoosterParams:
@@ -56,7 +66,9 @@ class BoosterParams:
     values. Historic configs sometimes call this knob "lambda_l1"; the CLI
     accepts that alias but the engine applies it in the denominator only.
     ``seed`` offsets the task-selection stream of the multi-task config, so
-    harnesses can vary whole runs with one knob.
+    harnesses can vary whole runs with one knob. ``growth`` is the
+    GrowthParams view of the fields that share its names, built (and so
+    checked) once, with the params.
     """
 
     objectives: tuple[str, ...]
@@ -81,21 +93,16 @@ class BoosterParams:
             raise InvalidParameter("num_iterations must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidParameter("learning_rate must be in (0, 1]")
-        if self.lambda_reg < 0:
-            raise InvalidParameter("lambda_reg must be >= 0")
         if not 0 <= self.main_task_index < len(self.objectives):
             raise InvalidParameter("main_task_index out of range")
+        growth = GrowthParams(**{f.name: getattr(self, f.name) for f in fields(GrowthParams)})
+        object.__setattr__(self, "growth", growth)
 
-    def growth_params(self) -> GrowthParams:
-        return GrowthParams(
-            max_leaves=self.max_leaves,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            min_hess_leaf=self.min_hess_leaf,
-            min_gain_to_split=self.min_gain_to_split,
-            lambda_reg=self.lambda_reg,
-            gamma_reg=self.gamma_reg,
-        )
+
+def param_types(cls) -> dict[str, str]:
+    """Type tag of each field of BoosterParams or MTConfig, in field order;
+    the nested ``mt`` config is left out."""
+    return {f.name: PARAM_TYPES[f.type] for f in fields(cls) if f.name != "mt"}
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,6 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
             raise InvalidParameter("validation label count differs from training")
 
     mt = replace(params.mt, seed=params.mt.seed + params.seed)
-    growth = params.growth_params()
     base = _base_scores(dataset.labels, params.objectives)
     scores = np.tile(base, (dataset.m, 1))
     valid_scores = np.tile(base, (valid.m, 1)) if valid is not None else None
@@ -185,7 +191,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         gh = grad_hess(dataset.labels, scores, params.objectives)
         gu = updating_grad_hess(gh, mt)
         eg = ensemble_grad_hess(gh, mt, it)
-        skeleton, leaf_samples = grow_tree(dataset, eg.g_e, eg.h_e, growth)
+        skeleton, leaf_samples = grow_tree(dataset, eg.g_e, eg.h_e, params.growth)
         tree = fit_leaf_values(
             skeleton, leaf_samples, gu.g, gu.h,
             params.lambda_reg, params.learning_rate, params.max_delta_step,
@@ -236,7 +242,7 @@ def _bin_features(model: BoosterModel, features: np.ndarray) -> np.ndarray:
         raise FeatureCountMismatch(
             f"expected {model.n_features} feature columns, got {features.shape}"
         )
-    binned = np.empty(features.shape, dtype=np.int64)
+    binned = model.mapper.empty_binned(features.shape[0])
     for f in range(model.n_features):
         binned[:, f] = bin_column(features[:, f], model.mapper.boundaries[f])
     return binned
@@ -339,7 +345,7 @@ def save_model(model: BoosterModel, path) -> None:
     lines.append(f"num_log_rows {len(model.training_log)}")
     lines.append("feature_names " + json.dumps(list(model.feature_names)))
     lines.append("task_names " + json.dumps(list(model.task_names)))
-    lines.append("params " + json.dumps(_params_to_dict(model.params)))
+    lines.append("params " + json.dumps(asdict(model.params)))
     lines.append("extra " + json.dumps(model.extra, sort_keys=True))
     lines.append("base_scores " + _hexline(model.base_scores))
     lines.append(f"mapper max_bins {model.mapper.max_bins}")
@@ -348,9 +354,10 @@ def save_model(model: BoosterModel, path) -> None:
     for i, tree in enumerate(model.trees):
         lines.append(f"tree {i} nodes {len(tree.nodes)} leaves {tree.n_leaves}")
         for node in tree.nodes:
+            # The fifth field, <default_right>, is always 1: missing goes right.
             lines.append(
                 f"node {node.feature} {node.threshold_bin} {node.left} {node.right} "
-                f"{int(node.default_right)} {_hex(node.gain)} {node.count}"
+                f"1 {_hex(node.gain)} {node.count}"
             )
         for leaf in range(tree.n_leaves):
             lines.append(
@@ -366,69 +373,60 @@ def save_model(model: BoosterModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _params_to_dict(params: BoosterParams) -> dict:
-    mt = params.mt
-    return {
-        "objectives": list(params.objectives),
-        "num_iterations": params.num_iterations,
-        "learning_rate": params.learning_rate,
-        "lambda_reg": params.lambda_reg,
-        "gamma_reg": params.gamma_reg,
-        "max_depth": params.max_depth,
-        "max_leaves": params.max_leaves,
-        "min_samples_leaf": params.min_samples_leaf,
-        "min_hess_leaf": params.min_hess_leaf,
-        "min_gain_to_split": params.min_gain_to_split,
-        "early_stopping_rounds": params.early_stopping_rounds,
-        "seed": params.seed,
-        "main_task_index": params.main_task_index,
-        "max_delta_step": params.max_delta_step,
-        "mt": {
-            "gamma_boost": mt.gamma_boost,
-            "g_target_mean": mt.g_target_mean,
-            "g_target_std": mt.g_target_std,
-            "h_target_mean": mt.h_target_mean,
-            "h_target_std": mt.h_target_std,
-            "task_select": mt.task_select,
-            "task_weights": list(mt.task_weights) if mt.task_weights else None,
-            "n_selected": mt.n_selected,
-            "corr_mode": mt.corr_mode,
-            "seed": mt.seed,
-        },
-    }
+_JSON_TYPE_OK = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "str": lambda v: type(v) is str,
+    "strlist": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "floatlist": lambda v: v is None or (
+        type(v) is list and all(type(x) in (int, float) for x in v)
+    ),
+}
 
 
-def _params_from_dict(d: dict) -> BoosterParams:
-    mt = d["mt"]
-    weights = mt["task_weights"]
-    return BoosterParams(
-        objectives=tuple(d["objectives"]),
-        num_iterations=d["num_iterations"],
-        learning_rate=d["learning_rate"],
-        lambda_reg=d["lambda_reg"],
-        gamma_reg=d["gamma_reg"],
-        max_depth=d["max_depth"],
-        max_leaves=d["max_leaves"],
-        min_samples_leaf=d["min_samples_leaf"],
-        min_hess_leaf=d["min_hess_leaf"],
-        min_gain_to_split=d["min_gain_to_split"],
-        early_stopping_rounds=d["early_stopping_rounds"],
-        seed=d["seed"],
-        main_task_index=d["main_task_index"],
-        max_delta_step=d["max_delta_step"],
-        mt=MTConfig(
-            gamma_boost=mt["gamma_boost"],
-            g_target_mean=mt["g_target_mean"],
-            g_target_std=mt["g_target_std"],
-            h_target_mean=mt["h_target_mean"],
-            h_target_std=mt["h_target_std"],
-            task_select=mt["task_select"],
-            task_weights=tuple(weights) if weights else None,
-            n_selected=mt["n_selected"],
-            corr_mode=mt["corr_mode"],
-            seed=mt["seed"],
-        ),
-    )
+def _kwargs_from_json(cls, obj) -> dict:
+    """Constructor arguments of ``cls`` from its JSON snapshot: the keys must
+    be exactly its fields and each value must have its field's type."""
+    types = param_types(cls)
+    if type(obj) is not dict or obj.keys() != types.keys():
+        raise ValueError(f"{cls.__name__} params must have exactly the keys {list(types)}")
+    for name, tag in types.items():
+        if not _JSON_TYPE_OK[tag](obj[name]):
+            raise ValueError(f"{cls.__name__} param {name!r}: {obj[name]!r} is not {tag}")
+    return {k: tuple(v) if type(v) is list else v for k, v in obj.items()}
+
+
+def _params_from_dict(d) -> BoosterParams:
+    if type(d) is not dict:
+        raise ValueError("params must be a JSON object")
+    kwargs = dict(d)
+    mt = MTConfig(**_kwargs_from_json(MTConfig, kwargs.pop("mt", None)))
+    return BoosterParams(mt=mt, **_kwargs_from_json(BoosterParams, kwargs))
+
+
+def _check_tree(nodes, n_leaves: int, finite_bins) -> None:
+    """Raise ValueError unless the nodes form one binary tree over n_leaves
+    leaves with splits the mapper can produce: every child comes after its
+    parent, and every node but the root and every leaf has exactly one
+    parent."""
+    node_refs = []
+    leaf_refs = [] if nodes else [0]  # a tree without nodes is the single leaf 0
+    for i, node in enumerate(nodes):
+        if not 0 <= node.feature < len(finite_bins):
+            raise ValueError(f"node {i}: feature {node.feature} out of range")
+        if not 0 <= node.threshold_bin < finite_bins[node.feature] - 1:
+            raise ValueError(f"node {i}: threshold_bin {node.threshold_bin} out of range")
+        for child in (node.left, node.right):
+            if 0 <= child <= i:
+                raise ValueError(f"node {i}: child node {child} does not come after it")
+            if child >= 0:
+                node_refs.append(child)
+            else:
+                leaf_refs.append(~child)
+    if sorted(node_refs) != list(range(1, len(nodes))) or sorted(leaf_refs) != list(
+        range(n_leaves)
+    ):
+        raise ValueError("node children must reference every node and leaf exactly once")
 
 
 class _Reader:
@@ -449,10 +447,13 @@ class _Reader:
         return line
 
 
-def _parse_hexline(rest: str) -> np.ndarray:
-    if not rest:
-        return np.empty(0, dtype=np.float64)
-    return np.array([float.fromhex(tok) for tok in rest.split(" ")], dtype=np.float64)
+def _parse_hexline(rest: str, count: int | None = None) -> np.ndarray:
+    values = np.array(
+        [float.fromhex(tok) for tok in rest.split(" ")] if rest else [], dtype=np.float64
+    )
+    if count is not None and len(values) != count:
+        raise ValueError(f"expected {count} values, got {len(values)}")
+    return values
 
 
 def load_model(path) -> BoosterModel:
@@ -471,6 +472,8 @@ def load_model(path) -> BoosterModel:
         task_names = tuple(json.loads(rd.next("task_names ")[len("task_names "):]))
         params = _params_from_dict(json.loads(rd.next("params ")[len("params "):]))
         extra = json.loads(rd.next("extra ")[len("extra "):])
+        if type(extra) is not dict:
+            raise ValueError("extra must be a JSON object")
         base_scores = _parse_hexline(rd.next("base_scores ")[len("base_scores "):])
         max_bins = int(rd.next("mapper max_bins ").split(" ")[2])
         boundaries = []
@@ -485,18 +488,21 @@ def load_model(path) -> BoosterModel:
             n_nodes, n_leaves = int(header[3]), int(header[5])
             nodes = []
             for _ in range(n_nodes):
-                tok = rd.next("node ").split(" ")
+                line = rd.next("node ")
+                tok = line.split(" ")
+                if len(tok) != 8 or tok[5] != "1":
+                    raise ValueError(f"{line!r}: expected 7 fields, <default_right> 1")
                 nodes.append(
                     TreeNode(
                         feature=int(tok[1]),
                         threshold_bin=int(tok[2]),
                         left=int(tok[3]),
                         right=int(tok[4]),
-                        default_right=bool(int(tok[5])),
                         gain=float.fromhex(tok[6]),
                         count=int(tok[7]),
                     )
                 )
+            _check_tree(nodes, n_leaves, mapper.finite_bin_counts)
             values = np.empty((n_leaves, n_tasks))
             means = np.empty((n_leaves, n_tasks))
             counts = np.empty(n_leaves, dtype=np.int64)
@@ -505,8 +511,8 @@ def load_model(path) -> BoosterModel:
                 head, _, tail = line.partition(" values ")
                 counts[leaf] = int(head.split(" ")[1])
                 values_part, _, means_part = tail.partition(" means ")
-                values[leaf] = _parse_hexline(values_part)
-                means[leaf] = _parse_hexline(means_part)
+                values[leaf] = _parse_hexline(values_part, n_tasks)
+                means[leaf] = _parse_hexline(means_part, n_tasks)
             trees.append(
                 MultiOutputTree(
                     nodes=nodes,
@@ -523,16 +529,19 @@ def load_model(path) -> BoosterModel:
             log.append(
                 IterationLog(
                     iteration=int(head.split(" ")[1]),
-                    train=tuple(_parse_hexline(train_part)),
-                    valid=None if valid_part == "-" else tuple(_parse_hexline(valid_part)),
+                    train=tuple(_parse_hexline(train_part, n_tasks)),
+                    valid=None if valid_part == "-" else tuple(
+                        _parse_hexline(valid_part, n_tasks)
+                    ),
                 )
             )
         rd.next("end")
     except FormatVersionMismatch:
         raise
-    except (ValueError, IndexError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, IndexError) as exc:
         raise FormatVersionMismatch(f"{path}: corrupt model file: {exc}") from None
-    if len(base_scores) != n_tasks or len(feature_names) != n_features:
+    if (len(base_scores) != n_tasks or len(task_names) != n_tasks
+            or len(params.objectives) != n_tasks or len(feature_names) != n_features):
         raise FormatVersionMismatch(f"{path}: inconsistent header counts")
     return BoosterModel(
         trees=trees,

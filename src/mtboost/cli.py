@@ -31,40 +31,28 @@ from .gradients import MTConfig
 from .metrics import METRIC_NAMES, compute_metric
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
 
-# key -> (type tag, target). Targets: data options, BoosterParams, MTConfig.
-_SCHEMA = {
-    "label_columns": ("strlist", "data"),
-    "missing_token": ("str", "data"),
-    "max_bins": ("int", "data"),
-    "log_transform_features": ("strlist", "data"),
-    "objectives": ("strlist", "params"),
-    "num_iterations": ("int", "params"),
-    "learning_rate": ("float", "params"),
-    "lambda": ("float", "params"),
-    "lambda_l1": ("float", "params"),  # alias kept for familiarity
-    "gamma_reg": ("float", "params"),
-    "max_depth": ("int", "params"),
-    "max_leaves": ("int", "params"),
-    "min_samples_leaf": ("int", "params"),
-    "min_hess_leaf": ("float", "params"),
-    "min_gain_to_split": ("float", "params"),
-    "early_stopping_rounds": ("int", "params"),
-    "seed": ("int", "params"),
-    "main_task_index": ("int", "params"),
-    "max_delta_step": ("float", "params"),
-    "gamma_boost": ("float", "mt"),
-    "g_target_mean": ("float", "mt"),
-    "g_target_std": ("float", "mt"),
-    "h_target_mean": ("float", "mt"),
-    "h_target_std": ("float", "mt"),
-    "task_select": ("str", "mt"),
-    "task_weights": ("floatlist", "mt"),
-    "n_selected": ("int", "mt"),
-    "corr_mode": ("str", "mt"),
-    "mt_seed": ("int", "mt"),
-}
+# Config keys that differ from the field they set, per target section.
+_RENAMED = {("params", "lambda_reg"): ("lambda", "lambda_l1"), ("mt", "seed"): ("mt_seed",)}
+_PARAM_RENAMES = {key: name for (_, name), keys in _RENAMED.items() for key in keys}
 
-_PARAM_RENAMES = {"lambda": "lambda_reg", "lambda_l1": "lambda_reg", "mt_seed": "seed"}
+
+def _make_schema() -> dict:
+    """key -> (type tag, target): the data options, then every field of
+    BoosterParams and MTConfig under its config key."""
+    schema = {
+        "label_columns": ("strlist", "data"),
+        "missing_token": ("str", "data"),
+        "max_bins": ("int", "data"),
+        "log_transform_features": ("strlist", "data"),
+    }
+    for target, cls in (("params", bt.BoosterParams), ("mt", MTConfig)):
+        for name, tag in bt.param_types(cls).items():
+            for key in _RENAMED.get((target, name), (name,)):
+                schema[key] = (tag, target)
+    return schema
+
+
+_SCHEMA = _make_schema()
 
 
 def parse_config(path) -> dict:
@@ -113,13 +101,9 @@ def _convert(value: str, type_tag: str):
 
 
 def build_params(sections: dict) -> bt.BoosterParams:
-    mt_kwargs = dict(sections["mt"])
-    if "task_weights" in mt_kwargs and not mt_kwargs["task_weights"]:
-        del mt_kwargs["task_weights"]
-    params_kwargs = dict(sections["params"])
-    if "objectives" not in params_kwargs:
+    if "objectives" not in sections["params"]:
         raise ConfigError("config must set 'objectives'", key="objectives")
-    return bt.BoosterParams(mt=MTConfig(**mt_kwargs), **params_kwargs)
+    return bt.BoosterParams(mt=MTConfig(**sections["mt"]), **sections["params"])
 
 
 def _load_table(csv_path, data_opts, require_labels=True, label_columns=None):
@@ -184,17 +168,19 @@ def _write_training_log(model, path, has_valid: bool) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _features_from_csv(model, csv_path):
-    """Pick the model's feature columns (by name) out of a CSV, replaying
-    the preprocessing recorded at training time."""
-    opts = model.extra.get("data_options", {})
-    matrix, header = read_feature_matrix(csv_path, opts.get("missing_token", ""))
+def _missing_token(model) -> str:
+    return model.extra.get("data_options", {}).get("missing_token", "")
+
+
+def _model_features(model, matrix, header):
+    """Pick the model's feature columns (by name) out of a parsed CSV,
+    replaying the log transform recorded at training time."""
     for name in model.feature_names:
         if name not in header:
             raise FeatureCountMismatch(f"input CSV lacks feature column {name!r}")
     cols = [header.index(name) for name in model.feature_names]
-    features = matrix[:, cols].copy()
-    transform = opts.get("log_transform_features") or ()
+    features = matrix[:, cols]
+    transform = model.extra.get("data_options", {}).get("log_transform_features") or ()
     log_transform_columns(
         features, [model.feature_names.index(name) for name in transform], model.feature_names
     )
@@ -203,7 +189,8 @@ def _features_from_csv(model, csv_path):
 
 def cmd_predict(args) -> int:
     model = bt.load_model(args.model)
-    features = _features_from_csv(model, args.data)
+    matrix, header = read_feature_matrix(args.data, _missing_token(model))
+    features = _model_features(model, matrix, header)
     if args.task is not None:
         scores = bt.predict(model, features, task=args.task)
         columns = [(f"task_{args.task}", scores)]
@@ -221,10 +208,8 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = bt.load_model(args.model)
-    features = _features_from_csv(model, args.data)
-    labeled = load_csv(args.data, list(model.task_names),
-                       model.extra.get("data_options", {}).get("missing_token", ""))
-    raw = bt.predict(model, features)
+    labeled = load_csv(args.data, list(model.task_names), _missing_token(model))
+    raw = bt.predict(model, _model_features(model, labeled.features, labeled.feature_names))
     use_probability = args.metric in ("rmse", "mape")
     values = []
     for t, name in enumerate(model.task_names):

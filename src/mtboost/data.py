@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
     MissingLabelColumn,
     NegativeInput,
     NonNumericLabel,
+    ShapeError,
 )
 
 DEFAULT_MAX_BINS = 255
@@ -62,10 +63,6 @@ class RawTable:
     @property
     def n(self) -> int:
         return self.labels.shape[1]
-
-
-class ShapeError(ValueError):
-    """Internal consistency violation while constructing a table."""
 
 
 def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
@@ -215,13 +212,16 @@ class BinMapper:
         return np.array([len(b) + 1 for b in self.boundaries], dtype=np.int64)
 
     @property
-    def missing_bins(self) -> np.ndarray:
-        return self.finite_bin_counts
-
-    @property
     def bin_counts(self) -> np.ndarray:
         """Total bins per feature, missing bin included."""
         return self.finite_bin_counts + 1
+
+    def empty_binned(self, m: int) -> np.ndarray:
+        """Uninitialised (m, d) bin matrix in the one layout every reader
+        expects: column-major, so each feature's bins are contiguous, in the
+        narrowest unsigned dtype that holds every bin index."""
+        dtype = np.uint8 if int(self.bin_counts.max(initial=0)) <= 256 else np.uint32
+        return np.empty((m, self.n_features), dtype=dtype, order="F")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinMapper):
@@ -264,13 +264,11 @@ def fit_bins(table: RawTable, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
 class Dataset:
     """A table after binning: integer bin matrix plus untouched labels."""
 
-    binned: np.ndarray  # (m, d) unsigned int
+    binned: np.ndarray  # (m, d), laid out as BinMapper.empty_binned makes it
     labels: np.ndarray  # (m, n) float64
     mapper: BinMapper
-    raw_feature_minmax: np.ndarray  # (d, 2)
     feature_names: tuple[str, ...]
     task_names: tuple[str, ...]
-    binned_by_feature: np.ndarray = field(repr=False, default=None)  # (d, m) view
 
     @property
     def m(self) -> int:
@@ -304,23 +302,13 @@ def apply_bins(table: RawTable, mapper: BinMapper) -> Dataset:
         raise DimensionMismatch(
             f"table has {table.d} features, mapper was fitted on {mapper.n_features}"
         )
-    dtype = np.uint8 if int(mapper.bin_counts.max()) <= 256 else np.uint32
-    binned = np.empty((table.m, table.d), dtype=dtype)
-    minmax = np.empty((table.d, 2), dtype=np.float64)
+    binned = mapper.empty_binned(table.m)
     for f in range(table.d):
-        col = table.features[:, f]
-        binned[:, f] = bin_column(col, mapper.boundaries[f])
-        finite = col[~np.isnan(col)]
-        if finite.size:
-            minmax[f] = (finite.min(), finite.max())
-        else:
-            minmax[f] = (math.nan, math.nan)
+        binned[:, f] = bin_column(table.features[:, f], mapper.boundaries[f])
     return Dataset(
         binned=binned,
         labels=table.labels.copy(),
         mapper=mapper,
-        raw_feature_minmax=minmax,
         feature_names=table.feature_names,
         task_names=table.task_names,
-        binned_by_feature=np.ascontiguousarray(binned.T),
     )

@@ -26,6 +26,10 @@ class NegativeInput(MtboostError, ValueError):
     """A value outside the domain of the log transform."""
 
 
+class ShapeError(MtboostError, ValueError):
+    """A table's rows, columns or name lists disagree, e.g. a ragged CSV row."""
+
+
 class DimensionMismatch(MtboostError, ValueError):
     """Feature count of a table does not match the fitted bin mapper."""
 

@@ -61,6 +61,8 @@ class MTConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.task_weights is not None and len(self.task_weights) == 0:
+            object.__setattr__(self, "task_weights", None)
         if self.gamma_boost < 1.0:
             raise InvalidParameter("gamma_boost must be >= 1")
         if self.task_select not in TASK_SELECT_POLICIES:

@@ -20,16 +20,12 @@ parent = built + derived an exact identity.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import EmptyLeaf, InvalidParameter
-
-# Missing values always route to the right child: the missing bin index is
-# larger than any finite threshold bin.
-DEFAULT_RIGHT = True
 
 MAX_DELTA_DEFAULT = 1e10
 
@@ -90,7 +86,7 @@ def build_histograms(sample_indices, dataset: Dataset, g_e, h_e) -> Histogram:
     g_node = g_e[idx]
     h_node = h_e[idx]
     for f in range(d):
-        bins = dataset.binned_by_feature[f][idx].astype(np.intp)
+        bins = dataset.binned[:, f][idx].astype(np.intp)
         sum_g[f] = np.bincount(bins, weights=g_node, minlength=n_bins_max)
         sum_h[f] = np.bincount(bins, weights=h_node, minlength=n_bins_max)
         count[f] = np.bincount(bins, minlength=n_bins_max)
@@ -123,7 +119,6 @@ class SplitInfo:
     gain: float
     left_sums: tuple[float, float, int]  # (G_e, H_e, count)
     right_sums: tuple[float, float, int]
-    default_right: bool = DEFAULT_RIGHT
 
 
 def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
@@ -178,13 +173,16 @@ def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
 
 @dataclass
 class TreeNode:
-    """Internal node. Children >= 0 index nodes; negative c encodes leaf ~c."""
+    """Internal node. Children >= 0 index nodes; negative c encodes leaf ~c.
+
+    Rows whose bin is <= threshold_bin go left. The missing bin is larger than
+    any threshold bin, so missing values always go right.
+    """
 
     feature: int
     threshold_bin: int
     left: int = 0
     right: int = 0
-    default_right: bool = DEFAULT_RIGHT
     gain: float = 0.0
     count: int = 0
 
@@ -195,10 +193,6 @@ class TreeSkeleton:
 
     nodes: list[TreeNode]
     n_leaves: int
-    # Present only when growth ran with capture_histograms=True; one entry
-    # per internal node: (node hist, built child hist, derived child hist),
-    # where the built child is the one with fewer samples.
-    captures: list[tuple[Histogram, Histogram, Histogram]] | None = None
 
 
 class _Candidate:
@@ -215,8 +209,7 @@ class _Candidate:
         self.slot = slot  # (parent node id, "left"/"right") or None for root
 
 
-def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams,
-              capture_histograms: bool = False):
+def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
     """Grow the split structure best-first from the splitting gradients.
 
     Repeatedly splits the pending leaf with the largest gain until
@@ -230,7 +223,6 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams,
     totals = (float(np.sum(g_e)), float(np.sum(h_e)), m)
 
     nodes: list[TreeNode] = []
-    captures: list | None = [] if capture_histograms else None
     pending: dict[int, _Candidate] = {}
     heap: list[tuple[float, int]] = []
     counter = 0
@@ -264,7 +256,7 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams,
         if cand.slot is not None:
             _link(nodes, cand.slot, node_id)
 
-        col = dataset.binned_by_feature[best.feature][cand.samples]
+        col = dataset.binned[:, best.feature][cand.samples]
         left_mask = col <= best.threshold_bin
         left_samples = cand.samples[left_mask]
         right_samples = cand.samples[~left_mask]
@@ -275,8 +267,6 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams,
         )
         derived = subtract_histograms(cand.hist, built)
         left_hist, right_hist = (built, derived) if build_left else (derived, built)
-        if captures is not None:
-            captures.append((cand.hist, built, derived))
 
         depth = cand.depth + 1
         add_candidate(left_samples, left_hist, best.left_sums, depth, (node_id, "left"))
@@ -291,7 +281,7 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams,
         if cand.slot is not None:
             _link(nodes, cand.slot, ~leaf_id)
 
-    skeleton = TreeSkeleton(nodes=nodes, n_leaves=len(leaf_samples), captures=captures)
+    skeleton = TreeSkeleton(nodes=nodes, n_leaves=len(leaf_samples))
     return skeleton, leaf_samples
 
 

@@ -25,13 +25,11 @@ def make_binned_dataset(binned, labels=None, finite_bins=None, max_bins=255):
     )
     mapper = BinMapper(boundaries=boundaries, max_bins=max_bins)
     return Dataset(
-        binned=binned.astype(np.uint32),
+        binned=np.asfortranarray(binned, dtype=np.uint32),
         labels=np.asarray(labels, dtype=np.float64),
         mapper=mapper,
-        raw_feature_minmax=np.zeros((d, 2)),
         feature_names=tuple(f"f{j}" for j in range(d)),
         task_names=tuple(f"t{j}" for j in range(labels.shape[1])),
-        binned_by_feature=np.ascontiguousarray(binned.T.astype(np.uint32)),
     )
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from mtboost.errors import (
     FormatVersionMismatch,
     InvalidParameter,
     MapperMismatch,
+    MtboostError,
     TaskIndexOutOfRange,
 )
 from mtboost.gradients import MTConfig
@@ -276,6 +280,111 @@ class TestModelFile:
         loaded = load_model(path)
         x = table.features[:7]
         np.testing.assert_array_equal(predict(loaded, x), predict(empty, x))
+
+
+GOLDEN = Path(__file__).parent / "golden_model_v1.txt"  # 2 tasks, NaN features, valid log
+
+
+def _golden_lines():
+    return GOLDEN.read_text().splitlines()
+
+
+def _with_token(lines, line_no, tok, value):
+    parts = lines[line_no].split(" ")
+    parts[tok] = value
+    return lines[:line_no] + [" ".join(parts)] + lines[line_no + 1:]
+
+
+def _with_params(lines, change):
+    i = next(i for i, line in enumerate(lines) if line.startswith("params "))
+    params = json.loads(lines[i][len("params "):])
+    change(params)
+    return lines[:i] + ["params " + json.dumps(params)] + lines[i + 1:]
+
+
+def _set(key, value, section=None):
+    def change(params):
+        (params[section] if section else params)[key] = value
+    return change
+
+
+class TestModelFileChecks:
+    def test_golden_v1_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "again.txt"
+        save_model(load_model(GOLDEN), path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_empty_task_weights_saved_as_null(self, rng, tmp_path):
+        params = reg_params(mt=MTConfig(corr_mode="constant_one", task_weights=()))
+        assert params.mt.task_weights is None
+        path = tmp_path / "model.txt"
+        save_model(train(binned(regression_table(rng)), params), path)
+        assert '"task_weights": null' in path.read_text()
+
+    @pytest.mark.parametrize("tok, value", [
+        (3, "0"),  # left child is the node itself: routing would never end
+        (4, "99"),  # right child past the last node
+        (3, "-99"),  # leaf past the last leaf
+        (1, "99"),  # feature past the last feature
+        (2, "99"),  # threshold_bin past the feature's last boundary
+        (5, "0"),  # <default_right> must be 1
+    ], ids=["self-loop", "child-99", "leaf-99", "feature-99", "threshold-99",
+            "default_right-0"])
+    def test_corrupt_node_rejected(self, tmp_path, tok, value):
+        lines = _golden_lines()
+        root = next(i for i, line in enumerate(lines) if line.startswith("node "))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_token(lines, root, tok, value)) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda p: p.pop("seed"),
+        lambda p: p["mt"].pop("corr_mode"),
+        _set("lambda", 0.5),
+        _set("learning_rate", "x"),
+        _set("max_leaves", True),
+        _set("objectives", "regression_l2"),
+        _set("task_weights", [0.5, "x"], "mt"),
+        _set("mt", None),
+    ], ids=["no-seed", "no-mt-corr_mode", "extra-key", "str-float", "bool-int",
+            "str-list", "str-in-floatlist", "mt-null"])
+    def test_corrupt_params_rejected(self, tmp_path, change):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_params(_golden_lines(), change)) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    def test_leaf_width_must_match_task_count(self, tmp_path):
+        lines = _golden_lines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("leaf "))
+        parts = lines[i].split(" ")
+        del parts[4]  # "leaf <count> values <v0> <v1> means ..." loses <v1>
+        lines[i] = " ".join(parts)
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    def test_node_token_sweep_loads_and_predicts_or_rejects(self, rng, tmp_path):
+        lines = _golden_lines()
+        x = rng.normal(size=(40, 3))
+        x[::3, 1] = np.nan
+        path = tmp_path / "swept.txt"
+        rejected = 0
+        for i, line in enumerate(lines):
+            if not line.startswith("node "):
+                continue
+            for tok in range(len(line.split(" "))):
+                for value in ("-1", "0", "99", "x"):
+                    path.write_text("\n".join(_with_token(lines, i, tok, value)) + "\n")
+                    try:
+                        model = load_model(path)
+                    except MtboostError:
+                        rejected += 1
+                        continue
+                    assert predict(model, x).shape == (40, 2)
+        assert rejected > 0
 
 
 class TestExtractTask:

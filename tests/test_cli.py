@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mtboost.cli import main, parse_config
+from mtboost.cli import _SCHEMA, main, parse_config
 from mtboost.errors import ConfigError
 
 CONFIG = """\
@@ -55,6 +58,16 @@ class TestConfigParsing:
         p = tmp_path / "c.txt"
         p.write_text("\n# note\nseed = 4  # trailing\n\n")
         assert parse_config(p)["params"]["seed"] == 4
+
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Config file", 1)[1].split("###", 1)[0]
+        keys = set()
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        assert keys == set(_SCHEMA)
 
 
 class TestPipeline:
@@ -130,6 +143,17 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1  # single-line error
         assert "mystery_knob" in err
+
+    def test_ragged_csv_is_one_line_error(self, workdir, capsys):
+        data = workdir / "ragged.csv"
+        data.write_text("a,b,y\n1,2,3\n4,5\n")
+        cfg = workdir / "ragged_cfg.txt"
+        cfg.write_text("label_columns = y\nobjectives = regression_l2\n")
+        code = run(["train", "--config", cfg, "--data", data, "--out", workdir / "m.txt"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ShapeError: row 3 has 2 cells, header has 3\n"
+        )
 
     def test_missing_file_is_clean_error(self, workdir, capsys):
         code = run(["predict", "--model", workdir / "ghost.txt",

@@ -164,7 +164,7 @@ class TestApplyBins:
         fit = make_table([[1.0], [2.0]], [[0.0]] * 2)
         mapper = fit_bins(fit, max_bins=4)
         ds = apply_bins(make_table([[math.nan]], [[0.0]]), mapper)
-        assert ds.binned[0, 0] == mapper.missing_bins[0]
+        assert ds.binned[0, 0] == mapper.finite_bin_counts[0]
 
     def test_boundary_value_right_closed(self):
         fit = make_table([[1.0], [2.0], [3.0]], [[0.0]] * 3)
@@ -203,7 +203,7 @@ class TestBinningProperties:
         table = make_table(col, np.zeros((len(values), 1)))
         mapper = fit_bins(table, max_bins)
         ds = apply_bins(table, mapper)
-        assert (ds.binned[:, 0] < mapper.missing_bins[0]).all()
+        assert (ds.binned[:, 0] < mapper.finite_bin_counts[0]).all()
         assert (ds.binned[:, 0] < mapper.bin_counts[0]).all()
 
     def test_binning_ignores_labels(self, rng):

@@ -38,6 +38,20 @@ def loose_params(**kw):
     return GrowthParams(**defaults)
 
 
+def capture_subtractions(monkeypatch):
+    """Record (parent, built, derived) for every sibling histogram the grower
+    derives, by wrapping ``mtboost.tree.subtract_histograms``."""
+    captures = []
+
+    def recording(parent, built):
+        derived = subtract_histograms(parent, built)
+        captures.append((parent, built, derived))
+        return derived
+
+    monkeypatch.setattr("mtboost.tree.subtract_histograms", recording)
+    return captures
+
+
 class TestBuildHistograms:
     def test_single_sample(self):
         ds = make_binned_dataset([[2], [0], [1]], finite_bins=[4])
@@ -323,24 +337,22 @@ class TestGrowTree:
                 base.feature, base.threshold_bin,
             )
 
-    def test_histogram_subtraction_exact(self, rng):
+    def test_histogram_subtraction_exact(self, rng, monkeypatch):
         binned = rng.integers(0, 6, size=(80, 2))
         ds = make_binned_dataset(binned)
         g = rng.normal(size=80)
         h = rng.uniform(0.5, 1.5, size=80)
-        skeleton, _ = grow_tree(
-            ds, g, h, loose_params(max_leaves=5, min_samples_leaf=4),
-            capture_histograms=True,
-        )
-        assert skeleton.captures
-        for parent, left, right in skeleton.captures:
+        captures = capture_subtractions(monkeypatch)
+        grow_tree(ds, g, h, loose_params(max_leaves=5, min_samples_leaf=4))
+        assert captures
+        for parent, left, right in captures:
             recomputed = subtract_histograms(parent, left)
             assert np.array_equal(recomputed.sum_g, right.sum_g)
             assert np.array_equal(recomputed.sum_h, right.sum_h)
             assert np.array_equal(recomputed.count, right.count)
 
 
-    def test_smaller_child_built_larger_derived(self, rng):
+    def test_smaller_child_built_larger_derived(self, rng, monkeypatch):
         # Skewed bins make the smaller child the left one at some splits and
         # the right one at others.
         binned = np.column_stack([
@@ -351,12 +363,11 @@ class TestGrowTree:
         ds = make_binned_dataset(binned, finite_bins=[8, 8, 8])
         g = rng.normal(size=300) + np.where(binned[:, 0] == 0, 1.0, 0.0)
         h = rng.uniform(0.5, 1.5, size=300)
-        skeleton, _ = grow_tree(
-            ds, g, h, loose_params(max_leaves=12, min_samples_leaf=3),
-            capture_histograms=True,
-        )
+        captures = capture_subtractions(monkeypatch)
+        skeleton, _ = grow_tree(ds, g, h, loose_params(max_leaves=12, min_samples_leaf=3))
+        assert len(captures) == len(skeleton.nodes)
         sides = set()
-        for node, (parent, built, derived) in zip(skeleton.nodes, skeleton.captures):
+        for node, (parent, built, derived) in zip(skeleton.nodes, captures):
             assert np.array_equal(derived.sum_g, parent.sum_g - built.sum_g)
             assert np.array_equal(derived.sum_h, parent.sum_h - built.sum_h)
             assert np.array_equal(derived.count, parent.count - built.count)
