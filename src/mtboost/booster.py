@@ -27,7 +27,7 @@ from .errors import (
     MapperMismatch,
     TaskIndexOutOfRange,
 )
-from .gradients import MTConfig, ensemble_grad_hess, updating_grad_hess
+from .gradients import MTConfig, check_finite_fields, ensemble_grad_hess, updating_grad_hess
 from .objectives import (
     BINARY_LOGLOSS,
     PROB_EPS,
@@ -89,6 +89,7 @@ class BoosterParams:
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", validate_objectives(self.objectives))
+        check_finite_fields(self)
         if self.num_iterations < 1:
             raise InvalidParameter("num_iterations must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -191,14 +192,13 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         gh = grad_hess(dataset.labels, scores, params.objectives)
         gu = updating_grad_hess(gh, mt)
         eg = ensemble_grad_hess(gh, mt, it)
-        skeleton, leaf_samples = grow_tree(dataset, eg.g_e, eg.h_e, params.growth)
+        skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params.growth)
         tree = fit_leaf_values(
-            skeleton, leaf_samples, gu.g, gu.h,
+            skeleton, leaf_id, gu.g, gu.h,
             params.lambda_reg, params.learning_rate, params.max_delta_step,
         )
         trees.append(tree)
-        for leaf, s in enumerate(leaf_samples):
-            scores[s] += tree.leaf_values[leaf]
+        scores += tree.leaf_values[leaf_id]
 
         train_losses = tuple(
             loss(dataset.labels[:, t], scores[:, t], params.objectives[t]) for t in range(n)
@@ -255,17 +255,13 @@ def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarra
     cost does not grow with the number of tasks.
     """
     binned = _bin_features(model, features)
-    k = binned.shape[0]
-    if task is None:
-        out = np.tile(model.base_scores, (k, 1))
-        for tree in model.trees:
-            out += tree.leaf_values[route_binned(tree.nodes, binned)]
-        return out
-    if not 0 <= task < model.n_tasks:
+    if task is not None and not 0 <= task < model.n_tasks:
         raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
-    out = np.full(k, model.base_scores[task])
+    cols = slice(None) if task is None else task
+    base = model.base_scores[cols]
+    out = np.full((binned.shape[0], *np.shape(base)), base)
     for tree in model.trees:
-        out += tree.leaf_values[route_binned(tree.nodes, binned), task]
+        out += tree.leaf_values[:, cols][route_binned(tree.nodes, binned)]
     return out
 
 
@@ -479,8 +475,10 @@ def load_model(path) -> BoosterModel:
         boundaries = []
         for f in range(n_features):
             head = f"feature {f} boundaries"
-            line = rd.next(head)
-            boundaries.append(_parse_hexline(line[len(head):].strip()))
+            cuts = _parse_hexline(rd.next(head)[len(head):].strip())
+            if np.isnan(cuts).any() or not np.all(cuts[1:] > cuts[:-1]):
+                raise ValueError(f"{head} must be strictly ascending")
+            boundaries.append(cuts)
         mapper = BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)
         trees = []
         for i in range(num_trees):

@@ -26,7 +26,7 @@ from .data import (
     read_feature_matrix,
     write_csv,
 )
-from .errors import ConfigError, FeatureCountMismatch, MtboostError
+from .errors import ConfigError, FeatureCountMismatch, FormatVersionMismatch, MtboostError
 from .gradients import MTConfig
 from .metrics import METRIC_NAMES, compute_metric
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
@@ -168,29 +168,40 @@ def _write_training_log(model, path, has_valid: bool) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _missing_token(model) -> str:
-    return model.extra.get("data_options", {}).get("missing_token", "")
+def _data_options(model):
+    """The missing token and the log-transformed feature indices recorded in
+    the model's ``extra.data_options`` at training time."""
+    opts = model.extra.get("data_options", {})
+    if type(opts) is not dict:
+        raise FormatVersionMismatch("model extra.data_options is not a JSON object")
+    token = opts.get("missing_token", "")
+    if type(token) is not str:
+        raise FormatVersionMismatch("model extra.data_options.missing_token is not a string")
+    names = opts.get("log_transform_features", [])
+    if type(names) is not list or not all(name in model.feature_names for name in names):
+        raise FormatVersionMismatch(
+            "model extra.data_options.log_transform_features is not a list of "
+            "the model's feature names"
+        )
+    return token, [model.feature_names.index(name) for name in names]
 
 
-def _model_features(model, matrix, header):
+def _model_features(model, matrix, header, log_features):
     """Pick the model's feature columns (by name) out of a parsed CSV,
     replaying the log transform recorded at training time."""
     for name in model.feature_names:
         if name not in header:
             raise FeatureCountMismatch(f"input CSV lacks feature column {name!r}")
-    cols = [header.index(name) for name in model.feature_names]
-    features = matrix[:, cols]
-    transform = model.extra.get("data_options", {}).get("log_transform_features") or ()
-    log_transform_columns(
-        features, [model.feature_names.index(name) for name in transform], model.feature_names
-    )
+    features = matrix[:, [header.index(name) for name in model.feature_names]]
+    log_transform_columns(features, log_features, model.feature_names)
     return features
 
 
 def cmd_predict(args) -> int:
     model = bt.load_model(args.model)
-    matrix, header = read_feature_matrix(args.data, _missing_token(model))
-    features = _model_features(model, matrix, header)
+    missing_token, log_features = _data_options(model)
+    matrix, header = read_feature_matrix(args.data, missing_token)
+    features = _model_features(model, matrix, header, log_features)
     if args.task is not None:
         scores = bt.predict(model, features, task=args.task)
         columns = [(f"task_{args.task}", scores)]
@@ -208,8 +219,11 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = bt.load_model(args.model)
-    labeled = load_csv(args.data, list(model.task_names), _missing_token(model))
-    raw = bt.predict(model, _model_features(model, labeled.features, labeled.feature_names))
+    missing_token, log_features = _data_options(model)
+    labeled = load_csv(args.data, list(model.task_names), missing_token)
+    raw = bt.predict(
+        model, _model_features(model, labeled.features, labeled.feature_names, log_features)
+    )
     use_probability = args.metric in ("rmse", "mape")
     values = []
     for t, name in enumerate(model.task_names):

@@ -254,7 +254,11 @@ def fit_bins(table: RawTable, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
             cuts = distinct[:-1]
         else:
             probs = np.arange(1, max_bins) / max_bins
-            cuts = np.unique(np.quantile(vals, probs))
+            # A quantile between two infinities interpolates through
+            # inf - inf = NaN. A NaN cut would break the ascending order;
+            # it fails ``cuts < distinct[-1]`` and is dropped below.
+            with np.errstate(invalid="ignore"):
+                cuts = np.unique(np.quantile(vals, probs))
             cuts = cuts[cuts < distinct[-1]]
         boundaries.append(np.ascontiguousarray(cuts, dtype=np.float64))
     return BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)

@@ -20,7 +20,8 @@ results do not depend on evaluation order or thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +37,16 @@ DEAD_TASK_EPS = 1e-12
 
 # Floor on the combined hessian, protecting the gain denominators.
 H_E_FLOOR = 1e-6
+
+
+def check_finite_fields(params) -> None:
+    """Raise InvalidParameter when a float field of a parameter dataclass,
+    or an element of a tuple field, is NaN or infinite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvalidParameter(f"{f.name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,7 @@ class MTConfig:
     def __post_init__(self):
         if self.task_weights is not None and len(self.task_weights) == 0:
             object.__setattr__(self, "task_weights", None)
+        check_finite_fields(self)
         if self.gamma_boost < 1.0:
             raise InvalidParameter("gamma_boost must be >= 1")
         if self.task_select not in TASK_SELECT_POLICIES:

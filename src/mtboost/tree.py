@@ -214,8 +214,8 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
 
     Repeatedly splits the pending leaf with the largest gain until
     max_leaves, max_depth or the gain threshold stops it. Returns the
-    skeleton and the per-leaf sample index lists (ascending, disjoint,
-    covering all samples).
+    skeleton and ``leaf_id``, the leaf of every training row, with leaves
+    numbered in creation order.
     """
     m = dataset.m
     samples = np.arange(m, dtype=np.int64)
@@ -274,15 +274,12 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
         n_leaves += 1
 
     # Whatever is still pending becomes a leaf, in creation order.
-    leaf_samples: list[np.ndarray] = []
-    for cand in pending.values():
-        leaf_id = len(leaf_samples)
-        leaf_samples.append(cand.samples)
+    leaf_id = np.empty(m, dtype=np.intp)
+    for leaf, cand in enumerate(pending.values()):
+        leaf_id[cand.samples] = leaf
         if cand.slot is not None:
-            _link(nodes, cand.slot, ~leaf_id)
-
-    skeleton = TreeSkeleton(nodes=nodes, n_leaves=len(leaf_samples))
-    return skeleton, leaf_samples
+            _link(nodes, cand.slot, ~leaf)
+    return TreeSkeleton(nodes=nodes, n_leaves=len(pending)), leaf_id
 
 
 def _link(nodes, slot, child_id):
@@ -316,33 +313,31 @@ class MultiOutputTree:
         return self.leaf_values.shape[0]
 
 
-def fit_leaf_values(skeleton: TreeSkeleton, leaf_samples, g_u, h_u,
+def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
                     lambda_reg: float, learning_rate: float,
                     max_delta: float = MAX_DELTA_DEFAULT) -> MultiOutputTree:
     """Compute every leaf's per-task Newton step from the updating gradients.
 
     value[leaf, t] = -learning_rate * sum(g_u[t]) / (sum(h_u[t]) + lambda),
-    clamped to [-max_delta, max_delta].
+    clamped to [-max_delta, max_delta], where the sums run over the rows
+    with ``leaf_id == leaf`` in ascending row order, like the histograms.
     """
+    counts = np.bincount(leaf_id, minlength=skeleton.n_leaves)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptyLeaf(f"leaf {empty[0]} received no samples")
     n = g_u.shape[1]
-    n_leaves = len(leaf_samples)
-    values = np.empty((n_leaves, n), dtype=np.float64)
-    means = np.empty((n_leaves, n), dtype=np.float64)
-    counts = np.empty(n_leaves, dtype=np.int64)
-    for leaf, s in enumerate(leaf_samples):
-        if len(s) == 0:
-            raise EmptyLeaf(f"leaf {leaf} received no samples")
-        counts[leaf] = len(s)
-        for t in range(n):
-            gs = float(g_u[s, t].sum())
-            hs = float(h_u[s, t].sum())
-            values[leaf, t] = -learning_rate * gs / (hs + lambda_reg)
-            means[leaf, t] = gs / len(s)
+    sum_g = np.empty((counts.size, n), dtype=np.float64)
+    sum_h = np.empty((counts.size, n), dtype=np.float64)
+    for t in range(n):
+        sum_g[:, t] = np.bincount(leaf_id, weights=g_u[:, t], minlength=counts.size)
+        sum_h[:, t] = np.bincount(leaf_id, weights=h_u[:, t], minlength=counts.size)
+    values = -learning_rate * sum_g / (sum_h + lambda_reg)
     np.clip(values, -max_delta, max_delta, out=values)
     return MultiOutputTree(
         nodes=skeleton.nodes,
         leaf_values=values,
-        leaf_residual_means=means,
+        leaf_residual_means=sum_g / counts[:, None],
         leaf_counts=counts,
     )
 

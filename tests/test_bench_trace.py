@@ -1,0 +1,70 @@
+"""The benchmark's trace hooks (bench/spans.py) against the current program.
+
+``bench/run.py --trace 1`` wraps public functions where their callers look
+them up. A refactor that moves or renames one of them, or changes what a
+work counter reads, breaks the traced benchmark without failing any other
+test; these tests catch that.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mtboost import booster, tree
+from mtboost.data import RawTable, apply_bins, fit_bins
+from mtboost.gradients import MTConfig
+
+SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(spans):
+    for name, (places, _) in spans.TARGETS.items():
+        for module, attr in places:
+            assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+
+
+def test_traced_train_predict_save(spans, rng, tmp_path):
+    def table(m):
+        x = rng.normal(size=(m, 3))
+        x[::7, 1] = np.nan
+        y = np.column_stack([x[:, 0] + rng.normal(scale=0.1, size=m), x[:, 2] > 0])
+        return RawTable(x, y.astype(np.float64), ("a", "b", "c"), ("y_reg", "y_cls"))
+
+    train_table = table(300)
+    mapper = fit_bins(train_table, 16)
+    train_ds = apply_bins(train_table, mapper)
+    valid_ds = apply_bins(table(120), mapper)
+    rows = rng.normal(size=(50, 3))
+    params = booster.BoosterParams(
+        objectives=("regression_l2", "binary_logloss"), num_iterations=4,
+        learning_rate=0.3, max_leaves=6, min_samples_leaf=5, mt=MTConfig(n_selected=2),
+    )
+
+    tracer = spans.Tracer()
+    with tracer.phase("op"):
+        model = booster.train(train_ds, params, valid_ds)
+        booster.predict(model, rows)
+        booster.save_model(model, tmp_path / "model.txt")
+    totals = tracer.totals(tracer.roots("op")[0])
+
+    for name in ("booster.train", "booster.predict", "booster.save_model",
+                 "tree.grow_tree", "tree.fit_leaf_values", "tree.route_binned",
+                 "tree.build_histograms", "tree.find_best_split"):
+        assert totals[name]["calls"] > 0, name
+    assert totals["tree.grow_tree"]["calls"] == len(model.trees) == 4
+    n_leaves = sum(t.n_leaves for t in model.trees)
+    assert n_leaves > len(model.trees)
+    assert totals["tree.grow_tree"]["work"] == n_leaves
+    assert totals["tree.route_binned"]["work"] == len(model.trees) * (valid_ds.m + len(rows))
+    assert totals["booster.save_model"]["work"] == (tmp_path / "model.txt").stat().st_size
+    assert booster.grow_tree is tree.grow_tree  # the phase restored the originals

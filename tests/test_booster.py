@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from mtboost.booster import (
     BoosterParams,
     extract_task,
     load_model,
+    param_types,
     predict,
     predict_proba,
     save_model,
@@ -128,6 +130,18 @@ class TestTrain:
             train(ds, reg_params(n=3))
         with pytest.raises(InvalidParameter):
             train(ds, reg_params(mt=MTConfig(n_selected=3)))
+
+    def test_non_finite_floats_rejected(self):
+        for cls, make in ((BoosterParams, reg_params), (MTConfig, MTConfig)):
+            floats = [name for name, tag in param_types(cls).items() if tag == "float"]
+            assert floats
+            for name in floats:
+                for bad in (math.nan, math.inf, -math.inf):
+                    with pytest.raises(InvalidParameter, match=f"{name} must be finite"):
+                        make(**{name: bad})
+        for weights in ((math.nan, 1.0), (0.5, math.inf)):
+            with pytest.raises(InvalidParameter, match="task_weights must be finite"):
+                MTConfig(task_select="weighted", task_weights=weights)
 
     def test_single_task_reduction_matches_scalar_reference(self):
         for seed in range(4):
@@ -354,6 +368,33 @@ class TestModelFileChecks:
         path.write_text("\n".join(_with_params(_golden_lines(), change)) + "\n")
         with pytest.raises(FormatVersionMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda cuts: [cuts[-1], *cuts[1:-1], cuts[0]],
+        lambda cuts: [cuts[0], *cuts],
+        lambda cuts: [*cuts[:5], "nan", *cuts[6:]],
+        lambda cuts: ["nan"],
+    ], ids=["first-last-swapped", "repeated", "nan", "only-nan"])
+    def test_boundaries_must_ascend(self, tmp_path, change):
+        lines = _golden_lines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("feature 0 "))
+        parts = lines[i].split(" ")
+        lines[i] = " ".join(parts[:3] + change(parts[3:]))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatVersionMismatch, match="feature 0 boundaries"):
+            load_model(path)
+
+    def test_negative_infinite_first_boundary_loads(self, tmp_path):
+        # fit_bins writes -inf as the first boundary of a column holding -inf.
+        lines = _golden_lines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("feature 0 "))
+        parts = lines[i].split(" ")
+        parts[3] = "-inf"
+        lines[i] = " ".join(parts)
+        path = tmp_path / "neg_inf.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_model(path).mapper.boundaries[0][0] == -np.inf
 
     def test_leaf_width_must_match_task_count(self, tmp_path):
         lines = _golden_lines()

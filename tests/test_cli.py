@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -185,6 +186,13 @@ class TestPipeline:
         "max_bins = 1\n",
         "task_select = weighted\ntask_weights = 1.5, -0.5\n",
         "task_select = weighted\ntask_weights = 1.0, 0.0\nn_selected = 2\n",
+        "task_select = weighted\ntask_weights = nan, 1\nn_selected = 1\n",
+        "gamma_boost = nan\n",
+        "min_hess_leaf = nan\n",
+        "g_target_mean = nan\n",
+        "lambda = inf\n",
+        "gamma_reg = inf\n",
+        "max_delta_step = -inf\n",
     ])
     def test_invalid_parameter_is_one_line_error(self, workdir, capsys, extra):
         data = workdir / "data.csv"
@@ -228,3 +236,30 @@ class TestPipeline:
             assert err.startswith("error: NegativeInput: ")
             assert "value_now" in err
         assert not (workdir / "p.csv").exists()
+
+
+GOLDEN = Path(__file__).parent / "golden_model_v1.txt"  # features a, b, c; tasks y_cls, y_reg
+
+
+@pytest.mark.parametrize("data_options", [
+    [],
+    {"log_transform_features": ["nope"]},
+    {"log_transform_features": "a"},
+    {"log_transform_features": None},
+    {"missing_token": 5},
+], ids=["not-object", "unknown-name", "bare-string", "null", "int-token"])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_corrupt_data_options_is_one_line_error(tmp_path, capsys, data_options, command):
+    lines = GOLDEN.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("extra "))
+    lines[i] = "extra " + json.dumps({"data_options": data_options})
+    model = tmp_path / "model.txt"
+    model.write_text("\n".join(lines) + "\n")
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c,y_cls,y_reg\n0.5,,1.5,1,2.0\n-0.5,1.0,0.0,0,1.0\n")
+    args = {"predict": ["--out", tmp_path / "p.csv"], "eval": ["--metric", "rmse"]}[command]
+    code = run([command, "--model", model, "--data", data, *args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: FormatVersionMismatch: model extra.data_options")

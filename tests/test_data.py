@@ -1,10 +1,14 @@
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtboost.booster import BoosterParams, load_model, predict, save_model, train
 from mtboost.data import (
     RawTable,
     apply_bins,
@@ -128,6 +132,20 @@ class TestFitBins:
         ds = apply_bins(table, mapper)
         assert sorted(ds.binned[:, 0].tolist()) == [0, 1, 2, 3]
 
+    def test_quantile_between_infinities_dropped(self):
+        # 21 non-missing values; the quartile positions 5, 10 and 15 hold 0,
+        # 5 and a point between two +inf, whose inf - inf cut is NaN.
+        col = [-math.inf] * 5 + list(range(10)) + [math.inf] * 6 + [math.nan] * 2
+        table = make_table(np.array(col, dtype=np.float64).reshape(-1, 1), [[0.0]] * len(col))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mapper = fit_bins(table, max_bins=4)
+        assert mapper.boundaries[0].tolist() == [0.0, 5.0]
+
+        # With at most max_bins distinct values, -inf is a boundary.
+        table = make_table([[-math.inf], [1.0], [2.0], [math.inf], [math.nan]], [[0.0]] * 5)
+        assert fit_bins(table, max_bins=8).boundaries[0].tolist() == [-math.inf, 1.0, 2.0]
+
     def test_constant_feature_single_bin(self):
         table = make_table([[5.0]] * 3, [[0.0]] * 3)
         mapper = fit_bins(table, max_bins=8)
@@ -184,6 +202,8 @@ finite_floats = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
 
+mixed_floats = st.one_of(finite_floats, st.sampled_from([math.inf, -math.inf, math.nan]))
+
 
 class TestBinningProperties:
     @settings(max_examples=60, deadline=None)
@@ -205,6 +225,35 @@ class TestBinningProperties:
         ds = apply_bins(table, mapper)
         assert (ds.binned[:, 0] < mapper.finite_bin_counts[0]).all()
         assert (ds.binned[:, 0] < mapper.bin_counts[0]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(mixed_floats, min_size=2, max_size=2), min_size=1, max_size=40),
+           st.integers(2, 8))
+    @example(  # a quantile between two +inf
+        rows=[[v, v] for v in [-math.inf] * 5 + list(range(10)) + [math.inf] * 6 + [math.nan] * 2],
+        max_bins=4,
+    )
+    def test_infinite_features(self, rows, max_bins):
+        features = np.array(rows, dtype=np.float64)
+        table = make_table(features, (np.arange(len(rows)) % 3).reshape(-1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from inf - inf
+            mapper = fit_bins(table, max_bins)
+        ds = apply_bins(table, mapper)
+        for f, cuts in enumerate(mapper.boundaries):
+            col, bins = features[:, f], ds.binned[:, f]
+            assert (bins[col == math.inf] == len(cuts)).all()  # top finite bin
+            assert (bins[col == -math.inf] == 0).all()
+            assert (bins[np.isnan(col)] == len(cuts) + 1).all()  # missing bin
+        params = BoosterParams(objectives=("regression_l2",), num_iterations=2,
+                               learning_rate=0.5, min_samples_leaf=1)
+        model = train(ds, params)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            save_model(model, path)
+            loaded = load_model(path)  # checks that boundaries strictly ascend
+        assert loaded.mapper == mapper
+        np.testing.assert_array_equal(predict(loaded, features), predict(model, features))
 
     def test_binning_ignores_labels(self, rng):
         features = rng.normal(size=(50, 3))

@@ -19,6 +19,7 @@ from conftest import make_binned_dataset
 from oracles import (
     engine_tree_structure,
     enumerate_best_split,
+    leaf_values_oracle,
     ref_grow_tree,
     ref_tree_structure,
 )
@@ -242,10 +243,10 @@ class TestGrowTree:
     def test_stump(self, rng):
         ds = make_binned_dataset(rng.integers(0, 4, size=(20, 2)))
         g = rng.normal(size=20)
-        skeleton, leaves = grow_tree(ds, g, np.ones(20), loose_params(max_leaves=1))
+        skeleton, leaf_id = grow_tree(ds, g, np.ones(20), loose_params(max_leaves=1))
         assert skeleton.n_leaves == 1
         assert not skeleton.nodes
-        assert len(leaves[0]) == 20
+        assert np.array_equal(leaf_id, np.zeros(20))
 
     def test_two_leaves_equal_root_split(self, rng):
         binned = rng.integers(0, 5, size=(40, 2))
@@ -255,13 +256,14 @@ class TestGrowTree:
         params = loose_params(max_leaves=2)
         hist = build_histograms(np.arange(40), ds, g, h)
         root_split = find_best_split(hist, (float(g.sum()), 40.0, 40), params)
-        skeleton, leaves = grow_tree(ds, g, h, params)
+        skeleton, leaf_id = grow_tree(ds, g, h, params)
         assert len(skeleton.nodes) == 1
         node = skeleton.nodes[0]
         assert (node.feature, node.threshold_bin) == (
             root_split.feature, root_split.threshold_bin,
         )
-        assert len(leaves) == 2
+        assert skeleton.n_leaves == 2
+        assert set(leaf_id) == {0, 1}
 
     def test_matches_reference_grower_xor(self, rng):
         # XOR-like gradient pattern over two features.
@@ -305,21 +307,20 @@ class TestGrowTree:
         binned = rng.integers(0, 6, size=(120, 3))
         ds = make_binned_dataset(binned)
         g = rng.normal(size=120)
-        skeleton, leaves = grow_tree(ds, g, np.ones(120), loose_params(max_leaves=8))
-        all_samples = np.sort(np.concatenate(leaves))
-        assert np.array_equal(all_samples, np.arange(120))
-        leaf_ids = route_binned(skeleton.nodes, binned)
-        for leaf, samples in enumerate(leaves):
-            assert np.array_equal(np.sort(np.flatnonzero(leaf_ids == leaf)), samples)
+        skeleton, leaf_id = grow_tree(ds, g, np.ones(120), loose_params(max_leaves=8))
+        assert leaf_id.shape == (120,)
+        assert np.array_equal(np.unique(leaf_id), np.arange(skeleton.n_leaves))
+        assert np.array_equal(route_binned(skeleton.nodes, binned), leaf_id)
 
     def test_max_depth_respected(self, rng):
         binned = rng.integers(0, 16, size=(400, 2))
         ds = make_binned_dataset(binned)
         g = rng.normal(size=400)
-        skeleton, leaves = grow_tree(
+        skeleton, leaf_id = grow_tree(
             ds, g, np.ones(400), loose_params(max_leaves=100, max_depth=3)
         )
-        assert len(leaves) <= 8
+        assert skeleton.n_leaves <= 8
+        assert leaf_id.max() == skeleton.n_leaves - 1
 
     def test_gain_scaling_argmax_invariance(self, rng):
         binned = rng.integers(0, 8, size=(100, 3))
@@ -383,10 +384,10 @@ class TestFitLeafValues:
         binned = rng.integers(0, 5, size=(m, 2))
         ds = make_binned_dataset(binned)
         g_e = rng.normal(size=m)
-        skeleton, leaves = grow_tree(
+        skeleton, leaf_id = grow_tree(
             ds, g_e, np.ones(m), loose_params(max_leaves=4, min_samples_leaf=5)
         )
-        return skeleton, leaves
+        return skeleton, leaf_id
 
     def test_newton_formula(self):
         from mtboost.tree import TreeSkeleton
@@ -394,25 +395,50 @@ class TestFitLeafValues:
         skeleton = TreeSkeleton(nodes=[], n_leaves=1)
         g = np.array([[2.0]])
         h = np.array([[1.0]])
-        tree = fit_leaf_values(skeleton, [np.array([0])], g, h, 1.0, 0.1)
+        tree = fit_leaf_values(skeleton, np.array([0]), g, h, 1.0, 0.1)
         assert tree.leaf_values[0, 0] == pytest.approx(-0.1 * 2.0 / 2.0)
         assert tree.leaf_residual_means[0, 0] == 2.0
 
     def test_zero_gradients_zero_values(self, rng):
-        skeleton, leaves = self._grow(rng)
-        m = sum(len(s) for s in leaves)
-        tree = fit_leaf_values(skeleton, leaves, np.zeros((m, 2)), np.ones((m, 2)), 0.1, 0.3)
+        skeleton, leaf_id = self._grow(rng)
+        m = len(leaf_id)
+        tree = fit_leaf_values(skeleton, leaf_id, np.zeros((m, 2)), np.ones((m, 2)), 0.1, 0.3)
         assert np.array_equal(tree.leaf_values, np.zeros_like(tree.leaf_values))
 
     def test_per_task_independence(self, rng):
-        skeleton, leaves = self._grow(rng)
-        m = sum(len(s) for s in leaves)
+        skeleton, leaf_id = self._grow(rng)
+        m = len(leaf_id)
         g = rng.normal(size=(m, 2))
         h = rng.uniform(0.5, 1.5, size=(m, 2))
-        both = fit_leaf_values(skeleton, leaves, g, h, 0.5, 0.2)
+        both = fit_leaf_values(skeleton, leaf_id, g, h, 0.5, 0.2)
         for t in range(2):
-            single = fit_leaf_values(skeleton, leaves, g[:, [t]], h[:, [t]], 0.5, 0.2)
+            single = fit_leaf_values(skeleton, leaf_id, g[:, [t]], h[:, [t]], 0.5, 0.2)
             np.testing.assert_array_equal(both.leaf_values[:, t], single.leaf_values[:, 0])
+
+    def test_matches_row_order_oracle(self, rng):
+        # Gradients spanning 16 orders of magnitude, so a different summation
+        # order (pairwise, or by leaf and then by task) would change the bits.
+        skeleton, leaf_id = self._grow(rng, m=300)
+        assert skeleton.n_leaves == 4
+        for n_tasks in (1, 3):
+            g = rng.normal(size=(300, n_tasks)) * 10.0 ** rng.integers(-8, 8, size=(300, n_tasks))
+            h = rng.uniform(0.1, 3.0, size=(300, n_tasks))
+            tree = fit_leaf_values(skeleton, leaf_id, g, h, 0.3, 0.1, max_delta=1e4)
+            values, means, counts = leaf_values_oracle(
+                leaf_id, skeleton.n_leaves, g, h, lam=0.3, lr=0.1, max_delta=1e4
+            )
+            assert np.array_equal(tree.leaf_values, values)
+            assert np.array_equal(tree.leaf_residual_means, means)
+            assert np.array_equal(tree.leaf_counts, counts)
+            assert np.abs(values).max() == 1e4  # the clamp was exercised
+
+    def test_skipped_leaf_raises(self, rng):
+        skeleton, leaf_id = self._grow(rng)
+        assert skeleton.n_leaves > 2
+        skipped = np.where(leaf_id == 1, 0, leaf_id)  # no row in leaf 1
+        m = len(leaf_id)
+        with pytest.raises(EmptyLeaf, match="leaf 1 "):
+            fit_leaf_values(skeleton, skipped, np.ones((m, 2)), np.ones((m, 2)), 0.1, 0.1)
 
     def test_empty_leaf_raises(self):
         from mtboost.tree import TreeSkeleton
@@ -420,6 +446,6 @@ class TestFitLeafValues:
         skeleton = TreeSkeleton(nodes=[], n_leaves=1)
         with pytest.raises(EmptyLeaf):
             fit_leaf_values(
-                skeleton, [np.array([], dtype=np.int64)],
+                skeleton, np.array([], dtype=np.int64),
                 np.zeros((0, 1)), np.zeros((0, 1)), 0.0, 0.1,
             )
