@@ -251,18 +251,24 @@ def _bin_features(model: BoosterModel, features: np.ndarray) -> np.ndarray:
 def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarray:
     """Raw additive scores for each row: (k, n), or (k,) when a task is given.
 
-    The single-task path accumulates only that task's leaf values, so its
-    cost does not grow with the number of tasks.
+    Scores are summed task-major, one contiguous row of k scores per task,
+    so the (k, n) result is a column-major (transposed) view. Each score is
+    the task's base score plus its leaf values in tree order. The single-task
+    path accumulates only that task's leaf values, so its cost does not grow
+    with the number of tasks.
     """
     binned = _bin_features(model, features)
     if task is not None and not 0 <= task < model.n_tasks:
         raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
-    cols = slice(None) if task is None else task
-    base = model.base_scores[cols]
-    out = np.full((binned.shape[0], *np.shape(base)), base)
+    tasks = range(model.n_tasks) if task is None else (task,)
+    out = np.empty((len(tasks), binned.shape[0]))
+    out[:] = model.base_scores[list(tasks), None]
     for tree in model.trees:
-        out += tree.leaf_values[:, cols][route_binned(tree.nodes, binned)]
-    return out
+        leaf = route_binned(tree.nodes, binned)
+        values = tree.leaf_values.T
+        for row, t in zip(out, tasks):
+            row += values[t].take(leaf)
+    return out.T if task is None else out[0]
 
 
 def predict_proba(model: BoosterModel, features, task: int | None = None) -> np.ndarray:

@@ -118,7 +118,11 @@ def _load_table(csv_path, data_opts, require_labels=True, label_columns=None):
             if name not in table.feature_names:
                 raise ConfigError(f"log_transform_features: no feature named {name!r}",
                                   key="log_transform_features")
-            indices.append(table.feature_names.index(name))
+            index = table.feature_names.index(name)
+            if index in indices:
+                raise ConfigError(f"log_transform_features: {name!r} is listed twice",
+                                  key="log_transform_features")
+            indices.append(index)
         table = log_transform(table, indices)
     return table
 
@@ -178,10 +182,11 @@ def _data_options(model):
     if type(token) is not str:
         raise FormatVersionMismatch("model extra.data_options.missing_token is not a string")
     names = opts.get("log_transform_features", [])
-    if type(names) is not list or not all(name in model.feature_names for name in names):
+    if (type(names) is not list or not all(name in model.feature_names for name in names)
+            or len(set(names)) != len(names)):
         raise FormatVersionMismatch(
             "model extra.data_options.log_transform_features is not a list of "
-            "the model's feature names"
+            "distinct feature names of the model"
         )
     return token, [model.feature_names.index(name) for name in names]
 

@@ -342,23 +342,95 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
     )
 
 
+# (x * _DE_BRUIJN) >> 58 differs for each of the 64 one-bit words x, so it
+# maps a word's isolated lowest set bit to a slot; _BIT_OF_SLOT[slot] is that
+# bit's position.
+_WORD_MASK = 0xFFFFFFFFFFFFFFFF
+_DE_BRUIJN = 0x03F79D71B4CB0A89
+_BIT_OF_SLOT = np.empty(64, dtype=np.intp)
+_BIT_OF_SLOT[[((_DE_BRUIJN << p) & _WORD_MASK) >> 58 for p in range(64)]] = np.arange(64)
+
+
 def route_binned(nodes, binned) -> np.ndarray:
-    """Map each binned row to its leaf index."""
+    """Map each binned row to its leaf index (creation order): the leaf the
+    walk from the root reaches.
+
+    QuickScorer's exit rule (Lucchese et al., SIGIR 2015): number the leaves
+    left to right and start every row with all of them set. Each node whose
+    test sends the row right clears the leaves of its left subtree, and the
+    row's leaf is then its lowest set bit. One feature's nodes fold into a
+    table over its bins whose entry b is the AND of the clear masks of the
+    nodes with ``threshold_bin < b``, so a tree costs one gather per used
+    feature and 64-leaf word. Bins above the highest threshold, the missing
+    bin included, clip to the last entry, where every node of that feature
+    sends the row right. ``nodes`` must form one tree with each child after
+    its parent, as grow_tree builds them and load_model checks.
+    """
     k = binned.shape[0]
-    out = np.zeros(k, dtype=np.int64)
     if not nodes:
-        return out
-    stack = [(0, np.arange(k, dtype=np.int64))]
-    while stack:
-        node_id, idx = stack.pop()
-        node = nodes[node_id]
-        col = binned[idx, node.feature]
-        mask = col <= node.threshold_bin
-        for child, sub in ((node.left, idx[mask]), (node.right, idx[~mask])):
-            if sub.size == 0:
-                continue
-            if child >= 0:
-                stack.append((child, sub))
-            else:
-                out[sub] = ~child
-    return out
+        return np.zeros(k, dtype=np.int64)
+    # Leaves under each node; children come after their parents.
+    under = [0] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        left, right = nodes[i].left, nodes[i].right
+        under[i] = (under[left] if left >= 0 else 1) + (under[right] if right >= 0 else 1)
+    n_words = (under[0] + 63) // 64
+    # In-order leaf positions: node i's leaves start at first[i], and the
+    # span of them under its left child is what its clear mask clears.
+    first = [0] * len(nodes)
+    leaf_at = [0] * (64 * n_words)
+    masks_by_feature: dict[int, list[tuple[int, int]]] = {}
+    for i, node in enumerate(nodes):
+        start, left, right = first[i], node.left, node.right
+        span = under[left] if left >= 0 else 1
+        if left >= 0:
+            first[left] = start
+        else:
+            leaf_at[start] = ~left
+        if right >= 0:
+            first[right] = start + span
+        else:
+            leaf_at[start + span] = ~right
+        clear = ~(((1 << span) - 1) << start)
+        masks_by_feature.setdefault(node.feature, []).append((node.threshold_bin, clear))
+
+    words = np.empty((n_words, k), dtype=np.uint64)
+    bins = np.empty(k, dtype=np.intp)
+    got = np.empty(k, dtype=np.uint64)
+    for done, (f, masks) in enumerate(masks_by_feature.items()):
+        masks.sort()
+        applied = [-1]  # applied[j]: the AND of the j lowest-threshold masks
+        for _, clear in masks:
+            applied.append(applied[-1] & clear)
+        entries = np.array(
+            [[(a >> (64 * w)) & _WORD_MASK for a in applied] for w in range(n_words)],
+            dtype=np.uint64,
+        )
+        # applied[j] serves the bins above the j-th threshold, up to the next.
+        thresholds = [t for t, _ in masks]
+        repeats = [thresholds[0] + 1] + [
+            b - a for a, b in zip(thresholds, thresholds[1:])
+        ] + [1]
+        table = np.repeat(entries, repeats, axis=1)
+        np.copyto(bins, binned[:, f])
+        for w in range(n_words):
+            table[w].take(bins, mode="clip", out=got if done else words[w])
+            if done:
+                words[w] &= got
+
+    # The row's leaf is the lowest set bit of its lowest nonzero word.
+    low = words[-1]
+    offset = 64 * (n_words - 1)
+    for w in range(n_words - 2, -1, -1):
+        nonzero = words[w] != 0
+        np.copyto(low, words[w], where=nonzero)
+        offset = np.where(nonzero, 64 * w, offset)
+    np.negative(low, out=got)  # two's complement: ~low + 1
+    low &= got
+    low *= np.uint64(_DE_BRUIJN)
+    low >>= np.uint64(58)
+    slot = low.view(np.int64)
+    slot += offset
+    # Word w's 64 slots map through their bit positions to leaf ids.
+    leaf_of_slot = np.array(leaf_at).reshape(n_words, 64)[:, _BIT_OF_SLOT].ravel()
+    return leaf_of_slot[slot]

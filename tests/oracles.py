@@ -123,6 +123,34 @@ def leaf_values_oracle(leaf_id, n_leaves, g, h, *, lam, lr, max_delta):
 
 
 # ---------------------------------------------------------------------------
+# Routing
+# ---------------------------------------------------------------------------
+
+
+def route_binned_oracle(nodes, binned):
+    """Leaf index of each binned row by walking the nodes from the root: the
+    rows of a node split by ``bin <= threshold_bin`` into its two children."""
+    k = binned.shape[0]
+    out = np.zeros(k, dtype=np.int64)
+    if not nodes:
+        return out
+    stack = [(0, np.arange(k, dtype=np.int64))]
+    while stack:
+        node_id, idx = stack.pop()
+        node = nodes[node_id]
+        col = binned[idx, node.feature]
+        mask = col <= node.threshold_bin
+        for child, sub in ((node.left, idx[mask]), (node.right, idx[~mask])):
+            if sub.size == 0:
+                continue
+            if child >= 0:
+                stack.append((child, sub))
+            else:
+                out[sub] = ~child
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Gradient ensemble and updating passes (straight-line transcriptions)
 # ---------------------------------------------------------------------------
 

@@ -1,9 +1,12 @@
 import json
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtboost.booster import (
     BoosterModel,
@@ -16,7 +19,7 @@ from mtboost.booster import (
     save_model,
     train,
 )
-from mtboost.data import RawTable, apply_bins, fit_bins
+from mtboost.data import RawTable, apply_bins, bin_column, fit_bins
 from mtboost.errors import (
     FeatureCountMismatch,
     FormatVersionMismatch,
@@ -26,9 +29,9 @@ from mtboost.errors import (
     TaskIndexOutOfRange,
 )
 from mtboost.gradients import MTConfig
-from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2
+from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
 
-from oracles import engine_tree_structure, ref_boost_structures
+from oracles import engine_tree_structure, ref_boost_structures, route_binned_oracle
 
 
 def regression_table(rng, m=200, d=3, n=2):
@@ -240,7 +243,55 @@ class TestPredict:
         raw = predict(model, x)
         proba = predict_proba(model, x)
         assert ((proba[:, 0] > 0) & (proba[:, 0] < 1)).all()
+        np.testing.assert_array_equal(proba[:, 0], transform_score(raw[:, 0], BINARY_LOGLOSS))
         np.testing.assert_array_equal(proba[:, 1], raw[:, 1])
+        np.testing.assert_array_equal(predict_proba(model, x, task=0), proba[:, 0])
+
+
+def scores_oracle(model, features):
+    """Base scores plus every tree's leaf values in tree order, one row of
+    tasks at a time, with rows routed by the node walk."""
+    binned = np.column_stack([
+        bin_column(features[:, f], model.mapper.boundaries[f])
+        for f in range(model.n_features)
+    ])
+    out = np.tile(model.base_scores, (len(features), 1))
+    for tree in model.trees:
+        out += tree.leaf_values[route_binned_oracle(tree.nodes, binned)]
+    return out
+
+
+class TestPredictLayout:
+    @pytest.fixture
+    def model_and_rows(self, rng):
+        # Trees of up to 100 leaves route through one and two 64-leaf words.
+        table = regression_table(rng, m=400, n=3)
+        table.features[rng.random(400) < 0.2, 1] = np.nan
+        model = train(binned(table), reg_params(
+            n=3, num_iterations=6, max_leaves=100, max_depth=12, min_samples_leaf=1,
+        ))
+        assert max(t.n_leaves for t in model.trees) > 64
+        x = rng.uniform(-0.2, 1.2, size=(300, 3))
+        x[::7, 1] = np.nan
+        return model, x
+
+    def test_columns_equal_single_task_predictions(self, model_and_rows):
+        model, x = model_and_rows
+        full = predict(model, x)
+        assert full.shape == (300, 3) and full.flags.f_contiguous
+        stacked = np.column_stack([predict(model, x, task=t) for t in range(3)])
+        assert full.tobytes() == stacked.tobytes()
+
+    def test_equals_tree_order_oracle(self, model_and_rows):
+        model, x = model_and_rows
+        assert np.array_equal(predict(model, x), scores_oracle(model, x))
+
+    def test_zero_rows(self, model_and_rows):
+        model, _ = model_and_rows
+        empty = np.zeros((0, 3))
+        assert predict(model, empty).shape == (0, 3)
+        assert predict(model, empty, task=1).shape == (0,)
+        assert predict_proba(model, empty).shape == (0, 3)
 
 
 class TestModelFile:
@@ -426,6 +477,44 @@ class TestModelFileChecks:
                         continue
                     assert predict(model, x).shape == (40, 2)
         assert rejected > 0
+
+    @settings(max_examples=300)
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
+                  st.integers(0, 58), st.integers(0, 58)),
+        min_size=1, max_size=3,
+    ))
+    def test_line_edits_load_and_predict_or_reject(self, tmp_path_factory, edits):
+        # Whole lines of the golden file deleted, duplicated or swapped: the
+        # file loads and predicts, or load_model raises an MtboostError.
+        lines = _golden_lines()
+        for kind, i, j in edits:
+            i, j = i % len(lines), j % len(lines)
+            if kind == "delete":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+        path = tmp_path_factory.getbasetemp() / "line_edits.txt"
+        path.write_text("\n".join(lines) + "\n")
+        x = np.random.default_rng(0).normal(size=(40, 3))
+        x[::3, 1] = np.nan
+
+        def hang(signum, frame):
+            raise TimeoutError("load or predict did not finish in 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            try:
+                model = load_model(path)
+            except MtboostError:
+                return
+            assert predict(model, x).shape == (40, model.n_tasks)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestExtractTask:

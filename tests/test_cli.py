@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mtboost.booster import load_model, predict
 from mtboost.cli import _SCHEMA, main, parse_config
 from mtboost.errors import ConfigError
 
@@ -207,6 +208,25 @@ class TestPipeline:
         assert err.count("\n") == 1
         assert err.startswith("error: InvalidParameter: ")
 
+    def test_log_feature_listed_twice_is_one_line_error(self, workdir, capsys):
+        data = workdir / "ts.csv"
+        run(["synth", "--scenario", "timeseries_ratio", "--m", "200",
+             "--seed", "2", "--out", data])
+        cfg = workdir / "ts_cfg.txt"
+        cfg.write_text(
+            "label_columns = next_value, next_ratio\n"
+            "objectives = regression_l2, regression_l2\n"
+            "num_iterations = 3\nmin_samples_leaf = 5\n"
+            "log_transform_features = value_now, var_3, value_now\n"
+        )
+        capsys.readouterr()
+        code = run(["train", "--config", cfg, "--data", data, "--out", workdir / "m.txt"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigError: log_transform_features: 'value_now' is listed twice\n"
+        )
+        assert not (workdir / "m.txt").exists()
+
     def test_negative_log_feature_at_predict_time(self, workdir, capsys):
         data = workdir / "ts.csv"
         run(["synth", "--scenario", "timeseries_ratio", "--m", "300",
@@ -247,7 +267,8 @@ GOLDEN = Path(__file__).parent / "golden_model_v1.txt"  # features a, b, c; task
     {"log_transform_features": "a"},
     {"log_transform_features": None},
     {"missing_token": 5},
-], ids=["not-object", "unknown-name", "bare-string", "null", "int-token"])
+    {"log_transform_features": ["a", "c", "a"]},
+], ids=["not-object", "unknown-name", "bare-string", "null", "int-token", "repeated-name"])
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_corrupt_data_options_is_one_line_error(tmp_path, capsys, data_options, command):
     lines = GOLDEN.read_text().splitlines()
@@ -263,3 +284,18 @@ def test_corrupt_data_options_is_one_line_error(tmp_path, capsys, data_options, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: FormatVersionMismatch: model extra.data_options")
+
+
+def test_predict_csv_holds_library_scores(tmp_path):
+    # predict() returns a column-major view; the CSV writer reads its columns.
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c\n0.5,,1.5\n-0.5,1.0,0.0\n2.0,-1.0,\n")
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", GOLDEN, "--data", data, "--out", out]) == 0
+    x = np.array([[0.5, np.nan, 1.5], [-0.5, 1.0, 0.0], [2.0, -1.0, np.nan]])
+    expected = predict(load_model(GOLDEN), x)
+    rows = out.read_text().splitlines()
+    assert rows[0] == "row,task_0,task_1"
+    assert [row.split(",") for row in rows[1:]] == [
+        [str(i)] + [repr(float(v)) for v in scores] for i, scores in enumerate(expected)
+    ]

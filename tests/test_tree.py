@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtboost.errors import EmptyLeaf
 from mtboost.tree import (
     GrowthParams,
+    TreeNode,
     build_histograms,
     find_best_split,
     fit_leaf_values,
@@ -22,6 +25,7 @@ from oracles import (
     leaf_values_oracle,
     ref_grow_tree,
     ref_tree_structure,
+    route_binned_oracle,
 )
 
 
@@ -449,3 +453,92 @@ class TestFitLeafValues:
                 skeleton, np.array([], dtype=np.int64),
                 np.zeros((0, 1)), np.zeros((0, 1)), 0.0, 0.1,
             )
+
+
+@st.composite
+def routed_trees(draw, n_leaves, left_chain=False):
+    """A valid tree over n_leaves leaves as a TreeNode list, and binned rows.
+
+    Leaves are split one at a time, as grow_tree does, so every child comes
+    after its parent and leaves are numbered in creation order; a left chain
+    always splits the newest node's left leaf. Half the rows are aimed at a
+    random leaf (their bins satisfy every test on its path, when it can be
+    reached), the rest are uniform over every bin, missing bin included.
+    """
+    wide = draw(st.booleans())  # uint32 bins, more than uint8 can hold
+    d = draw(st.integers(1, 4))
+    finite = [draw(st.integers(2, 700 if wide else 255)) for _ in range(d)]
+    nodes, pending = [], [None]
+    while len(pending) < n_leaves:
+        pick = len(pending) - 2 if left_chain and nodes else draw(
+            st.integers(0, len(pending) - 1))
+        slot = pending.pop(pick)
+        f = draw(st.integers(0, d - 1))
+        top = finite[f] - 2
+        threshold = draw(st.sampled_from([0, top]) | st.integers(0, top))
+        nodes.append(TreeNode(feature=f, threshold_bin=threshold))
+        if slot is not None:
+            setattr(nodes[slot[0]], slot[1], len(nodes) - 1)
+        pending += [(len(nodes) - 1, "left"), (len(nodes) - 1, "right")]
+    for leaf, slot in enumerate(pending):
+        if slot is not None:
+            setattr(nodes[slot[0]], slot[1], ~leaf)
+
+    k = draw(st.sampled_from([0, 1, 2, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binned = np.column_stack([rng.integers(0, nb + 1, size=k) for nb in finite])
+    binned[rng.random(k) < 0.1, 0] = finite[0]  # missing bin
+    parent = {child: (i, side) for i, node in enumerate(nodes)
+              for side, child in (("left", node.left), ("right", node.right))}
+    for row in range(0, k, 2):
+        lo, hi = [0] * d, list(finite)
+        child = ~int(rng.integers(n_leaves))
+        while child in parent:
+            i, side = parent[child]
+            node = nodes[i]
+            if side == "left":
+                hi[node.feature] = min(hi[node.feature], node.threshold_bin)
+            else:
+                lo[node.feature] = max(lo[node.feature], node.threshold_bin + 1)
+            child = i
+        if all(a <= b for a, b in zip(lo, hi)):
+            binned[row] = [rng.integers(a, b + 1) for a, b in zip(lo, hi)]
+    dtype = np.uint32 if wide else np.uint8
+    return nodes, np.asfortranarray(binned, dtype=dtype)
+
+
+class TestRouteBinned:
+    @pytest.mark.parametrize("n_leaves", [1, 2, 63, 64, 65, 130])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_matches_node_walk(self, n_leaves, data):
+        # 63, 64, 65 and 130 leaves fill one, two and three 64-leaf words.
+        nodes, binned = data.draw(routed_trees(n_leaves))
+        got = route_binned(nodes, binned)
+        assert got.dtype == np.int64 and got.shape == (binned.shape[0],)
+        assert np.array_equal(got, route_binned_oracle(nodes, binned))
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_left_chain_deeper_than_a_word(self, data):
+        nodes, binned = data.draw(routed_trees(130, left_chain=True))
+        assert np.array_equal(route_binned(nodes, binned), route_binned_oracle(nodes, binned))
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_any_size(self, data):
+        nodes, binned = data.draw(routed_trees(data.draw(st.integers(1, 140))))
+        assert np.array_equal(route_binned(nodes, binned), route_binned_oracle(nodes, binned))
+
+    def test_every_leaf_of_a_long_chain(self):
+        # One feature, thresholds 129, 128, ..., 1 down a left chain: bin b
+        # goes left at node i while b <= 129 - i, so bins 1 to 130 each end
+        # on a different leaf, across three words.
+        n = 129
+        nodes = [TreeNode(feature=0, threshold_bin=n - i, left=i + 1, right=~i)
+                 for i in range(n)]
+        nodes[-1].left = ~n
+        binned = np.arange(n + 3, dtype=np.uint8)[:, None]
+        got = route_binned(nodes, binned)
+        assert np.array_equal(got, route_binned_oracle(nodes, binned))
+        assert len(set(got.tolist())) == n + 1
