@@ -96,6 +96,8 @@ class BoosterParams:
             raise InvalidParameter("learning_rate must be in (0, 1]")
         if not 0 <= self.main_task_index < len(self.objectives):
             raise InvalidParameter("main_task_index out of range")
+        if self.max_delta_step <= 0:
+            raise InvalidParameter("max_delta_step must be > 0")
         growth = GrowthParams(**{f.name: getattr(self, f.name) for f in fields(GrowthParams)})
         object.__setattr__(self, "growth", growth)
 
@@ -197,6 +199,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
             skeleton, leaf_id, gu.g, gu.h,
             params.lambda_reg, params.learning_rate, params.max_delta_step,
         )
+        del gh, gu, eg  # free the (m, n) gradients before the next iteration allocates its own
         trees.append(tree)
         scores += tree.leaf_values[leaf_id]
 

@@ -106,9 +106,9 @@ def build_params(sections: dict) -> bt.BoosterParams:
     return bt.BoosterParams(mt=MTConfig(**sections["mt"]), **sections["params"])
 
 
-def _load_table(csv_path, data_opts, require_labels=True, label_columns=None):
-    labels = label_columns if label_columns is not None else data_opts.get("label_columns")
-    if require_labels and not labels:
+def _load_table(csv_path, data_opts):
+    labels = data_opts.get("label_columns")
+    if not labels:
         raise ConfigError("config must set 'label_columns'", key="label_columns")
     table = load_csv(csv_path, labels, data_opts.get("missing_token", ""))
     transform = data_opts.get("log_transform_features") or ()

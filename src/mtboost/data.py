@@ -65,6 +65,24 @@ class RawTable:
         return self.labels.shape[1]
 
 
+def _read_columns(path):
+    """Header, row count and cell columns of a CSV with a header row. Raises
+    EmptyFile without a header or a data row, and ShapeError on the first
+    row whose cell count differs from the header's."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise EmptyFile(f"{path}: no header row")
+    header = rows.pop(0)
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ShapeError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
+    # A file of blank lines has rows but no columns, so count the rows.
+    return header, len(rows), list(zip(*rows))
+
+
 def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
     """Read an RFC-4180 CSV with header into a RawTable.
 
@@ -73,16 +91,7 @@ def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
     cells equal to ``missing_token`` or unparsable as numbers turn into NaN.
     Label cells must parse as finite numbers.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        rows = list(reader)
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-
+    header, m, columns = _read_columns(path)
     for name in label_columns:
         if name not in header:
             raise MissingLabelColumn(f"label column {name!r} not in header")
@@ -91,32 +100,39 @@ def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
     if not feat_idx:
         raise ShapeError("every column is a label; no features left")
 
-    m = len(rows)
-    features = np.empty((m, len(feat_idx)), dtype=np.float64)
-    labels = np.empty((m, len(label_idx)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ShapeError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
-        for out_j, j in enumerate(feat_idx):
-            features[i, out_j] = _parse_feature(row[j], missing_token)
-        for out_j, j in enumerate(label_idx):
-            cell = row[j]
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericLabel(
-                    f"row {i + 2}, column {header[j]!r}: {cell!r} is not a number"
-                ) from None
-            if not math.isfinite(value):
-                raise NonNumericLabel(f"row {i + 2}, column {header[j]!r}: non-finite label")
-            labels[i, out_j] = value
-
+    labels = _parse_columns([columns[j] for j in label_idx], m, None)
+    bad = np.argwhere(~np.isfinite(labels.T))  # label column by label column
+    if bad.size:
+        t, i = bad[0]
+        cell = columns[label_idx[t]][i]
+        try:
+            float(cell)
+            detail = "non-finite label"
+        except ValueError:
+            detail = f"{cell!r} is not a number"
+        raise NonNumericLabel(f"row {i + 2}, column {label_columns[t]!r}: {detail}")
     return RawTable(
-        features=features,
+        features=_parse_columns([columns[j] for j in feat_idx], m, missing_token),
         labels=labels,
         feature_names=tuple(header[j] for j in feat_idx),
         task_names=tuple(label_columns),
     )
+
+
+def _parse_columns(columns, m: int, missing_token) -> np.ndarray:
+    """(m, k) float matrix of k cell columns, parsed a column at a time. Cells
+    equal to ``missing_token`` (``None`` matches none) or rejected by
+    ``float()`` become NaN; the rest, in Python float syntax, their value."""
+    matrix = np.empty((m, len(columns)), dtype=np.float64)
+    for j, cells in enumerate(columns):
+        if missing_token not in cells:
+            try:
+                matrix[:, j] = np.fromiter(map(float, cells), np.float64, m)
+                continue
+            except ValueError:
+                pass
+        matrix[:, j] = [_parse_feature(cell, missing_token) for cell in cells]
+    return matrix
 
 
 def _parse_feature(cell: str, missing_token: str) -> float:
@@ -134,41 +150,22 @@ def read_feature_matrix(path, missing_token: str = ""):
     Returns (matrix, column_names). Unparsable cells become NaN; used for
     prediction inputs where extra columns are simply ignored downstream.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
-        rows = list(reader)
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-    matrix = np.empty((len(rows), len(header)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ShapeError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
-        for j, cell in enumerate(row):
-            matrix[i, j] = _parse_feature(cell, missing_token)
-    return matrix, tuple(header)
+    header, m, columns = _read_columns(path)
+    return _parse_columns(columns, m, missing_token), tuple(header)
 
 
 def write_csv(table: RawTable, path) -> None:
     """Write a RawTable back to CSV (features first, then label columns).
 
     Floats are rendered with ``repr`` so the file is byte-deterministic and
-    round-trips exactly.
+    round-trips exactly; NaN is an empty cell.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(table.feature_names) + list(table.task_names))
-        for i in range(table.m):
-            row = [_format_value(v) for v in table.features[i]]
-            row += [_format_value(v) for v in table.labels[i]]
-            writer.writerow(row)
-
-
-def _format_value(v: float) -> str:
-    return "" if math.isnan(v) else repr(float(v))
+        writer.writerow([*table.feature_names, *table.task_names])
+        for features, labels in zip(table.features, table.labels):
+            row = features.tolist() + labels.tolist()
+            writer.writerow(["" if math.isnan(v) else repr(v) for v in row])
 
 
 def log_transform(table: RawTable, feature_indices) -> RawTable:

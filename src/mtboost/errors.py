@@ -43,7 +43,7 @@ class ShapeMismatch(MtboostError, ValueError):
 
 
 class NonFiniteGradient(MtboostError, ValueError):
-    """Gradient or hessian matrix contains NaN or infinity."""
+    """Gradients, hessians or their weighted combination are not finite."""
 
 
 class EmptyLeaf(MtboostError, RuntimeError):

@@ -77,6 +77,8 @@ class MTConfig:
         check_finite_fields(self)
         if self.gamma_boost < 1.0:
             raise InvalidParameter("gamma_boost must be >= 1")
+        if min(self.g_target_mean, self.h_target_mean) <= 0:
+            raise InvalidParameter("g_target_mean and h_target_mean must be > 0")
         if self.task_select not in TASK_SELECT_POLICIES:
             raise InvalidParameter(f"unknown task_select {self.task_select!r}")
         if self.corr_mode not in CORR_MODES:
@@ -152,11 +154,12 @@ def select_tasks(config: MTConfig, n_tasks: int, iteration: int) -> frozenset[in
     return frozenset(map(int, picks))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int) -> EnsembleGrad:
-    """Collapse per-task gradients into one splitting pair per sample."""
+    """Collapse per-task gradients into one splitting pair per sample. Raises
+    NonFiniteGradient unless the combined values and their total over the
+    rows, which bounds every node sum, are finite."""
     g, h = gh.g, gh.h
-    if not (np.isfinite(g).all() and np.isfinite(h).all()):
-        raise NonFiniteGradient("gradients/hessians contain NaN or infinity")
     n = g.shape[1]
     w = normalize_weights(g, config.g_target_mean)
     v = normalize_weights(h, config.h_target_mean)
@@ -172,6 +175,8 @@ def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int) -> Ensemb
         g_e += w[t] * g[:, t]
         h_e += v[t] * h[:, t]
     np.maximum(h_e, H_E_FLOOR, out=h_e)
+    if not math.isfinite(float(np.abs(g_e).sum()) + float(h_e.sum())):
+        raise NonFiniteGradient("gradients, hessians or their weighted sums are not finite")
 
     return EnsembleGrad(g_e=g_e, h_e=h_e, chosen_tasks=chosen, w=w, v=v)
 
@@ -202,10 +207,10 @@ def pearson_to_main(g: np.ndarray) -> float:
 def updating_grad_hess(gh: GradHess, config: MTConfig) -> GradHess:
     """Scale every task's gradient column by one shared clipped correlation.
 
-    ``constant_one`` mode is the identity. Hessians are never modified.
+    ``constant_one`` mode returns ``gh`` itself; hessians are ``gh.h``, unmodified.
     """
     if config.corr_mode == "constant_one":
-        return GradHess(g=gh.g.copy(), h=gh.h.copy())
+        return gh
     corr = pearson_to_main(gh.g)
     factor = float(np.clip(corr, 0.5, 1.0))
-    return GradHess(g=gh.g * factor, h=gh.h.copy())
+    return GradHess(g=gh.g * factor, h=gh.h)

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import RawTable
 from .errors import InvalidSpec
@@ -107,21 +108,14 @@ def _gen_timeseries_ratio(spec: SyntheticSpec) -> RawTable:
         values[t + 1] = values[t] * ratios[t]
 
     names = ["value_now"]
+    columns = [values[burn - 1 : burn - 1 + spec.m]]
     for w in WINDOW_SIZES:
         names += [f"min_{w}", f"max_{w}", f"mean_{w}", f"var_{w}"]
-    features = np.empty((spec.m, len(names)), dtype=np.float64)
-    labels = np.empty((spec.m, 2), dtype=np.float64)
-    for row, i in enumerate(range(burn - 1, burn - 1 + spec.m)):
-        features[row, 0] = values[i]
-        col = 1
-        for w in WINDOW_SIZES:
-            window = values[i - w + 1 : i + 1]
-            features[row, col : col + 4] = (
-                window.min(), window.max(), window.mean(), window.var(),
-            )
-            col += 4
-        # values[i + 1] was computed as values[i] * ratios[i], so the label
-        # identity main == sub * value_now holds bit for bit.
-        labels[row, 0] = values[i + 1]
-        labels[row, 1] = ratios[i]
-    return RawTable(features, labels, tuple(names), ("next_value", "next_ratio"))
+        # Row r's window ends at value_now = values[burn - 1 + r].
+        windows = sliding_window_view(values[burn - w : burn - 1 + spec.m], w)
+        columns += [windows.min(axis=1), windows.max(axis=1),
+                    windows.mean(axis=1), windows.var(axis=1)]
+    # values[i + 1] was computed as values[i] * ratios[i], so the label
+    # identity main == sub * value_now holds bit for bit.
+    labels = np.column_stack([values[burn : burn + spec.m], ratios[burn - 1 : burn - 1 + spec.m]])
+    return RawTable(np.column_stack(columns), labels, tuple(names), ("next_value", "next_ratio"))

@@ -127,8 +127,8 @@ def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
     ``node_totals`` is the node's (G_e, H_e, count). A boundary at bin b
     sends bins <= b left and everything else (missing bin included) right.
     Both children must satisfy min_samples_leaf and min_hess_leaf; ties are
-    broken toward the lower feature index, then the lower bin index. A NaN
-    gain never wins. Returns None when no candidate beats min_gain_to_split.
+    broken toward the lower feature index, then the lower bin index. A gain
+    that is not finite never wins. Returns None when no candidate beats min_gain_to_split.
     """
     g_tot, h_tot, c_tot = node_totals
     if c_tot < 2 * params.min_samples_leaf:
@@ -150,13 +150,13 @@ def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
         & (lh >= params.min_hess_leaf)
         & (rh >= params.min_hess_leaf)
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         gains = 0.5 * (
             lg * lg / (lh + lam)
             + rg * rg / (rh + lam)
             - (lg + rg) ** 2 / (lh + rh + lam)
         ) - params.gamma_reg
-    gains[~valid | np.isnan(gains)] = -np.inf
+    gains[~valid | ~np.isfinite(gains)] = -np.inf
     # Row-major argmax: first maximum = lowest feature, then lowest bin.
     f, b = np.unravel_index(int(np.argmax(gains)), gains.shape)
     gain = float(gains[f, b])

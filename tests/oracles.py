@@ -42,6 +42,60 @@ def quantile_boundaries_oracle(values, max_bins):
     return out
 
 
+def parse_cells_oracle(cells, missing_token):
+    """One float per feature cell: the missing token and any cell ``float()``
+    rejects give NaN; everything else, Python float syntax such as ``1_0``
+    and `` 2 `` included, gives ``float(cell)``."""
+    out = []
+    for cell in cells:
+        if cell == missing_token:
+            out.append(math.nan)
+            continue
+        try:
+            out.append(float(cell))
+        except ValueError:
+            out.append(math.nan)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Synthetic data
+# ---------------------------------------------------------------------------
+
+
+def window_features_oracle(seed, m, window_sizes=(3, 7, 14, 30)):
+    """The ``timeseries_ratio`` table built row by row: the autoregressive
+    series, then each row's value, its window min/max/mean/var over every
+    window size, and the next value and next/current ratio as labels."""
+    rng = np.random.default_rng([seed, 3])
+    burn = max(window_sizes)
+    total = m + burn
+    mu_log = math.log(1000.0)
+    kappa, sigma = 0.05, 0.03
+    values = np.empty(total + 1, dtype=np.float64)
+    ratios = np.empty(total, dtype=np.float64)
+    values[0] = 1000.0
+    eps = rng.standard_normal(total)
+    for t in range(total):
+        ratios[t] = math.exp(kappa * (mu_log - math.log(values[t])) + sigma * eps[t])
+        values[t + 1] = values[t] * ratios[t]
+
+    features = np.empty((m, 1 + 4 * len(window_sizes)), dtype=np.float64)
+    labels = np.empty((m, 2), dtype=np.float64)
+    for row, i in enumerate(range(burn - 1, burn - 1 + m)):
+        features[row, 0] = values[i]
+        col = 1
+        for w in window_sizes:
+            window = values[i - w + 1 : i + 1]
+            features[row, col : col + 4] = (
+                window.min(), window.max(), window.mean(), window.var(),
+            )
+            col += 4
+        labels[row, 0] = values[i + 1]
+        labels[row, 1] = ratios[i]
+    return features, labels
+
+
 # ---------------------------------------------------------------------------
 # Split finding
 # ---------------------------------------------------------------------------

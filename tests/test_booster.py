@@ -128,6 +128,12 @@ class TestTrain:
             reg_params(learning_rate=2.0)
         with pytest.raises(InvalidParameter):
             MTConfig(gamma_boost=0.5)
+        for bad in (0.0, -1.0):
+            with pytest.raises(InvalidParameter, match="max_delta_step must be > 0"):
+                reg_params(max_delta_step=bad)
+            for name in ("g_target_mean", "h_target_mean"):
+                with pytest.raises(InvalidParameter, match="g_target_mean and h_target_mean must be > 0"):
+                    MTConfig(**{name: bad})
         ds = binned(regression_table(rng))
         with pytest.raises(InvalidParameter):
             train(ds, reg_params(n=3))

@@ -1,9 +1,15 @@
+import hashlib
+import io
 import json
 import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtboost.booster import load_model, predict
 from mtboost.cli import _SCHEMA, main, parse_config
@@ -124,6 +130,19 @@ class TestPipeline:
                         "--d", "3", "--seed", "7", "--out", out]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("scenario,digest", [
+        ("noisy_tasks", "2b1dc624ee982a38f116c988867af867d6b8b5d497fdc64ff3c59bc3796e2a3d"),
+        ("sub_tasks", "327d6c9b3b72e6d5701b64b5f132e294d9cb025c00a909ad52fcf541b39162e7"),
+        ("timeseries_ratio", "a9929d0cf8af092b05714e83ffa3a10e1688043db146bd39d044c71235592483"),
+    ])
+    def test_synth_bytes_pinned(self, workdir, scenario, digest):
+        # Digests of `mtboost synth --m 300 --seed 4`: repr floats, empty NaN
+        # cells and the csv module's CRLF line endings.
+        out = workdir / "s.csv"
+        assert run(["synth", "--scenario", scenario, "--m", "300", "--seed", "4",
+                    "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_train_byte_deterministic(self, workdir):
         data = workdir / "data.csv"
         run(["synth", "--scenario", "noisy_tasks", "--m", "300", "--d", "3",
@@ -194,6 +213,12 @@ class TestPipeline:
         "lambda = inf\n",
         "gamma_reg = inf\n",
         "max_delta_step = -inf\n",
+        "max_delta_step = -1\n",
+        "max_delta_step = 0\n",
+        "g_target_mean = 0\n",
+        "g_target_mean = -1\n",
+        "h_target_mean = -1\n",
+        "h_target_mean = 0\n",
     ])
     def test_invalid_parameter_is_one_line_error(self, workdir, capsys, extra):
         data = workdir / "data.csv"
@@ -299,3 +324,61 @@ def test_predict_csv_holds_library_scores(tmp_path):
     assert [row.split(",") for row in rows[1:]] == [
         [str(i)] + [repr(float(v)) for v in scores] for i, scores in enumerate(expected)
     ]
+
+
+# Values a fuzzed config line may carry: zero, both signs, the edges of the
+# float range, non-finite and empty values, lists, repeated names and
+# integers past every fixed-width type.
+HUGE_INTS = [str(2**64), str(-2**63 - 1), str(10**30)]
+FUZZ_VALUES = [
+    "0", "1", "-1", "1e308", "-1e308", "1e300", "nan", "inf", "-inf", "",
+    "0.5, 0.5", "1, 2, 3", "y_main, y_main", "x0, x0",
+    "binary_logloss, binary_logloss, binary_logloss", *HUGE_INTS,
+]
+FUZZ_CONFIG = """\
+label_columns = y_main, y_aux
+objectives = binary_logloss, binary_logloss
+num_iterations = 3
+min_samples_leaf = 5
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    assert run(["synth", "--scenario", "noisy_tasks", "--m", "200", "--d", "3",
+                "--seed", "5", "--out", data]) == 0
+    return data
+
+
+# A huge num_iterations asks for that many boosting rounds; the run is
+# valid but does not end within a test.
+fuzz_lines = st.lists(
+    st.tuples(st.sampled_from(sorted(_SCHEMA)), st.sampled_from(FUZZ_VALUES)).filter(
+        lambda line: not (line[0] == "num_iterations" and line[1] in HUGE_INTS)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_lines)
+@example([("g_target_mean", "1e300")])  # overflowing split gains
+@example([("gamma_boost", "1e300")])
+@example([("g_target_mean", "1e308")])  # overflowing weights
+def test_fuzzed_config_exits_cleanly_or_with_one_error_line(tmp_path_factory, fuzz_data,
+                                                            lines):
+    work = tmp_path_factory.mktemp("fuzz_run")
+    cfg = work / "cfg.txt"
+    cfg.write_text(FUZZ_CONFIG + "".join(f"{key} = {value}\n" for key, value in lines))
+    model = work / "model.txt"
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("error")  # a numpy warning is output too
+        code = run(["train", "--config", cfg, "--data", fuzz_data, "--out", model])
+        if code == 0:
+            code = run(["predict", "--model", model, "--data", fuzz_data,
+                        "--out", work / "p.csv"])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tempfile
 import warnings
@@ -24,9 +26,10 @@ from mtboost.errors import (
     MissingLabelColumn,
     NegativeInput,
     NonNumericLabel,
+    ShapeError,
 )
 
-from oracles import quantile_boundaries_oracle
+from oracles import parse_cells_oracle, quantile_boundaries_oracle
 
 
 def make_table(features, labels):
@@ -98,6 +101,90 @@ class TestLoadCsv:
         matrix, names = read_feature_matrix(p)
         assert names == ("a", "b")
         assert math.isnan(matrix[1, 0]) and matrix[1, 1] == 4.0
+
+
+def write_cells(path, header, columns):
+    """Write cell columns under a header with the csv module's quoting."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *zip(*columns)])
+    path.write_text(buf.getvalue(), newline="")
+
+
+def as_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# Feature cells: float reprs, Python float syntax, the tokens below (one of
+# them, -999, parses as a number), the empty string and garbage.
+CELL_TOKENS = ["", "-999", "NA", "nan"]
+cells = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1_0", " 2 ", "inf", "-inf", "nan", "NaN", "-nan", "1e999",
+                     "0x10", "1__0", "--1", *CELL_TOKENS]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r\n"),
+            max_size=5),
+)
+
+
+class TestParseCells:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda m: st.lists(st.lists(cells, min_size=m, max_size=m), min_size=1, max_size=4)),
+        st.sampled_from(CELL_TOKENS))
+    def test_features_match_per_cell_rule(self, tmp_path_factory, columns, token):
+        path = tmp_path_factory.mktemp("cells") / "t.csv"
+        names = [f"f{j}" for j in range(len(columns))]
+        labels = [repr(float(i)) for i in range(len(columns[0]))]
+        write_cells(path, names + ["y"], columns + [labels])
+        expected = np.column_stack([parse_cells_oracle(col, token) for col in columns])
+        table = load_csv(path, ["y"], missing_token=token)
+        assert np.array_equal(as_bits(table.features), as_bits(expected))
+        assert table.labels[:, 0].tolist() == list(map(float, labels))
+        matrix, header = read_feature_matrix(path, missing_token=token)
+        assert header == (*names, "y")
+        assert np.array_equal(as_bits(matrix[:, :-1]), as_bits(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(cells, min_size=1, max_size=12))
+    def test_labels_parse_or_name_first_bad_cell(self, tmp_path_factory, column):
+        path = tmp_path_factory.mktemp("labels") / "t.csv"
+        write_cells(path, ["a", "y"], [["1"] * len(column), column])
+        expected = None
+        for i, cell in enumerate(column):
+            try:
+                value = float(cell)
+            except ValueError:
+                expected = f"row {i + 2}, column 'y': {cell!r} is not a number"
+                break
+            if not math.isfinite(value):
+                expected = f"row {i + 2}, column 'y': non-finite label"
+                break
+        if expected is None:
+            assert load_csv(path, ["y"]).labels[:, 0].tolist() == list(map(float, column))
+        else:
+            with pytest.raises(NonNumericLabel) as excinfo:
+                load_csv(path, ["y"])
+            assert str(excinfo.value) == expected
+
+    def test_blank_lines_give_zero_columns(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("\n\n\n")
+        matrix, names = read_feature_matrix(p)
+        assert matrix.shape == (2, 0) and names == ()
+
+    def test_fault_order(self, tmp_path):
+        # Ragged rows come before label columns and label cells.
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,abc\n2\n")
+        for read in (lambda: load_csv(p, ["y", "z"]), lambda: read_feature_matrix(p)):
+            with pytest.raises(ShapeError, match="row 3 has 1 cells, header has 2"):
+                read()
+        # Label cells are checked label column by label column.
+        p.write_text("a,y1,y2\n1,0,abc\n2,inf,0\n")
+        with pytest.raises(NonNumericLabel, match="row 3, column 'y1': non-finite label"):
+            load_csv(p, ["y1", "y2"])
+        with pytest.raises(NonNumericLabel, match="row 2, column 'y2': 'abc' is not a number"):
+            load_csv(p, ["y2", "y1"])
 
 
 class TestLogTransform:

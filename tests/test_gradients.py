@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ class TestEnsembleGradHess:
         with pytest.raises(NonFiniteGradient):
             ensemble_grad_hess(GradHess(g=g, h=np.ones((1, 1))), MTConfig(), 0)
 
+    @pytest.mark.parametrize("config", [
+        MTConfig(g_target_mean=1e308),  # weight 2e308 overflows
+        MTConfig(h_target_mean=1e308),
+        MTConfig(g_target_mean=1e306, gamma_boost=10.0),  # weights finite, g_e not
+        MTConfig(h_target_mean=1e307),  # h_e finite, its sum over rows not
+    ])
+    def test_overflowing_weights_rejected(self, config):
+        g = np.zeros((20, 2))
+        g[0, 0], g[1, 1] = 10.0, -10.0  # mean |g| 0.5 per task
+        gh = GradHess(g=g, h=np.full((20, 2), 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGradient):
+                ensemble_grad_hess(gh, config, 0)
+
     def test_h_e_strictly_positive(self, rng):
         gh = GradHess(g=rng.normal(size=(30, 2)), h=np.zeros((30, 2)))
         eg = ensemble_grad_hess(gh, MTConfig(task_select="uniform_random"), 2)
@@ -179,3 +196,10 @@ class TestUpdatingGradHess:
         gh = random_gh(rng, n=3)
         out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
         assert np.array_equal(out.h, gh.h)
+
+    def test_results_may_share_input_memory(self, rng):
+        gh = random_gh(rng)
+        for mode in ("constant_one", "pearson_to_main"):
+            out = updating_grad_hess(gh, MTConfig(corr_mode=mode))
+            assert out.h is gh.h
+        assert updating_grad_hess(gh, MTConfig(corr_mode="constant_one")).g is gh.g

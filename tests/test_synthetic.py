@@ -4,6 +4,8 @@ import pytest
 from mtboost.errors import InvalidSpec
 from mtboost.synthetic import SyntheticSpec, gen_synthetic
 
+from oracles import window_features_oracle
+
 
 class TestSpecValidation:
     def test_unknown_scenario(self):
@@ -64,6 +66,14 @@ class TestTimeseriesRatio:
         i_mean = names.index("mean_7")
         assert (table.features[:, i_min] <= table.features[:, i_mean]).all()
         assert (table.features[:, i_mean] <= table.features[:, i_max]).all()
+
+    @pytest.mark.parametrize("m", [100, 401, 8000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_row_by_row_oracle(self, seed, m):
+        table = gen_synthetic(SyntheticSpec("timeseries_ratio", m=m, seed=seed))
+        features, labels = window_features_oracle(seed, m)
+        assert np.array_equal(table.features, features)
+        assert np.array_equal(table.labels, labels)
 
     def test_positive_series(self):
         table = gen_synthetic(SyntheticSpec("timeseries_ratio", m=300, seed=9))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ class TestFindBestSplit:
         # A node whose only boundary has a NaN gain has no split at all.
         only_nan = build_histograms(np.arange(2), ds, g, h)
         assert find_best_split(only_nan, (-2.0, 1.0, 2), params) is None
+        # G_L = 1e200 after bin 0 squares to infinity; that gain is ignored
+        # without a warning, and the boundary after bin 1 wins with
+        # 0.5 * (0/2 + 4/1 - 4/3) = 4/3.
+        g = np.array([1e200, -1e200, 2.0])
+        h = np.ones(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = find_best_split(build_histograms(np.arange(3), ds, g, h), (2.0, 3.0, 3),
+                                    params)
+            assert (split.feature, split.threshold_bin) == (0, 1)
+            assert split.gain == 0.5 * (4.0 - 4.0 / 3.0)
+            only_overflow = build_histograms(np.arange(2), ds, g, h)
+            assert find_best_split(only_overflow, (0.0, 2.0, 2), params) is None
 
 
 class TestGrowTree:
