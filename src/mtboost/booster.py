@@ -24,6 +24,7 @@ from .errors import (
     FeatureCountMismatch,
     FormatVersionMismatch,
     InvalidParameter,
+    LabelOverflow,
     MapperMismatch,
     TaskIndexOutOfRange,
 )
@@ -140,16 +141,35 @@ class BoosterModel:
 
 
 def _base_scores(labels, objectives) -> np.ndarray:
-    """Per-task starting score: label mean, or its log-odds for classifiers."""
+    """Per-task starting score: label mean, or its log-odds for classifiers.
+    Raises LabelOverflow when a mean overflows."""
     base = np.empty(labels.shape[1], dtype=np.float64)
     for t, kind in enumerate(objectives):
-        mean = float(np.mean(labels[:, t]))
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(labels[:, t]))
+        if not math.isfinite(mean):
+            raise LabelOverflow(f"task {t}: the label mean overflows float64")
         if kind == BINARY_LOGLOSS:
             p = min(max(mean, PROB_EPS), 1.0 - PROB_EPS)
             base[t] = math.log(p / (1.0 - p))
         else:
             base[t] = mean
     return base
+
+
+def _add_leaf_values(scores, tree: MultiOutputTree, leaf_id) -> None:
+    """Add each row's leaf values to its scores, one task column at a time."""
+    for t, values in enumerate(tree.leaf_values.T):
+        scores[:, t] += values.take(leaf_id)
+
+
+def _losses(labels, scores, objectives, which: str) -> tuple[float, ...]:
+    """Per-task losses; raises LabelOverflow when one is not finite."""
+    losses = tuple(loss(labels[:, t], scores[:, t], kind) for t, kind in enumerate(objectives))
+    for t, value in enumerate(losses):
+        if not math.isfinite(value):
+            raise LabelOverflow(f"task {t}: the {which} loss overflows float64")
+    return losses
 
 
 def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None) -> BoosterModel:
@@ -181,9 +201,15 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
             raise InvalidParameter("validation label count differs from training")
 
     mt = replace(params.mt, seed=params.mt.seed + params.seed)
-    base = _base_scores(dataset.labels, params.objectives)
-    scores = np.tile(base, (dataset.m, 1))
-    valid_scores = np.tile(base, (valid.m, 1)) if valid is not None else None
+    # One layout: every per-task (m, n) array is column-major, so each task's
+    # column is contiguous. A no-op for apply_bins output. The scores are the
+    # transpose of (n, m) per-task rows.
+    labels = np.asfortranarray(dataset.labels)
+    base = _base_scores(labels, params.objectives)
+    scores = np.tile(base[:, None], dataset.m).T
+    if valid is not None:
+        valid_labels = np.asfortranarray(valid.labels)
+        valid_scores = np.tile(base[:, None], valid.m).T
 
     trees: list[MultiOutputTree] = []
     log: list[IterationLog] = []
@@ -191,7 +217,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
     best_iter = -1
 
     for it in range(params.num_iterations):
-        gh = grad_hess(dataset.labels, scores, params.objectives)
+        gh = grad_hess(labels, scores, params.objectives)
         gu = updating_grad_hess(gh, mt)
         eg = ensemble_grad_hess(gh, mt, it)
         skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params.growth)
@@ -201,19 +227,12 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         )
         del gh, gu, eg  # free the (m, n) gradients before the next iteration allocates its own
         trees.append(tree)
-        scores += tree.leaf_values[leaf_id]
-
-        train_losses = tuple(
-            loss(dataset.labels[:, t], scores[:, t], params.objectives[t]) for t in range(n)
-        )
+        _add_leaf_values(scores, tree, leaf_id)
+        train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
-            leaf_ids = route_binned(tree.nodes, valid.binned)
-            valid_scores += tree.leaf_values[leaf_ids]
-            valid_losses = tuple(
-                loss(valid.labels[:, t], valid_scores[:, t], params.objectives[t])
-                for t in range(n)
-            )
+            _add_leaf_values(valid_scores, tree, route_binned(tree.nodes, valid.binned))
+            valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 
         if params.early_stopping_rounds > 0 and valid_losses is not None:

@@ -266,7 +266,7 @@ class Dataset:
     """A table after binning: integer bin matrix plus untouched labels."""
 
     binned: np.ndarray  # (m, d), laid out as BinMapper.empty_binned makes it
-    labels: np.ndarray  # (m, n) float64
+    labels: np.ndarray  # (m, n) float64, column-major after apply_bins
     mapper: BinMapper
     feature_names: tuple[str, ...]
     task_names: tuple[str, ...]
@@ -308,7 +308,7 @@ def apply_bins(table: RawTable, mapper: BinMapper) -> Dataset:
         binned[:, f] = bin_column(table.features[:, f], mapper.boundaries[f])
     return Dataset(
         binned=binned,
-        labels=table.labels.copy(),
+        labels=table.labels.copy(order="F"),
         mapper=mapper,
         feature_names=table.feature_names,
         task_names=table.task_names,

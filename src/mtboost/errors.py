@@ -46,6 +46,10 @@ class NonFiniteGradient(MtboostError, ValueError):
     """Gradients, hessians or their weighted combination are not finite."""
 
 
+class LabelOverflow(MtboostError, ValueError):
+    """A task's label mean or loss overflows float64: the labels are too large."""
+
+
 class EmptyLeaf(MtboostError, RuntimeError):
     """A leaf received no samples; indicates a routing bug."""
 

@@ -181,11 +181,14 @@ def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int) -> Ensemb
     return EnsembleGrad(g_e=g_e, h_e=h_e, chosen_tasks=chosen, w=w, v=v)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pearson_to_main(g: np.ndarray) -> float:
     """Mean Pearson correlation of each auxiliary gradient column with task 0.
 
     Columns with zero variance contribute 0. With a single task the empty
-    mean is defined as 1 (no damping).
+    mean is defined as 1 (no damping). Gradients whose sums of squares
+    overflow give 0 or NaN without a warning; a NaN reaches every leaf value
+    and so the training loss, which train() rejects.
     """
     n = g.shape[1]
     if n == 1:

@@ -62,7 +62,10 @@ def loss(labels, scores, kind: str) -> float:
         raise LengthMismatch(f"labels {labels.shape} vs scores {scores.shape}")
     p = transform_score(scores, kind)
     if kind == REGRESSION_L2:
-        return float(np.mean((labels - p) ** 2))
+        # Labels or scores past about 1e154 overflow the square; the loss is
+        # then inf, which train() reports as LabelOverflow.
+        with np.errstate(over="ignore"):
+            return float(np.mean((labels - p) ** 2))
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import signal
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from mtboost.errors import (
     FeatureCountMismatch,
     FormatVersionMismatch,
     InvalidParameter,
+    LabelOverflow,
     MapperMismatch,
     MtboostError,
     TaskIndexOutOfRange,
@@ -152,6 +155,26 @@ class TestTrain:
             with pytest.raises(InvalidParameter, match="task_weights must be finite"):
                 MTConfig(task_select="weighted", task_weights=weights)
 
+    @pytest.mark.parametrize("train_labels, valid_labels, match", [
+        ((1e308, 1.5e308), None, "task 1: the label mean overflows"),
+        ((1e160, -1e160), None, "task 1: the training loss overflows"),
+        (None, (1e160, -1e160), "task 1: the validation loss overflows"),
+    ])
+    def test_overflowing_labels_typed(self, rng, train_labels, valid_labels, match):
+        def table(huge):
+            t = regression_table(rng, m=200, n=2)
+            if huge is not None:
+                t.labels[:, 1] = np.resize(huge, 200)
+            return t
+
+        fit = table(train_labels)
+        mapper = fit_bins(fit, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LabelOverflow, match=match):
+                train(apply_bins(fit, mapper), reg_params(mt=MTConfig()),
+                      apply_bins(table(valid_labels), mapper))
+
     def test_single_task_reduction_matches_scalar_reference(self):
         for seed in range(4):
             rng = np.random.default_rng(seed)
@@ -173,6 +196,53 @@ class TestTrain:
             )
             got = [engine_tree_structure(t.nodes) for t in model.trees]
             assert got == ref
+
+
+def row_major(ds):
+    return dataclasses.replace(ds, labels=np.ascontiguousarray(ds.labels))
+
+
+class TestLayout:
+    """train() stores every per-task (m, n) array column-major."""
+
+    def test_per_task_passes_get_column_major_arrays(self, rng, monkeypatch):
+        import mtboost.booster as bt
+
+        seen = []
+
+        def recording(fn, pick):
+            def wrapper(*args):
+                out = fn(*args)
+                seen.append((fn.__name__, pick(args, out)))
+                return out
+            return wrapper
+
+        for name, pick in (
+            ("grad_hess", lambda a, out: (a[0], a[1], out.g, out.h)),
+            ("updating_grad_hess", lambda a, out: (out.g, out.h)),
+            ("fit_leaf_values", lambda a, out: (a[2], a[3])),
+        ):
+            monkeypatch.setattr(bt, name, recording(getattr(bt, name), pick))
+        table = regression_table(rng, m=200, n=3)
+        mapper = fit_bins(table, 32)
+        ds = row_major(apply_bins(table, mapper))
+        train(ds, reg_params(n=3, num_iterations=3, mt=MTConfig()), row_major(ds))
+        assert {name for name, _ in seen} == {
+            "grad_hess", "updating_grad_hess", "fit_leaf_values"}
+        for name, arrays in seen:
+            for a in arrays:
+                assert a.shape == (200, 3) and a.flags.f_contiguous, name
+
+    def test_row_major_labels_train_to_the_same_bytes(self, rng, tmp_path):
+        table = regression_table(rng, m=300, n=3)
+        ds = binned(table)
+        assert ds.labels.flags.f_contiguous
+        params = reg_params(n=3, mt=MTConfig(n_selected=2))
+        files = []
+        for i, (data, valid) in enumerate(((ds, ds), (row_major(ds), row_major(ds)))):
+            files.append(tmp_path / f"m{i}.txt")
+            save_model(train(data, params, valid), files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
 
 
 class TestPredict:

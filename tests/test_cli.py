@@ -382,3 +382,41 @@ def test_fuzzed_config_exits_cleanly_or_with_one_error_line(tmp_path_factory, fu
         assert err.getvalue() == ""
     else:
         assert re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err.getvalue())
+
+
+def _overflow_csv(path, rng, huge):
+    """200 rows: features x0, x1; label y_aux cycles through ``huge``, or is
+    small noise when ``huge`` is None; y_main is always small noise."""
+    y_aux = np.resize(huge, 200) if huge is not None else rng.normal(size=200)
+    table = np.column_stack([rng.normal(size=(200, 3)), y_aux]).tolist()
+    rows = [",".join(map(repr, row)) + "\n" for row in table]
+    path.write_text("x0,x1,y_main,y_aux\n" + "".join(rows))
+    return path
+
+
+# Labels whose mean or squared error overflows float64 pass load_csv; training
+# must stop with one typed error line and no numpy warning.
+@pytest.mark.parametrize("labels, train_huge, valid_huge, detail", [
+    ("y_aux", (1e308, 1.5e308), None, "task 0: the label mean overflows"),
+    ("y_aux", (1e160, -1e160), None, "task 0: the training loss overflows"),
+    ("y_main, y_aux", (1e160, -1e160), None, "task 1: the training loss overflows"),
+    ("y_aux", None, (1e160, -1e160), "task 0: the validation loss overflows"),
+])
+def test_overflowing_labels_give_one_error_line(tmp_path, rng, labels, train_huge,
+                                               valid_huge, detail):
+    n = labels.count(",") + 1
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"label_columns = {labels}\n"
+                   f"objectives = {', '.join(['regression_l2'] * n)}\n"
+                   "num_iterations = 3\nmin_samples_leaf = 5\n")
+    data = _overflow_csv(tmp_path / "train.csv", rng, train_huge)
+    valid = _overflow_csv(tmp_path / "valid.csv", rng, valid_huge)
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(["train", "--config", cfg, "--data", data, "--valid", valid,
+                    "--out", tmp_path / "model.txt"])
+    assert code != 0
+    assert re.fullmatch(r"error: LabelOverflow: [^\n]*\n", err.getvalue())
+    assert detail in err.getvalue()
+    assert not (tmp_path / "model.txt").exists()

@@ -284,6 +284,13 @@ class TestApplyBins:
         with pytest.raises(DimensionMismatch):
             apply_bins(make_table([[1.0]], [[0.0]]), mapper)
 
+    def test_labels_copied_column_major(self):
+        table = make_table([[1.0], [2.0], [3.0]], np.arange(9.0).reshape(3, 3))
+        labels = apply_bins(table, fit_bins(table, max_bins=4)).labels
+        assert labels.flags.f_contiguous
+        assert not np.shares_memory(labels, table.labels)
+        assert np.array_equal(labels, table.labels)
+
 
 finite_floats = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False

@@ -197,6 +197,13 @@ class TestUpdatingGradHess:
         out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
         assert np.array_equal(out.h, gh.h)
 
+    def test_column_major_in_column_major_out(self, rng):
+        gh = random_gh(rng)
+        gh = GradHess(g=np.asfortranarray(gh.g), h=np.asfortranarray(gh.h))
+        for mode in ("constant_one", "pearson_to_main"):
+            out = updating_grad_hess(gh, MTConfig(corr_mode=mode))
+            assert out.g.flags.f_contiguous and out.h.flags.f_contiguous
+
     def test_results_may_share_input_memory(self, rng):
         gh = random_gh(rng)
         for mode in ("constant_one", "pearson_to_main"):

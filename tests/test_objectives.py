@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ class TestLoss:
         with pytest.raises(LengthMismatch):
             loss([1.0], [1.0, 2.0], REGRESSION_L2)
 
+    def test_overflowing_l2_loss_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert loss([1e160, -1e160], [0.0, 0.0], REGRESSION_L2) == math.inf
+
 
 class TestGradHess:
     def test_l2_values(self):
@@ -66,6 +72,12 @@ class TestGradHess:
         assert gh.g[0, 0] == -0.5
         assert gh.g[1, 0] == 0.5
         assert np.allclose(gh.h, 0.25)
+
+    def test_column_major_in_column_major_out(self, rng):
+        labels = np.asfortranarray(rng.integers(0, 2, size=(30, 3)), dtype=np.float64)
+        scores = np.asfortranarray(rng.normal(size=(30, 3)))
+        gh = grad_hess(labels, scores, (REGRESSION_L2, BINARY_LOGLOSS, REGRESSION_L2))
+        assert gh.g.flags.f_contiguous and gh.h.flags.f_contiguous
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
