@@ -26,7 +26,13 @@ from .data import (
     read_feature_matrix,
     write_csv,
 )
-from .errors import ConfigError, FeatureCountMismatch, FormatVersionMismatch, MtboostError
+from .errors import (
+    ConfigError,
+    FeatureCountMismatch,
+    FormatVersionMismatch,
+    LabelOverflow,
+    MtboostError,
+)
 from .gradients import MTConfig
 from .metrics import METRIC_NAMES, compute_metric
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
@@ -237,7 +243,10 @@ def cmd_eval(args) -> int:
             from .objectives import transform_score
 
             pred = transform_score(pred, model.params.objectives[t])
-        value = compute_metric(args.metric, labeled.labels[:, t], pred)
+        try:
+            value = compute_metric(args.metric, labeled.labels[:, t], pred)
+        except LabelOverflow as exc:
+            raise LabelOverflow(f"task {name!r}: {exc}") from None
         values.append(value)
         print(f"{name} {args.metric} {value!r}")
     print(f"mean {args.metric} {float(np.mean(values))!r}")

@@ -243,14 +243,18 @@ def fit_bins(table: RawTable, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
     for f in range(table.d):
         col = table.features[:, f]
         vals = col[~np.isnan(col)]
+        vals.sort()
         if vals.size == 0:
             boundaries.append(np.empty(0, dtype=np.float64))
             continue
-        distinct = np.unique(vals)
+        # Distinct values: the first of each run of equal sorted values.
+        distinct = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
         if distinct.size <= max_bins:
             cuts = distinct[:-1]
         else:
             probs = np.arange(1, max_bins) / max_bins
+            # Quantiles depend only on the multiset, so the sorted copy gives
+            # the same values, and np.quantile partitions sorted input fast.
             # A quantile between two infinities interpolates through
             # inf - inf = NaN. A NaN cut would break the ascending order;
             # it fails ``cuts < distinct[-1]`` and is dropped below.
@@ -284,16 +288,59 @@ class Dataset:
         return self.labels.shape[1]
 
 
+_CELLS = 1 << 16  # cells of bin_column's lookup table
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """Cell in [0, 2**16) of each value: the top 16 bits of the
+    order-preserving key of float32(value) + 0.0.
+
+    The map never decreases as the value grows: rounding to float32 is
+    monotone (magnitudes past its range become +-inf), + 0.0 folds -0.0 into
+    +0.0, and the key orders float32 bit patterns like their values. So a
+    value below another never lands in a higher cell.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x32 = values.astype(np.float32)
+    x32 += 0.0
+    key = x32.view(np.int32)
+    flip = key >> 31  # all ones for negative floats, which count down
+    flip &= 0x7FFFFFFF
+    key ^= flip
+    key >>= 16
+    cells = key.astype(np.intp)
+    cells += _CELLS // 2
+    return cells
+
+
 def bin_column(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Map raw values of one feature to bin indices (right-closed intervals).
 
     Finite values below every boundary clamp to bin 0, values above every
     boundary clamp to the top finite bin; NaN maps to the missing bin
     (= number of finite bins).
+
+    The bin is the number of cuts below the value. Since ``_cells`` never
+    decreases, every cut in a lower cell than the value's is below it and
+    every cut in a higher cell is not; ``below[c]`` counts the cuts in cells
+    under ``c``, and one comparison with the next cut adds the cut of the
+    value's own cell. Rows with a second cut of their cell below them go
+    through searchsorted.
     """
-    bins = np.searchsorted(cuts, values, side="left")
-    missing = np.isnan(values)
-    bins[missing] = len(cuts) + 1
+    values = np.ascontiguousarray(values)  # read four times below
+    # below[c] is first[k] for c in (cut_cells[k-1], cut_cells[k]], and
+    # len(cuts) past the last cut's cell.
+    cut_cells, first = np.unique(_cells(cuts), return_index=True)
+    below = np.repeat(
+        np.append(first, len(cuts)), np.diff(cut_cells, prepend=-1, append=_CELLS - 1)
+    )
+    padded = np.append(cuts, np.inf)  # bins never pass len(cuts)
+    bins = below.take(_cells(values))
+    bins += padded.take(bins) < values
+    crowded = padded.take(bins) < values
+    if crowded.any():
+        bins[crowded] = np.searchsorted(cuts, values[crowded], side="left")
+    bins[np.isnan(values)] = len(cuts) + 1
     return bins
 
 

@@ -186,9 +186,10 @@ def pearson_to_main(g: np.ndarray) -> float:
     """Mean Pearson correlation of each auxiliary gradient column with task 0.
 
     Columns with zero variance contribute 0. With a single task the empty
-    mean is defined as 1 (no damping). Gradients whose sums of squares
-    overflow give 0 or NaN without a warning; a NaN reaches every leaf value
-    and so the training loss, which train() rejects.
+    mean is defined as 1 (no damping). A product of two sums of squares that
+    overflows is taken as the product of their roots. Gradients whose sums
+    of squares overflow give 0 or NaN without a warning; a NaN reaches every
+    leaf value and so the training loss, which train() rejects.
     """
     n = g.shape[1]
     if n == 1:
@@ -203,7 +204,10 @@ def pearson_to_main(g: np.ndarray) -> float:
         col_ss = float(np.dot(col_c, col_c))
         if main_ss <= 0.0 or col_ss <= 0.0:
             continue
-        total += float(np.dot(main_c, col_c)) / np.sqrt(main_ss * col_ss)
+        scale = np.sqrt(main_ss * col_ss)
+        if not math.isfinite(scale):  # the product overflows, the sums need not
+            scale = np.sqrt(main_ss) * np.sqrt(col_ss)
+        total += float(np.dot(main_c, col_c)) / scale
     return total / (n - 1)
 
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, SingleClass, ZeroLabelInMape
+from .errors import LabelOverflow, LengthMismatch, SingleClass, ZeroLabelInMape
 
 METRIC_NAMES = ("rmse", "mape", "auc")
 
@@ -29,16 +30,27 @@ def _check_lengths(y, p):
     return y, p
 
 
+def _finite(value: float, metric: str) -> float:
+    if not math.isfinite(value):
+        raise LabelOverflow(f"{metric} overflows float64")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def rmse(y, p) -> float:
+    """Root mean squared error; raises LabelOverflow when it is not finite."""
     y, p = _check_lengths(y, p)
-    return float(np.sqrt(np.mean((y - p) ** 2)))
+    return _finite(float(np.sqrt(np.mean((y - p) ** 2))), "rmse")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mape(y, p) -> float:
+    """Mean absolute percentage error; raises LabelOverflow when it is not
+    finite and ZeroLabelInMape when a label is zero."""
     y, p = _check_lengths(y, p)
     if np.any(y == 0.0):
         raise ZeroLabelInMape("MAPE undefined: a true label is zero")
-    return float(np.mean(np.abs(y - p) / np.abs(y)))
+    return _finite(float(np.mean(np.abs(y - p) / np.abs(y))), "mape")
 
 
 def roc_auc(labels, scores) -> float:

@@ -42,6 +42,28 @@ def quantile_boundaries_oracle(values, max_bins):
     return out
 
 
+def fit_bins_oracle(col, max_bins):
+    """One column's boundaries from np.unique and np.quantile on the
+    unsorted non-NaN values."""
+    vals = col[~np.isnan(col)]
+    if vals.size == 0:
+        return np.empty(0, dtype=np.float64)
+    distinct = np.unique(vals)
+    if distinct.size <= max_bins:
+        return distinct[:-1]
+    with np.errstate(invalid="ignore"):
+        cuts = np.unique(np.quantile(vals, np.arange(1, max_bins) / max_bins))
+    return cuts[cuts < distinct[-1]]
+
+
+def bin_column_oracle(values, cuts):
+    """Bins by plain binary search: the count of cuts below each value, NaN
+    to the missing bin."""
+    bins = np.searchsorted(cuts, values, side="left")
+    bins[np.isnan(values)] = len(cuts) + 1
+    return bins
+
+
 def parse_cells_oracle(cells, missing_token):
     """One float per feature cell: the missing token and any cell ``float()``
     rejects give NaN; everything else, Python float syntax such as ``1_0``

@@ -420,3 +420,21 @@ def test_overflowing_labels_give_one_error_line(tmp_path, rng, labels, train_hug
     assert re.fullmatch(r"error: LabelOverflow: [^\n]*\n", err.getvalue())
     assert detail in err.getvalue()
     assert not (tmp_path / "model.txt").exists()
+
+
+# Finite labels whose metric overflows float64: eval stops with one typed
+# error line naming the task and the metric, and no numpy warning.
+@pytest.mark.parametrize("metric, rows", [
+    ("rmse", "0.5,,1.5,1,1e160\n-0.5,1.0,0.0,0,-1e160\n"),
+    ("mape", "0.5,,1.5,1,1e-310\n-0.5,1.0,0.0,1,-1e-310\n"),
+], ids=["rmse", "mape"])
+def test_overflowing_metric_gives_one_error_line(tmp_path, metric, rows):
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c,y_cls,y_reg\n" + rows)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(["eval", "--model", GOLDEN, "--data", data, "--metric", metric])
+    assert code != 0
+    assert err.getvalue() == f"error: LabelOverflow: task 'y_reg': {metric} overflows float64\n"
+    assert "inf" not in out.getvalue()

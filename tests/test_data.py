@@ -4,6 +4,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from mtboost.booster import BoosterParams, load_model, predict, save_model, train
 from mtboost.data import (
     RawTable,
+    _cells,
     apply_bins,
+    bin_column,
     fit_bins,
     load_csv,
     log_transform,
@@ -29,7 +32,12 @@ from mtboost.errors import (
     ShapeError,
 )
 
-from oracles import parse_cells_oracle, quantile_boundaries_oracle
+from oracles import (
+    bin_column_oracle,
+    fit_bins_oracle,
+    parse_cells_oracle,
+    quantile_boundaries_oracle,
+)
 
 
 def make_table(features, labels):
@@ -357,3 +365,85 @@ class TestBinningProperties:
         d1 = apply_bins(t1, fit_bins(t1, 16))
         d2 = apply_bins(t2, fit_bins(t2, 16))
         assert np.array_equal(d1.binned, d2.binned)
+
+
+# Zeros of both signs, infinities, NaN, subnormals, float32's largest finite
+# value and the next float64 above its rounding range, and magnitudes past it.
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.401298464324817e-45, 3.4028234663852886e38,
+               3.4028235677973366e38, -3.4028235677973366e38, 1e39, -1e300, 1e300, 1000.0]
+edge_floats = st.one_of(st.floats(), st.floats(-4, 4), st.sampled_from(EDGE_FLOATS))
+
+
+def ulp_probes(values, cuts):
+    """The values, every cut and the floats one ulp either side of each cut."""
+    with np.errstate(over="ignore"):  # one ulp past the largest float is inf
+        return np.concatenate([values, cuts, np.nextafter(cuts, math.inf),
+                               np.nextafter(cuts, -math.inf)])
+
+
+class TestBinColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_floats, max_size=60),
+           st.lists(st.one_of(edge_floats, st.floats(1000, 1000.5)), max_size=300))
+    @example(values=[-math.inf, -1.0, 0.0, 2.0], raw_cuts=[-math.inf, 0.0, 1.0])
+    @example(values=[-0.0, 0.0, math.nan, math.inf], raw_cuts=[])
+    @example(values=[-3.0, -2.0, -1.5, -0.5, 1.5, 3.0], raw_cuts=[-2.5, -1.0, 2.5])
+    @example(values=[1.0], raw_cuts=[-1.7976931348623157e308, 1.7976931348623157e308])
+    @example(values=[0.0, -0.0, 1e-320], raw_cuts=[-0.0, 5e-324])
+    def test_matches_binary_search(self, values, raw_cuts):
+        cuts = np.unique(np.array(raw_cuts, dtype=np.float64))
+        cuts = cuts[~np.isnan(cuts)]  # strictly ascending, as a mapper holds them
+        probes = ulp_probes(np.array(values, dtype=np.float64), cuts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bin_column(probes, cuts)
+        want = bin_column_oracle(probes, cuts)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(edge_floats, max_size=60),
+           st.lists(st.one_of(edge_floats, st.floats(1000, 1000.5)), max_size=300))
+    def test_searches_only_crowded_rows(self, values, raw_cuts):
+        # A row is searched when two or more cuts of its own cell lie below it.
+        cuts = np.unique(np.array(raw_cuts, dtype=np.float64))
+        cuts = cuts[~np.isnan(cuts)]
+        probes = ulp_probes(np.array(values, dtype=np.float64), cuts)
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            bin_column(probes, cuts)
+        searched = sum(call.args[1].size for call in search.call_args_list
+                       if call.args[0] is cuts)
+        same_cell = _cells(probes)[:, None] == _cells(cuts)[None, :]
+        crowded = (same_cell & (cuts[None, :] < probes[:, None])).sum(axis=1) >= 2
+        assert searched == np.count_nonzero(crowded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.integers(2, 300))
+    def test_cuts_sharing_one_cell(self, seed, m, max_bins):
+        # Every float in [1000, 1000.5] rounds into one cell, so rows with two
+        # or more cuts of that cell below them take the searchsorted path.
+        col = 1000 + np.random.default_rng(seed).uniform(0, 0.5, m)
+        cuts = fit_bins(make_table(col[:, None], np.zeros((m, 1))), max_bins).boundaries[0]
+        assert np.unique(_cells(cuts)).size == min(cuts.size, 1)
+        probes = ulp_probes(col, cuts)
+        assert np.array_equal(bin_column(probes, cuts), bin_column_oracle(probes, cuts))
+
+
+class TestFitBinsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-4, 4).map(float), finite_floats,
+                              st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])),
+                    min_size=1, max_size=300),
+           st.integers(2, 40))
+    @example(values=[float(v) for v in range(200)] + [math.nan] * 3, max_bins=8)
+    @example(values=[-math.inf] * 5 + list(range(10)) + [math.inf] * 6, max_bins=4)
+    @example(values=[math.nan] * 4, max_bins=2)
+    def test_matches_unsorted_quantiles(self, values, max_bins):
+        col = np.array(values, dtype=np.float64)
+        features = np.column_stack([col, col[::-1] * 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mapper = fit_bins(make_table(features, np.zeros((col.size, 1))), max_bins)
+        for f, cuts in enumerate(mapper.boundaries):
+            assert np.array_equal(cuts, fit_bins_oracle(features[:, f], max_bins))

@@ -8,6 +8,7 @@ from mtboost.gradients import (
     MTConfig,
     ensemble_grad_hess,
     normalize_weights,
+    pearson_to_main,
     select_tasks,
     updating_grad_hess,
 )
@@ -191,6 +192,16 @@ class TestUpdatingGradHess:
         gh = GradHess(g=np.column_stack([col, -col]), h=np.ones((40, 2)))
         out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
         np.testing.assert_allclose(out.g, 0.5 * gh.g, rtol=1e-12)
+
+    def test_correlation_survives_huge_gradients(self, rng):
+        # At 1e80 each sum of squares is finite but their product is not.
+        col = rng.normal(size=200)
+        g = np.column_stack([col, col + 0.1 * rng.normal(size=200), rng.normal(size=200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corr, huge = pearson_to_main(g), pearson_to_main(g * 1e80)
+        assert corr > 0.4
+        assert huge == pytest.approx(corr, rel=1e-12, abs=0)
 
     def test_hessian_never_modified(self, rng):
         gh = random_gh(rng, n=3)

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtboost.errors import LengthMismatch, SingleClass, ZeroLabelInMape
+from mtboost.errors import LabelOverflow, LengthMismatch, SingleClass, ZeroLabelInMape
 from mtboost.metrics import mape, rmse, roc_auc
 
 from oracles import pairwise_auc
@@ -28,6 +30,22 @@ class TestRmseMape:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             rmse([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("metric, y, p", [
+        (rmse, [1e160, -1e160], [0.0, 0.0]),
+        (rmse, [1e308, -1e308], [-1e308, 1e308]),
+        (mape, [1e-310, 2.0], [1.0, 2.0]),
+        (mape, [1e308, 1.0], [-1e308, 1.0]),
+    ])
+    def test_overflow_raises_without_warning(self, metric, y, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LabelOverflow, match=f"^{metric.__name__} overflows"):
+                metric(y, p)
+
+    def test_large_finite_values_pass(self):
+        assert rmse([1e150], [-1e150]) == 2e150
+        assert mape([1e-300], [2e-300]) == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(
