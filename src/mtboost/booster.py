@@ -202,11 +202,15 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
 
     mt = replace(params.mt, seed=params.mt.seed + params.seed)
     # One layout: every per-task (m, n) array is column-major, so each task's
-    # column is contiguous. A no-op for apply_bins output. The scores are the
-    # transpose of (n, m) per-task rows.
+    # column is contiguous. A no-op for apply_bins output. The scores,
+    # gradients and hessians are transposes of (n, m) per-task rows of one
+    # block, allocated once: iterations write into it instead of allocating
+    # and freeing (m, n) arrays, whose reuse of freed heap made a run's peak
+    # memory vary from run to run.
     labels = np.asfortranarray(dataset.labels)
     base = _base_scores(labels, params.objectives)
-    scores = np.tile(base[:, None], dataset.m).T
+    scores, g, h = (rows.T for rows in np.empty((3, n, dataset.m)))
+    scores[:] = base
     if valid is not None:
         valid_labels = np.asfortranarray(valid.labels)
         valid_scores = np.tile(base[:, None], valid.m).T
@@ -217,15 +221,15 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
     best_iter = -1
 
     for it in range(params.num_iterations):
-        gh = grad_hess(labels, scores, params.objectives)
-        gu = updating_grad_hess(gh, mt)
+        gh = grad_hess(labels, scores, params.objectives, out=(g, h))
         eg = ensemble_grad_hess(gh, mt, it)
+        gu = updating_grad_hess(gh, mt, out=g)  # the ensemble pass has read g
         skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params.growth)
         tree = fit_leaf_values(
             skeleton, leaf_id, gu.g, gu.h,
             params.lambda_reg, params.learning_rate, params.max_delta_step,
         )
-        del gh, gu, eg  # free the (m, n) gradients before the next iteration allocates its own
+        del gh, gu, eg  # free g_e and h_e before the next iteration allocates its own
         trees.append(tree)
         _add_leaf_values(scores, tree, leaf_id)
         train_losses = _losses(labels, scores, params.objectives, "training")
@@ -482,8 +486,11 @@ def _parse_hexline(rest: str, count: int | None = None) -> np.ndarray:
 
 def load_model(path) -> BoosterModel:
     """Parse a model file written by save_model; strict about the format."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatVersionMismatch(f"{path}: not UTF-8 text ({exc.reason})") from None
     rd = _Reader(lines, path)
     if rd.next() != MODEL_FORMAT_MARKER:
         raise FormatVersionMismatch(f"{path}: not a {MODEL_FORMAT_MARKER} file")

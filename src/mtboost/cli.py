@@ -20,6 +20,7 @@ from . import booster as bt
 from .data import (
     apply_bins,
     fit_bins,
+    format_row,
     load_csv,
     log_transform,
     log_transform_columns,
@@ -64,32 +65,36 @@ _SCHEMA = _make_schema()
 def parse_config(path) -> dict:
     """Read a key=value config file into {'data': ..., 'params': ..., 'mt': ...}."""
     sections = {"data": {}, "params": {}, "mt": {}}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value'", path=str(path), line=lineno
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _SCHEMA:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown config key {key!r}",
-                    path=str(path), line=lineno, key=key,
-                )
-            type_tag, target = _SCHEMA[key]
-            try:
-                parsed = _convert(value, type_tag)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: key {key!r}: cannot parse {value!r} as {type_tag}",
-                    path=str(path), line=lineno, key=key,
-                ) from None
-            sections[target][_PARAM_RENAMES.get(key, key)] = parsed
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})", path=str(path)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value'", path=str(path), line=lineno
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _SCHEMA:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown config key {key!r}",
+                path=str(path), line=lineno, key=key,
+            )
+        type_tag, target = _SCHEMA[key]
+        try:
+            parsed = _convert(value, type_tag)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r}: cannot parse {value!r} as {type_tag}",
+                path=str(path), line=lineno, key=key,
+            ) from None
+        sections[target][_PARAM_RENAMES.get(key, key)] = parsed
     return sections
 
 
@@ -214,16 +219,15 @@ def cmd_predict(args) -> int:
     matrix, header = read_feature_matrix(args.data, missing_token)
     features = _model_features(model, matrix, header, log_features)
     if args.task is not None:
-        scores = bt.predict(model, features, task=args.task)
-        columns = [(f"task_{args.task}", scores)]
+        scores = bt.predict(model, features, task=args.task)[:, None]
+        names = [f"task_{args.task}"]
     else:
         scores = bt.predict(model, features)
-        columns = [(f"task_{t}", scores[:, t]) for t in range(model.n_tasks)]
-    lines = ["row," + ",".join(name for name, _ in columns)]
-    for i in range(features.shape[0]):
-        lines.append(",".join([str(i)] + [repr(float(col[i])) for _, col in columns]))
+        names = [f"task_{t}" for t in range(model.n_tasks)]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("row," + ",".join(names) + "\n")
+        for i, row in enumerate(scores.tolist()):
+            fh.write(format_row([i, *row]) + "\n")
     print(f"wrote {features.shape[0]} predictions -> {args.out}")
     return 0
 

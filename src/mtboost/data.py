@@ -11,7 +11,9 @@ equal to a boundary belongs to the bin that boundary tops. Missing values
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFile,
     InvalidParameter,
+    MalformedCsv,
     MissingLabelColumn,
     NegativeInput,
     NonNumericLabel,
@@ -65,12 +68,98 @@ class RawTable:
         return self.labels.shape[1]
 
 
+# Bytes of a CSV body that numpy's C reader and csv.reader + float() read
+# alike: those of numbers in Python float syntax (but "_", which numpy
+# rejects), the comma, space, tab, CR and LF.
+_NUMBER_BYTES = b"0123456789+-.eEinfatyINFATY, \t\r\n"
+
+
+def _loadtxt(path, missing_token: str):
+    """Header and (m, k) float matrix of a CSV parsed whole by numpy's C
+    reader, or None when that could differ from csv.reader and float(), or
+    fail. Scans of the file's bytes come first, so a file the reader does
+    not take costs a few passes over them, not a parse that fails: the
+    missing token must not parse as a number nor occur in the body (the
+    bytes from the header's line end on), and the body must hold only bytes
+    of ``_NUMBER_BYTES`` and pass ``_empty_cells``. Empty cells are NaN on
+    both paths (an empty label is not finite, so csv.reader reports it), and
+    numpy's reader gets them as ``nan``. After the parse, a cell that does
+    not parse or a row whose cell count differs from the header's still
+    declines."""
+    try:
+        float(missing_token)
+        return None  # cells equal to it are NaN, which loadtxt cannot tell
+    except ValueError:
+        pass
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = re.search(rb"[\r\n]", raw)
+    if end is None:
+        return None
+    head = end.start()
+    if raw.translate(None, _NUMBER_BYTES) != raw[:head].translate(None, _NUMBER_BYTES):
+        return None
+    if missing_token and raw.find(missing_token.encode(), head) >= 0:
+        return None
+    empty = _empty_cells(np.frombuffer(raw, np.uint8)[head:])
+    if empty is None:
+        return None
+    try:
+        header = next(csv.reader([raw[:head].decode()]))
+    except (UnicodeDecodeError, csv.Error):
+        return None  # csv.reader raises them, naming the row
+    if empty.size:
+        cuts = (empty + head).tolist()
+        raw = b"nan".join([raw[i:j] for i, j in zip([0, *cuts], [*cuts, len(raw)])])
+    try:
+        matrix = np.loadtxt(
+            io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+            delimiter=",", comments=None, skiprows=1, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if matrix.shape[1] != len(header):
+        return None
+    return header, matrix
+
+
+def _empty_cells(body: np.ndarray):
+    """Offsets of the empty cells in a CSV body of number bytes (uint8),
+    which starts with the header's line end; None when it holds no cell, a
+    blank line or a cell longer than csv's field limit."""
+    seps = body == ord(",")
+    seps |= body == ord("\r")
+    seps |= body == ord("\n")
+    at = np.flatnonzero(seps)
+    if at.size == body.size:
+        return None  # no cell at all
+    gaps = np.diff(at)
+    if max(gaps.max(initial=0), body.size - at[-1]) - 1 > csv.field_size_limit():
+        return None
+    # A separator right after another starts an empty cell, unless both are
+    # line ends: CRLF is one line end, any other pair a blank line.
+    pairs = at[:-1][gaps == 1]
+    first, second = body[pairs], body[pairs + 1]
+    line_ends = (first != ord(",")) & (second != ord(","))
+    if (line_ends & ((first != ord("\r")) | (second != ord("\n")))).any():
+        return None
+    empty = pairs[~line_ends] + 1
+    return np.append(empty, body.size) if body[-1] == ord(",") else empty
+
+
 def _read_columns(path):
-    """Header, row count and cell columns of a CSV with a header row. Raises
-    EmptyFile without a header or a data row, and ShapeError on the first
-    row whose cell count differs from the header's."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    """Header, row count and cell columns of a CSV with a header row, by
+    csv.reader. Raises MalformedCsv when the file is not UTF-8 or a cell is
+    past csv's field limit, EmptyFile without a header or a data row, and
+    ShapeError on the first row whose cell count differs from the header's."""
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows.extend(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path}: no header row")
     header = rows.pop(0)
@@ -83,25 +172,28 @@ def _read_columns(path):
     return header, len(rows), list(zip(*rows))
 
 
-def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
-    """Read an RFC-4180 CSV with header into a RawTable.
+def _read_csv(path, missing_token: str, label_columns=None):
+    """Header, label column indices and (m, k) float matrix of a CSV with a
+    header row, columns in header order. Cells of the columns named in
+    ``label_columns`` must parse as finite numbers; other cells equal to
+    ``missing_token`` or rejected by ``float()`` become NaN. ``None`` names
+    no label column and asks for no feature column either.
 
-    Columns named in ``label_columns`` become the label matrix (in the given
-    order); every other column becomes a feature, in header order. Feature
-    cells equal to ``missing_token`` or unparsable as numbers turn into NaN.
-    Label cells must parse as finite numbers.
+    The whole body goes through numpy's C reader when ``_loadtxt`` can take
+    it and every label is finite. Otherwise csv.reader and ``_parse_columns``
+    read the file and raise every error, so both give the same result.
     """
+    fast = _loadtxt(path, missing_token)
+    if fast is not None:
+        header, matrix = fast
+        label_idx = _label_indices(header, label_columns)
+        if np.isfinite(matrix[:, label_idx]).all():
+            return header, label_idx, matrix
+        del fast, matrix
     header, m, columns = _read_columns(path)
-    for name in label_columns:
-        if name not in header:
-            raise MissingLabelColumn(f"label column {name!r} not in header")
-    label_idx = [header.index(name) for name in label_columns]
-    feat_idx = [j for j in range(len(header)) if j not in set(label_idx)]
-    if not feat_idx:
-        raise ShapeError("every column is a label; no features left")
-
-    labels = _parse_columns([columns[j] for j in label_idx], m, None)
-    bad = np.argwhere(~np.isfinite(labels.T))  # label column by label column
+    label_idx = _label_indices(header, label_columns)
+    matrix = _parse_columns(columns, m, missing_token, label_idx)
+    bad = np.argwhere(~np.isfinite(matrix[:, label_idx].T))  # label column by label column
     if bad.size:
         t, i = bad[0]
         cell = columns[label_idx[t]][i]
@@ -111,33 +203,60 @@ def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
         except ValueError:
             detail = f"{cell!r} is not a number"
         raise NonNumericLabel(f"row {i + 2}, column {label_columns[t]!r}: {detail}")
+    return header, label_idx, matrix
+
+
+def _label_indices(header, label_columns) -> list[int]:
+    """Header index of each of ``label_columns`` (none for ``None``). Raises
+    MissingLabelColumn for a name not in the header, and ShapeError when the
+    labels leave no feature column."""
+    if label_columns is None:
+        return []
+    for name in label_columns:
+        if name not in header:
+            raise MissingLabelColumn(f"label column {name!r} not in header")
+    label_idx = [header.index(name) for name in label_columns]
+    if len(set(label_idx)) == len(header):
+        raise ShapeError("every column is a label; no features left")
+    return label_idx
+
+
+def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
+    """Read an RFC-4180 CSV with header into a RawTable.
+
+    Columns named in ``label_columns`` become the label matrix (in the given
+    order); every other column becomes a feature, in header order. Feature
+    cells equal to ``missing_token`` or unparsable as numbers turn into NaN.
+    Label cells must parse as finite numbers.
+    """
+    header, label_idx, matrix = _read_csv(path, missing_token, label_columns)
+    feat_idx = [j for j in range(len(header)) if j not in set(label_idx)]
     return RawTable(
-        features=_parse_columns([columns[j] for j in feat_idx], m, missing_token),
-        labels=labels,
+        features=matrix[:, feat_idx],
+        labels=matrix[:, label_idx],
         feature_names=tuple(header[j] for j in feat_idx),
         task_names=tuple(label_columns),
     )
 
 
-def _parse_columns(columns, m: int, missing_token) -> np.ndarray:
+def _parse_columns(columns, m: int, missing_token, label_idx=()) -> np.ndarray:
     """(m, k) float matrix of k cell columns, parsed a column at a time. Cells
-    equal to ``missing_token`` (``None`` matches none) or rejected by
-    ``float()`` become NaN; the rest, in Python float syntax, their value."""
+    equal to ``missing_token`` (never in the ``label_idx`` columns) or
+    rejected by ``float()`` become NaN; the rest, in Python float syntax,
+    their value."""
     matrix = np.empty((m, len(columns)), dtype=np.float64)
     for j, cells in enumerate(columns):
-        if missing_token not in cells:
-            try:
-                matrix[:, j] = np.fromiter(map(float, cells), np.float64, m)
-                continue
-            except ValueError:
-                pass
-        matrix[:, j] = [_parse_feature(cell, missing_token) for cell in cells]
+        token = None if j in label_idx else missing_token
+        if token in cells:
+            cells = ["nan" if cell == token else cell for cell in cells]
+        try:
+            matrix[:, j] = np.fromiter(map(float, cells), np.float64, m)
+        except ValueError:
+            matrix[:, j] = [_parse_feature(cell) for cell in cells]
     return matrix
 
 
-def _parse_feature(cell: str, missing_token: str) -> float:
-    if cell == missing_token:
-        return math.nan
+def _parse_feature(cell: str) -> float:
     try:
         return float(cell)
     except ValueError:
@@ -150,22 +269,26 @@ def read_feature_matrix(path, missing_token: str = ""):
     Returns (matrix, column_names). Unparsable cells become NaN; used for
     prediction inputs where extra columns are simply ignored downstream.
     """
-    header, m, columns = _read_columns(path)
-    return _parse_columns(columns, m, missing_token), tuple(header)
+    header, _, matrix = _read_csv(path, missing_token)
+    return matrix, tuple(header)
+
+
+def format_row(values) -> str:
+    """One CSV line, without its line end, of Python numbers: the ``repr`` of
+    each, so floats round-trip exactly, and an empty cell for NaN."""
+    return ",".join(map(repr, values)).replace("nan", "")  # no other number's repr holds "nan"
 
 
 def write_csv(table: RawTable, path) -> None:
     """Write a RawTable back to CSV (features first, then label columns).
 
     Floats are rendered with ``repr`` so the file is byte-deterministic and
-    round-trips exactly; NaN is an empty cell.
+    round-trips exactly; NaN is an empty cell. Lines end in CRLF.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*table.feature_names, *table.task_names])
+        csv.writer(fh).writerow([*table.feature_names, *table.task_names])
         for features, labels in zip(table.features, table.labels):
-            row = features.tolist() + labels.tolist()
-            writer.writerow(["" if math.isnan(v) else repr(v) for v in row])
+            fh.write(format_row(features.tolist() + labels.tolist()) + "\r\n")
 
 
 def log_transform(table: RawTable, feature_indices) -> RawTable:
@@ -326,20 +449,28 @@ def bin_column(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     under ``c``, and one comparison with the next cut adds the cut of the
     value's own cell. Rows with a second cut of their cell below them go
     through searchsorted.
+
+    Cuts are quantiles, so about as many rows fall above each cut. When more
+    than half of the cuts share a cell with a lower cut, most rows would go
+    through searchsorted after paying for the table, and the whole column
+    goes through searchsorted instead.
     """
-    values = np.ascontiguousarray(values)  # read four times below
-    # below[c] is first[k] for c in (cut_cells[k-1], cut_cells[k]], and
-    # len(cuts) past the last cut's cell.
+    values = np.ascontiguousarray(values)  # read up to four times below
     cut_cells, first = np.unique(_cells(cuts), return_index=True)
-    below = np.repeat(
-        np.append(first, len(cuts)), np.diff(cut_cells, prepend=-1, append=_CELLS - 1)
-    )
-    padded = np.append(cuts, np.inf)  # bins never pass len(cuts)
-    bins = below.take(_cells(values))
-    bins += padded.take(bins) < values
-    crowded = padded.take(bins) < values
-    if crowded.any():
-        bins[crowded] = np.searchsorted(cuts, values[crowded], side="left")
+    if 2 * len(cut_cells) < len(cuts):
+        bins = np.searchsorted(cuts, values, side="left")
+    else:
+        # below[c] is first[k] for c in (cut_cells[k-1], cut_cells[k]], and
+        # len(cuts) past the last cut's cell.
+        below = np.repeat(
+            np.append(first, len(cuts)), np.diff(cut_cells, prepend=-1, append=_CELLS - 1)
+        )
+        padded = np.append(cuts, np.inf)  # bins never pass len(cuts)
+        bins = below.take(_cells(values))
+        bins += padded.take(bins) < values
+        crowded = padded.take(bins) < values
+        if crowded.any():
+            bins[crowded] = np.searchsorted(cuts, values[crowded], side="left")
     bins[np.isnan(values)] = len(cuts) + 1
     return bins
 

@@ -22,6 +22,10 @@ class EmptyFile(MtboostError, ValueError):
     """The CSV has no header or no data rows."""
 
 
+class MalformedCsv(MtboostError, ValueError):
+    """A CSV is not UTF-8 text, or a cell is longer than csv's field limit."""
+
+
 class NegativeInput(MtboostError, ValueError):
     """A value outside the domain of the log transform."""
 

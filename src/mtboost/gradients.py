@@ -119,7 +119,7 @@ def normalize_weights(g: np.ndarray, target_mean: float) -> np.ndarray:
 
     A task whose mean absolute gradient is essentially zero keeps weight 1.
     """
-    mags = np.mean(np.abs(g), axis=0)
+    mags = np.array([np.mean(np.abs(col)) for col in g.T])  # no (m, n) temporary
     w = np.ones_like(mags)
     alive = mags > DEAD_TASK_EPS
     w[alive] = target_mean / mags[alive]
@@ -211,13 +211,14 @@ def pearson_to_main(g: np.ndarray) -> float:
     return total / (n - 1)
 
 
-def updating_grad_hess(gh: GradHess, config: MTConfig) -> GradHess:
+def updating_grad_hess(gh: GradHess, config: MTConfig, out=None) -> GradHess:
     """Scale every task's gradient column by one shared clipped correlation.
 
     ``constant_one`` mode returns ``gh`` itself; hessians are ``gh.h``, unmodified.
+    The scaled gradients go to ``out`` when given, which may be ``gh.g``.
     """
     if config.corr_mode == "constant_one":
         return gh
     corr = pearson_to_main(gh.g)
     factor = float(np.clip(corr, 0.5, 1.0))
-    return GradHess(g=gh.g * factor, h=gh.h)
+    return GradHess(g=np.multiply(gh.g, factor, out=out), h=gh.h)

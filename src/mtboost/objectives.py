@@ -85,11 +85,12 @@ class GradHess:
         return self.g.shape[1]
 
 
-def grad_hess(labels, raw_scores, objectives) -> GradHess:
+def grad_hess(labels, raw_scores, objectives, out=None) -> GradHess:
     """Compute per-task gradients and hessians at the current raw scores.
 
     regression_l2: g = p - y, h = 1. binary_logloss: with q = sigmoid(raw),
-    g = q - y, h = q (1 - q).
+    g = q - y, h = q (1 - q). ``out`` is an optional (g, h) pair of arrays
+    of the labels' shape to write them into.
     """
     labels = np.asarray(labels, dtype=np.float64)
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
@@ -100,8 +101,7 @@ def grad_hess(labels, raw_scores, objectives) -> GradHess:
         raise ShapeMismatch(
             f"{labels.shape[1]} label columns but {len(objectives)} objectives"
         )
-    g = np.empty_like(labels)
-    h = np.empty_like(labels)
+    g, h = (np.empty_like(labels), np.empty_like(labels)) if out is None else out
     for t, kind in enumerate(objectives):
         if kind == REGRESSION_L2:
             g[:, t] = raw_scores[:, t] - labels[:, t]

@@ -7,6 +7,7 @@ own oracle. Slow on purpose; only run on small inputs.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -78,6 +79,17 @@ def parse_cells_oracle(cells, missing_token):
         except ValueError:
             out.append(math.nan)
     return out
+
+
+def write_csv_oracle(table, path):
+    """A RawTable as CSV through csv.writer, one cell at a time: features
+    then labels, ``repr`` of each float, NaN as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*table.feature_names, *table.task_names])
+        for features, labels in zip(table.features, table.labels):
+            row = features.tolist() + labels.tolist()
+            writer.writerow(["" if math.isnan(v) else repr(v) for v in row])
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,8 @@ class TestLayout:
         seen = []
 
         def recording(fn, pick):
-            def wrapper(*args):
-                out = fn(*args)
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
                 seen.append((fn.__name__, pick(args, out)))
                 return out
             return wrapper

@@ -326,6 +326,44 @@ def test_predict_csv_holds_library_scores(tmp_path):
     ]
 
 
+def test_non_utf8_csv_is_one_line_error(workdir, capsys):
+    data = workdir / "latin1.csv"
+    data.write_bytes(b"a,y\n1,0\n\xe9,1\n")
+    cfg = workdir / "cfg1.txt"
+    cfg.write_text("label_columns = y\nobjectives = regression_l2\n")
+    commands = [["train", "--config", cfg, "--data", data, "--out", workdir / "m.txt"],
+                ["predict", "--model", GOLDEN, "--data", data, "--out", workdir / "p.csv"],
+                ["eval", "--model", GOLDEN, "--data", data, "--metric", "rmse"]]
+    for command in commands:
+        assert run(command) == 1
+        assert capsys.readouterr().err == (
+            f"error: MalformedCsv: {data}: not UTF-8 text (invalid continuation byte)\n")
+
+
+def test_non_utf8_config_is_one_line_error(workdir, capsys):
+    cfg = workdir / "latin1.txt"
+    cfg.write_bytes(b"label_columns = y\n# caf\xe9\n")
+    data = workdir / "d.csv"
+    data.write_text("a,y\n1,0\n")
+    assert run(["train", "--config", cfg, "--data", data, "--out", workdir / "m.txt"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: {cfg}: not UTF-8 text (invalid continuation byte)\n")
+
+
+def test_non_utf8_model_is_one_line_error(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_bytes(GOLDEN.read_bytes().replace(b'"a"', b'"\xff"', 1))
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c,y_cls,y_reg\n0.5,,1.5,1,2.0\n")
+    commands = [["predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv"],
+                ["eval", "--model", model, "--data", data, "--metric", "rmse"],
+                ["extract", "--model", model, "--task", "0", "--out", tmp_path / "one.txt"]]
+    for command in commands:
+        assert run(command) == 1
+        assert capsys.readouterr().err == (
+            f"error: FormatVersionMismatch: {model}: not UTF-8 text (invalid start byte)\n")
+
+
 # Values a fuzzed config line may carry: zero, both signs, the edges of the
 # float range, non-finite and empty values, lists, repeated names and
 # integers past every fixed-width type.

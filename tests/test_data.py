@@ -1,5 +1,5 @@
+import contextlib
 import csv
-import io
 import math
 import tempfile
 import warnings
@@ -8,9 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from mtboost import data
 from mtboost.booster import BoosterParams, load_model, predict, save_model, train
 from mtboost.data import (
     RawTable,
@@ -26,7 +27,9 @@ from mtboost.data import (
 from mtboost.errors import (
     DimensionMismatch,
     EmptyFile,
+    MalformedCsv,
     MissingLabelColumn,
+    MtboostError,
     NegativeInput,
     NonNumericLabel,
     ShapeError,
@@ -37,7 +40,12 @@ from oracles import (
     fit_bins_oracle,
     parse_cells_oracle,
     quantile_boundaries_oracle,
+    write_csv_oracle,
 )
+
+# NaN and infinities (features only), then finite values whose repr takes
+# each form: signed zero, a subnormal, and both switches to exponent notation.
+WRITE_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 1e15, 1e-4]
 
 
 def make_table(features, labels):
@@ -111,15 +119,22 @@ class TestLoadCsv:
         assert math.isnan(matrix[1, 0]) and matrix[1, 1] == 4.0
 
 
-def write_cells(path, header, columns):
-    """Write cell columns under a header with the csv module's quoting."""
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows([header, *zip(*columns)])
-    path.write_text(buf.getvalue(), newline="")
-
-
 def as_bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def outcomes(read):
+    """What ``read()`` gives with numpy's C reader allowed and with csv.reader
+    forced: a value, or an error's type and message, for each path."""
+    results = []
+    for force_csv in (False, True):
+        patch = mock.patch.object(data, "_loadtxt", return_value=None)
+        with patch if force_csv else contextlib.nullcontext():
+            try:
+                results.append(read())
+            except MtboostError as exc:
+                results.append((type(exc), str(exc)))
+    return results
 
 
 # Feature cells: float reprs, Python float syntax, the tokens below (one of
@@ -128,57 +143,127 @@ CELL_TOKENS = ["", "-999", "NA", "nan"]
 cells = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["1_0", " 2 ", "inf", "-inf", "nan", "NaN", "-nan", "1e999",
-                     "0x10", "1__0", "--1", *CELL_TOKENS]),
+                     "0x10", "1__0", "--1", "\x1c1", "1\x1f", *CELL_TOKENS]),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r\n"),
             max_size=5),
 )
+# Cells numpy's C reader takes: numbers only, in Python float syntax.
+number_cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-999", "1e999", "-1e-400", "-0", ".5", "5.", "+1E3", " 2 ", "\t3",
+                     "inf", "-Infinity", "-nan", "5e-324"]),
+)
+# Numbers with missing values, which numpy's C reader takes too.
+sparse_cells = st.one_of(number_cells, st.just(""))
+LINE_ENDS = ["\n", "\r", "\r\n"]
+
+
+@st.composite
+def csv_files(draw, label_cells=None):
+    """(text, header, rows) of a CSV with 1 to 4 feature columns, optionally a
+    label column ``y`` last, and the cell lists csv.reader gives back for its
+    rows. Cells are any text, numbers only or numbers and empty cells; every
+    cell may be quoted; one blank, whitespace-only or long row may sit
+    anywhere; line ends are LF, CR, CRLF or mixed, the last one optional."""
+    k = draw(st.integers(1, 4))
+    cell = draw(st.sampled_from([cells, number_cells, sparse_cells]))
+    rows = draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=12))
+    header = [f"f{j}" for j in range(k)]
+    if label_cells is not None or draw(st.booleans()):
+        header.append("y")
+        if label_cells is None:
+            label_cells = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        labels = st.lists(label_cells, min_size=len(rows), max_size=len(rows))
+        rows = [row + [y] for row, y in zip(rows, draw(labels))]
+    odd = draw(st.none() | st.sampled_from([[], [" "], ["\t "], ["1"] * (len(header) + 1)]))
+    if odd is not None:
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    quote_all = draw(st.integers(0, 3)) == 0
+
+    def line(row):
+        return ",".join(
+            '"' + c.replace('"', '""') + '"'
+            if quote_all or "," in c or '"' in c or row == [""] else c
+            for c in row
+        )
+
+    lines = [",".join(header)] + [line(row) for row in rows]
+    if draw(st.booleans()):
+        ends = [draw(st.sampled_from(LINE_ENDS))] * len(lines)
+    else:
+        ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                             max_size=len(lines)))
+    for i in range(1, len(lines)):
+        if lines[i] == "" and ends[i - 1] == "\r":
+            ends[i] = "\r"  # "\r" then "\n" would be one line end
+    if lines[-1] != "" and not draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    return "".join(map(str.__add__, lines, ends)), header, rows
+
+
+def expected_read(header, rows, token):
+    """The first ragged row's error, or the oracle's matrix of every column."""
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            return ShapeError, f"row {i + 2} has {len(row)} cells, header has {len(header)}"
+    return np.column_stack([parse_cells_oracle(col, token) for col in zip(*rows)])
 
 
 class TestParseCells:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 12).flatmap(
-        lambda m: st.lists(st.lists(cells, min_size=m, max_size=m), min_size=1, max_size=4)),
-        st.sampled_from(CELL_TOKENS))
-    def test_features_match_per_cell_rule(self, tmp_path_factory, columns, token):
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files(), st.sampled_from(CELL_TOKENS))
+    def test_features_match_per_cell_rule(self, tmp_path_factory, file, token):
+        text, header, rows = file
         path = tmp_path_factory.mktemp("cells") / "t.csv"
-        names = [f"f{j}" for j in range(len(columns))]
-        labels = [repr(float(i)) for i in range(len(columns[0]))]
-        write_cells(path, names + ["y"], columns + [labels])
-        expected = np.column_stack([parse_cells_oracle(col, token) for col in columns])
-        table = load_csv(path, ["y"], missing_token=token)
-        assert np.array_equal(as_bits(table.features), as_bits(expected))
-        assert table.labels[:, 0].tolist() == list(map(float, labels))
-        matrix, header = read_feature_matrix(path, missing_token=token)
-        assert header == (*names, "y")
-        assert np.array_equal(as_bits(matrix[:, :-1]), as_bits(expected))
+        path.write_text(text, newline="")
+        event(f"numpy reader takes the file: {data._loadtxt(path, token) is not None}")
+        want = expected_read(header, rows, token)
+        for got in outcomes(lambda: read_feature_matrix(path, missing_token=token)):
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                matrix, names = got
+                assert names == tuple(header)
+                assert np.array_equal(as_bits(matrix), as_bits(want))
+        if header[-1] != "y":
+            return
+        for got in outcomes(lambda: load_csv(path, ["y"], missing_token=token)):
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.feature_names == tuple(header[:-1])
+                assert np.array_equal(as_bits(got.features), as_bits(want[:, :-1]))
+                assert got.labels[:, 0].tolist() == [float(row[-1]) for row in rows]
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(cells, min_size=1, max_size=12))
-    def test_labels_parse_or_name_first_bad_cell(self, tmp_path_factory, column):
+    @settings(max_examples=150, deadline=None)
+    @given(csv_files(label_cells=st.one_of(cells, number_cells)))
+    def test_labels_parse_or_name_first_bad_cell(self, tmp_path_factory, file):
+        text, header, rows = file
         path = tmp_path_factory.mktemp("labels") / "t.csv"
-        write_cells(path, ["a", "y"], [["1"] * len(column), column])
-        expected = None
-        for i, cell in enumerate(column):
-            try:
-                value = float(cell)
-            except ValueError:
-                expected = f"row {i + 2}, column 'y': {cell!r} is not a number"
-                break
-            if not math.isfinite(value):
-                expected = f"row {i + 2}, column 'y': non-finite label"
-                break
-        if expected is None:
-            assert load_csv(path, ["y"]).labels[:, 0].tolist() == list(map(float, column))
-        else:
-            with pytest.raises(NonNumericLabel) as excinfo:
-                load_csv(path, ["y"])
-            assert str(excinfo.value) == expected
+        path.write_text(text, newline="")
+        want = expected_read(header, rows, "")
+        if not isinstance(want, tuple):
+            for i, row in enumerate(rows):
+                try:
+                    value = float(row[-1])
+                except ValueError:
+                    want = NonNumericLabel, f"row {i + 2}, column 'y': {row[-1]!r} is not a number"
+                    break
+                if not math.isfinite(value):
+                    want = NonNumericLabel, f"row {i + 2}, column 'y': non-finite label"
+                    break
+        for got in outcomes(lambda: load_csv(path, ["y"])):
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.labels[:, 0].tolist() == [float(row[-1]) for row in rows]
 
     def test_blank_lines_give_zero_columns(self, tmp_path):
         p = tmp_path / "blank.csv"
         p.write_text("\n\n\n")
-        matrix, names = read_feature_matrix(p)
-        assert matrix.shape == (2, 0) and names == ()
+        for matrix, names in outcomes(lambda: read_feature_matrix(p)):
+            assert matrix.shape == (2, 0) and names == ()
 
     def test_fault_order(self, tmp_path):
         # Ragged rows come before label columns and label cells.
@@ -187,12 +272,111 @@ class TestParseCells:
         for read in (lambda: load_csv(p, ["y", "z"]), lambda: read_feature_matrix(p)):
             with pytest.raises(ShapeError, match="row 3 has 1 cells, header has 2"):
                 read()
-        # Label cells are checked label column by label column.
+        # Label cells are checked label column by label column, on both paths.
+        for text in ("a,y1,y2\n1,0,abc\n2,inf,0\n", "a,y1,y2\n1,0,nan\n2,inf,0\n"):
+            p.write_text(text)
+            assert outcomes(lambda: load_csv(p, ["y1", "y2"])) == [
+                (NonNumericLabel, "row 3, column 'y1': non-finite label")] * 2
         p.write_text("a,y1,y2\n1,0,abc\n2,inf,0\n")
-        with pytest.raises(NonNumericLabel, match="row 3, column 'y1': non-finite label"):
-            load_csv(p, ["y1", "y2"])
         with pytest.raises(NonNumericLabel, match="row 2, column 'y2': 'abc' is not a number"):
             load_csv(p, ["y2", "y1"])
+
+    @pytest.mark.parametrize("text,token", [
+        ("a,y\n1,2\n3,4\n", ""), ("a,y\r\n1,2\r\n3,4\r\n", ""), ("a,y\r1,2\r3,4\r", ""),
+        ("a,y\n1,2\r\n3,4\r", ""), ("a,y\n1,2\n3,4", ""), ("a\n1\n-2.5e3\n", ""),
+        ("a,y\n 1 ,inf\n-nan,-0\n", ""), ("a,y\n,2\n", ""), ("a,b,y\n1,,2\n,,\n", ""),
+        ("a,y\r\n1,2\r\n3,\r\n", ""), ("a,y\r1,2\r,4", ""), ("a,y\n1,2\n3,", ""),
+        ("a,y\n,1\n2,3\n", "NA"),
+    ], ids=["lf", "crlf", "cr", "mixed", "no-final-end", "one-column", "float-syntax",
+            "empty-first-cell", "empty-cells", "crlf-empty-last-cell", "cr-empty-first-cell",
+            "empty-last-cell-no-final-end", "empty-cell-other-token"])
+    def test_numpy_reader_takes_plain_numbers(self, tmp_path, text, token):
+        # Empty cells too: both paths make them NaN.
+        p = tmp_path / "t.csv"
+        p.write_text(text, newline="")
+        header, matrix = data._loadtxt(p, token)
+        fast, slow = outcomes(lambda: read_feature_matrix(p, token))
+        assert np.array_equal(as_bits(fast[0]), as_bits(matrix))
+        assert np.array_equal(as_bits(fast[0]), as_bits(slow[0]))
+        assert fast[1] == slow[1] == tuple(header)
+
+    @pytest.mark.parametrize("text,token,parsed", [
+        ('a,y\n"1",2\n', "", False), ("a,y\n1,2\n\n3,4\n", "", False),
+        ("a,y\n1,2\n\r3,4\n", "", False), ("a,y\r1,2\r\r3,4\r", "", False),
+        ("a,y\r\n1,2\r\n\r\n", "", False), ("a,y\n1,2\n  \n", "", True),
+        ("a\n1\n \n", "", True), ("a,y\n1,-999\n", "-999", False),
+        ("a,y\n1,2\nNA,4\n", "NA", False), ("a,y\n1,,\n", "", True),
+        ("a,y\n1,abc\n", "", False), ("a,y\n1_0,2\n", "", False),
+        ("a,y\n\x1c1,2\n", "", False), ("a\n1\x0b2\n3\n", "", False),
+        ("a\n1\u20282\n3\n", "", False), ("a,y\n", "", False), ("a\n", "", False),
+        ("a,y\r\n\r\n", "", False), ("a,b\n,\n", "", False),
+        ("a,y\n1," + "1" * 131073 + "\n", "", False), ("", "", False),
+    ], ids=["quoted", "blank-line", "lf-cr-blank-line", "cr-blank-line", "crlf-blank-line",
+            "whitespace-line", "whitespace-one-column", "numeric-token", "token", "ragged",
+            "word", "underscore", "file-separator", "vertical-tab", "line-separator",
+            "no-rows", "one-column-no-rows", "crlf-no-rows", "only-empty-cells",
+            "past-field-limit", "empty"])
+    def test_numpy_reader_declines(self, tmp_path, text, token, parsed):
+        # csv.reader reads these, and both paths give its result. Only a file
+        # that passes the scan of its bytes costs a parse by numpy first.
+        p = tmp_path / "t.csv"
+        p.write_text(text, newline="")
+        with mock.patch.object(data.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            assert data._loadtxt(p, token) is None
+        assert loadtxt.called == parsed
+        fast, slow = outcomes(lambda: read_feature_matrix(p, token))
+        if isinstance(fast, tuple) and isinstance(fast[0], np.ndarray):
+            assert np.array_equal(as_bits(fast[0]), as_bits(slow[0])) and fast[1] == slow[1]
+        else:
+            assert fast == slow
+
+    def test_no_feature_column_after_blank_header(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("\n\n\n")
+        assert outcomes(lambda: load_csv(p, [])) == [
+            (ShapeError, "every column is a label; no features left")] * 2
+
+    def test_cell_past_field_limit_names_row(self, tmp_path):
+        limit = csv.field_size_limit()
+        p = tmp_path / "long.csv"
+        p.write_text("a,y\n1,0\n" + "1" * (limit + 1) + ",0\n")
+        want = (MalformedCsv, f"{p}: row 3: field larger than field limit ({limit})")
+        assert outcomes(lambda: load_csv(p, ["y"])) == [want, want]
+        assert outcomes(lambda: read_feature_matrix(p)) == [want, want]
+        # A cell of exactly the limit reads, and so does a long line of short cells.
+        p.write_text("a,y\n" + "1" * limit + ",0\n")
+        for table in outcomes(lambda: load_csv(p, ["y"])):
+            assert table.features[:, 0].tolist() == [math.inf]
+        p.write_text("a,y\n1,2\n" + "0," * (limit // 2) + "0\n")
+        assert outcomes(lambda: read_feature_matrix(p)) == [
+            (ShapeError, f"row 3 has {limit // 2 + 1} cells, header has 2")] * 2
+
+    def test_non_utf8_is_malformed_csv(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"a,y\n1,0\n\xff,1\n")
+        with pytest.raises(MalformedCsv, match="not UTF-8 text"):
+            load_csv(p, ["y"])
+        with pytest.raises(MalformedCsv, match="not UTF-8 text"):
+            read_feature_matrix(p)
+
+
+write_features = st.one_of(st.floats(), st.sampled_from(WRITE_EDGES))
+write_labels = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(WRITE_EDGES[3:]))
+
+
+class TestWriteCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 2)).flatmap(lambda dn: st.lists(
+        st.tuples(st.lists(write_features, min_size=dn[0], max_size=dn[0]),
+                  st.lists(write_labels, min_size=dn[1], max_size=dn[1])),
+        min_size=1, max_size=10)))
+    def test_bytes_match_oracle(self, tmp_path_factory, rows):
+        table = make_table([x for x, _ in rows], [y for _, y in rows])
+        out = tmp_path_factory.mktemp("write")
+        write_csv(table, out / "new.csv")
+        write_csv_oracle(table, out / "oracle.csv")
+        assert (out / "new.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
 
 class TestLogTransform:
@@ -405,8 +589,12 @@ class TestBinColumn:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(edge_floats, max_size=60),
            st.lists(st.one_of(edge_floats, st.floats(1000, 1000.5)), max_size=300))
+    @example(values=[1000.75], raw_cuts=[-1.0, 1.0, 1000.25, 1000.5])  # table, one crowded cell
+    @example(values=[1000.75], raw_cuts=[-1.0, 1000.0, 1000.25, 1000.5])  # whole column
     def test_searches_only_crowded_rows(self, values, raw_cuts):
-        # A row is searched when two or more cuts of its own cell lie below it.
+        # A row is searched when two or more cuts of its own cell lie below
+        # it, and every row is when more than half of the cuts share a cell
+        # with a lower cut.
         cuts = np.unique(np.array(raw_cuts, dtype=np.float64))
         cuts = cuts[~np.isnan(cuts)]
         probes = ulp_probes(np.array(values, dtype=np.float64), cuts)
@@ -414,9 +602,12 @@ class TestBinColumn:
             bin_column(probes, cuts)
         searched = sum(call.args[1].size for call in search.call_args_list
                        if call.args[0] is cuts)
-        same_cell = _cells(probes)[:, None] == _cells(cuts)[None, :]
-        crowded = (same_cell & (cuts[None, :] < probes[:, None])).sum(axis=1) >= 2
-        assert searched == np.count_nonzero(crowded)
+        if 2 * np.unique(_cells(cuts)).size < cuts.size:
+            assert searched == probes.size
+        else:
+            same_cell = _cells(probes)[:, None] == _cells(cuts)[None, :]
+            crowded = (same_cell & (cuts[None, :] < probes[:, None])).sum(axis=1) >= 2
+            assert searched == np.count_nonzero(crowded)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.integers(2, 300))

@@ -40,6 +40,14 @@ class TestNormalizeWeights:
             np.testing.assert_allclose(w2[1] * scaled[:, 1], w[1] * g[:, 1], rtol=1e-12)
             np.testing.assert_allclose(w2[[0, 2]], w[[0, 2]], rtol=0)
 
+    def test_column_major_matches_whole_matrix_mean(self, rng):
+        # train() passes column-major gradients; a column at a time gives
+        # the bits of the mean over axis 0.
+        for m in (1, 9, 8193, 20_001):
+            g = np.asfortranarray(rng.normal(size=(m, 3)) * [1e-3, 1.0, 1e5])
+            expected = 0.05 / np.mean(np.abs(g), axis=0)
+            assert np.array_equal(normalize_weights(g, 0.05), expected)
+
 
 class TestSelectTasks:
     def test_always_main_single(self):
@@ -214,6 +222,14 @@ class TestUpdatingGradHess:
         for mode in ("constant_one", "pearson_to_main"):
             out = updating_grad_hess(gh, MTConfig(corr_mode=mode))
             assert out.g.flags.f_contiguous and out.h.flags.f_contiguous
+
+    def test_scales_in_place_into_out(self, rng):
+        gh = random_gh(rng, n=3)
+        expected = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main")).g
+        g = gh.g
+        out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"), out=gh.g)
+        assert out.g is g and out.h is gh.h
+        assert np.array_equal(g, expected)
 
     def test_results_may_share_input_memory(self, rng):
         gh = random_gh(rng)

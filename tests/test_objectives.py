@@ -79,6 +79,16 @@ class TestGradHess:
         gh = grad_hess(labels, scores, (REGRESSION_L2, BINARY_LOGLOSS, REGRESSION_L2))
         assert gh.g.flags.f_contiguous and gh.h.flags.f_contiguous
 
+    def test_writes_into_out(self, rng):
+        labels = np.asfortranarray(rng.integers(0, 2, size=(30, 3)), dtype=np.float64)
+        scores = np.asfortranarray(rng.normal(size=(30, 3)))
+        kinds = (REGRESSION_L2, BINARY_LOGLOSS, REGRESSION_L2)
+        g, h = np.full_like(labels, np.nan), np.full_like(labels, np.nan)
+        gh = grad_hess(labels, scores, kinds, out=(g, h))
+        fresh = grad_hess(labels, scores, kinds)
+        assert gh.g is g and gh.h is h
+        assert np.array_equal(g, fresh.g) and np.array_equal(h, fresh.h)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             grad_hess(np.zeros((2, 1)), np.zeros((3, 1)), (REGRESSION_L2,))
