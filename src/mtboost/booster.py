@@ -44,9 +44,15 @@ from .tree import (
     fit_leaf_values,
     grow_tree,
     route_binned,
+    route_buffers,
 )
 
 MODEL_FORMAT_MARKER = "mtboost-model-v1"
+# Rows that predict passes every tree over before it moves to the next
+# rows, so the block's bins, route buffers and scores (about 1.1 MB for 6
+# features and 4 tasks) stay in cache across trees. Of 4096 to 32768 rows,
+# 8192 routed predict_batch's model fastest on a 2-vCPU VM (2 MB L2 per core).
+ROW_BLOCK = 8192
 
 # Annotation of a parameter field -> type tag. The CLI parses config values
 # by these tags and load_model checks the params JSON against them.
@@ -235,7 +241,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
-            _add_leaf_values(valid_scores, tree, route_binned(tree.nodes, valid.binned))
+            _add_tree_values(valid_scores.T, [tree], valid.binned)
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 
@@ -274,6 +280,37 @@ def _bin_features(model: BoosterModel, features: np.ndarray) -> np.ndarray:
     return binned
 
 
+def _add_tree_values(out, trees, binned, tasks=slice(None)) -> None:
+    """Add every tree's leaf values, in tree order, to ``out``: (tasks, k)
+    scores, one row per task selected by ``tasks``.
+
+    Rows go in blocks of ROW_BLOCK. Each block's bins are cast to ``intp``
+    once, its scores are copied to a row-major (rows, tasks) block, and
+    every tree routes the block through one set of buffers, owned by this
+    call, and adds its values there before the block is copied back.
+    """
+    k, d = binned.shape
+    size = min(k, ROW_BLOCK)
+    n_out = out.shape[0]
+    values = [np.ascontiguousarray(tree.leaf_values[:, tasks]) for tree in trees]
+    bins = np.empty(d * size, dtype=np.intp)
+    sums = np.empty(size * n_out)
+    gathered = np.empty(size * n_out)
+    buffers = route_buffers(size, max((tree.routes.n_words for tree in trees), default=1))
+    for start in range(0, k, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, k)
+        rows = bins[: d * (stop - start)].reshape(d, stop - start)
+        np.copyto(rows, binned[start:stop].T)
+        block = sums[: n_out * (stop - start)].reshape(stop - start, n_out)
+        got = gathered[: n_out * (stop - start)].reshape(stop - start, n_out)
+        np.copyto(block, out[:, start:stop].T)
+        for tree, tree_values in zip(trees, values):
+            leaf = route_binned(tree.routes, rows.T, buffers)
+            tree_values.take(leaf, axis=0, mode="wrap", out=got)
+            block += got
+        np.copyto(out[:, start:stop].T, block)
+
+
 def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarray:
     """Raw additive scores for each row: (k, n), or (k,) when a task is given.
 
@@ -286,14 +323,11 @@ def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarra
     binned = _bin_features(model, features)
     if task is not None and not 0 <= task < model.n_tasks:
         raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
-    tasks = range(model.n_tasks) if task is None else (task,)
-    out = np.empty((len(tasks), binned.shape[0]))
-    out[:] = model.base_scores[list(tasks), None]
-    for tree in model.trees:
-        leaf = route_binned(tree.nodes, binned)
-        values = tree.leaf_values.T
-        for row, t in zip(out, tasks):
-            row += values[t].take(leaf)
+    tasks = slice(None) if task is None else slice(task, task + 1)
+    base = model.base_scores[tasks]
+    out = np.empty((len(base), binned.shape[0]))
+    out[:] = base[:, None]
+    _add_tree_values(out, model.trees, binned, tasks)
     return out.T if task is None else out[0]
 
 
@@ -325,6 +359,7 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
                 t.leaf_residual_means[:, task : task + 1]
             ),
             leaf_counts=t.leaf_counts,
+            routes=t.routes,
         )
         for t in model.trees
     ]

@@ -66,7 +66,7 @@ def parse_config(path) -> dict:
     """Read a key=value config file into {'data': ..., 'params': ..., 'mt': ...}."""
     sections = {"data": {}, "params": {}, "mt": {}}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})", path=str(path)) from None

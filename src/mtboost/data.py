@@ -105,7 +105,7 @@ def _loadtxt(path, missing_token: str):
     if empty is None:
         return None
     try:
-        header = next(csv.reader([raw[:head].decode()]))
+        header = next(csv.reader([raw[:head].decode("utf-8-sig")]))
     except (UnicodeDecodeError, csv.Error):
         return None  # csv.reader raises them, naming the row
     if empty.size:
@@ -113,7 +113,7 @@ def _loadtxt(path, missing_token: str):
         raw = b"nan".join([raw[i:j] for i, j in zip([0, *cuts], [*cuts, len(raw)])])
     try:
         matrix = np.loadtxt(
-            io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+            io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig"),
             delimiter=",", comments=None, skiprows=1, ndmin=2,
         )
     except ValueError:
@@ -154,7 +154,7 @@ def _read_columns(path):
     ShapeError on the first row whose cell count differs from the header's."""
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows.extend(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from None

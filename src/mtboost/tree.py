@@ -20,7 +20,7 @@ parent = built + derived an exact identity.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -296,13 +296,20 @@ class MultiOutputTree:
 
     ``leaf_values`` holds the shrunk Newton steps, ``leaf_residual_means``
     the plain per-task mean gradient of each leaf's samples (kept in the
-    model dump as the residual summary of the leaf).
+    model dump as the residual summary of the leaf). ``routes`` are the
+    routing tables compiled from ``nodes`` when the tree is made, unless
+    given (trees sharing nodes share them); they are never saved.
     """
 
     nodes: list[TreeNode]
     leaf_values: np.ndarray  # (L, n)
     leaf_residual_means: np.ndarray  # (L, n)
     leaf_counts: np.ndarray  # (L,)
+    routes: RouteTables = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.routes is None:
+            self.routes = compile_routes(self.nodes)
 
     @property
     def n_tasks(self) -> int:
@@ -342,43 +349,83 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
     )
 
 
-# (x * _DE_BRUIJN) >> 58 differs for each of the 64 one-bit words x, so it
-# maps a word's isolated lowest set bit to a slot; _BIT_OF_SLOT[slot] is that
-# bit's position.
-_WORD_MASK = 0xFFFFFFFFFFFFFFFF
-_DE_BRUIJN = 0x03F79D71B4CB0A89
-_BIT_OF_SLOT = np.empty(64, dtype=np.intp)
-_BIT_OF_SLOT[[((_DE_BRUIJN << p) & _WORD_MASK) >> 58 for p in range(64)]] = np.arange(64)
+@dataclass(frozen=True)
+class _WordKind:
+    """Leaf-mask words of one width. (x * de_bruijn) >> shift differs for
+    each of the width one-bit words x, so it maps a word's isolated lowest
+    set bit to a slot; bit_of_slot[slot] is that bit's position."""
+
+    dtype: type
+    de_bruijn: np.unsignedinteger
+    shift: np.unsignedinteger
+    bit_of_slot: np.ndarray
+
+    @classmethod
+    def make(cls, dtype, de_bruijn: int) -> _WordKind:
+        width = np.dtype(dtype).itemsize * 8
+        shift = width - width.bit_length() + 1
+        bit_of_slot = np.empty(width, dtype=np.intp)
+        slots = [((de_bruijn << p) & ((1 << width) - 1)) >> shift for p in range(width)]
+        bit_of_slot[slots] = np.arange(width)
+        return cls(dtype, dtype(de_bruijn), dtype(shift), bit_of_slot)
 
 
-def route_binned(nodes, binned) -> np.ndarray:
-    """Map each binned row to its leaf index (creation order): the leaf the
-    walk from the root reaches.
+# A tree's leaves take one word of the narrowest width that holds them, or
+# as many 64-bit words as they need.
+_WORD_KINDS = {
+    8: _WordKind.make(np.uint8, 0x1D),
+    16: _WordKind.make(np.uint16, 0x0F2D),
+    32: _WordKind.make(np.uint32, 0x077CB531),
+    64: _WordKind.make(np.uint64, 0x03F79D71B4CB0A89),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class RouteTables:
+    """One tree's routing tables, derived from its nodes.
+
+    The leaf mask of a row is ``n_words`` words of ``width`` bits. ``gathers``
+    lists (feature, word, table) with ``table[b]`` that word of the mask
+    that bin b of the feature leaves set; its first ``n_words`` entries, one
+    per word, belong to one feature. ``leaf_of_slot`` maps a row's exit
+    slot to its leaf id.
+    """
+
+    width: int
+    n_words: int
+    gathers: tuple[tuple[int, int, np.ndarray], ...]
+    leaf_of_slot: np.ndarray
+
+
+def compile_routes(nodes) -> RouteTables:
+    """Fold a tree's nodes into the tables route_binned gathers from.
 
     QuickScorer's exit rule (Lucchese et al., SIGIR 2015): number the leaves
     left to right and start every row with all of them set. Each node whose
     test sends the row right clears the leaves of its left subtree, and the
     row's leaf is then its lowest set bit. One feature's nodes fold into a
     table over its bins whose entry b is the AND of the clear masks of the
-    nodes with ``threshold_bin < b``, so a tree costs one gather per used
-    feature and 64-leaf word. Bins above the highest threshold, the missing
-    bin included, clip to the last entry, where every node of that feature
-    sends the row right. ``nodes`` must form one tree with each child after
-    its parent, as grow_tree builds them and load_model checks.
+    nodes with ``threshold_bin < b``, one table per word. Bins above the
+    highest threshold, the missing bin included, clip to the last entry,
+    where every node of that feature sends the row right. ``nodes`` must
+    form one tree with each child after its parent, as grow_tree builds them
+    and load_model checks.
     """
-    k = binned.shape[0]
     if not nodes:
-        return np.zeros(k, dtype=np.int64)
+        return RouteTables(width=8, n_words=1, gathers=(),
+                           leaf_of_slot=np.zeros(8, dtype=np.intp))
     # Leaves under each node; children come after their parents.
     under = [0] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         left, right = nodes[i].left, nodes[i].right
         under[i] = (under[left] if left >= 0 else 1) + (under[right] if right >= 0 else 1)
-    n_words = (under[0] + 63) // 64
+    width = next(w for w in _WORD_KINDS if under[0] <= w or w == 64)
+    n_words = (under[0] + width - 1) // width
+    kind = _WORD_KINDS[width]
     # In-order leaf positions: node i's leaves start at first[i], and the
     # span of them under its left child is what its clear mask clears.
     first = [0] * len(nodes)
-    leaf_at = [0] * (64 * n_words)
+    leaf_at = [0] * (width * n_words)
     masks_by_feature: dict[int, list[tuple[int, int]]] = {}
     for i, node in enumerate(nodes):
         start, left, right = first[i], node.left, node.right
@@ -394,17 +441,16 @@ def route_binned(nodes, binned) -> np.ndarray:
         clear = ~(((1 << span) - 1) << start)
         masks_by_feature.setdefault(node.feature, []).append((node.threshold_bin, clear))
 
-    words = np.empty((n_words, k), dtype=np.uint64)
-    bins = np.empty(k, dtype=np.intp)
-    got = np.empty(k, dtype=np.uint64)
-    for done, (f, masks) in enumerate(masks_by_feature.items()):
+    word_mask = (1 << width) - 1
+    gathers = []
+    for f, masks in masks_by_feature.items():
         masks.sort()
         applied = [-1]  # applied[j]: the AND of the j lowest-threshold masks
         for _, clear in masks:
             applied.append(applied[-1] & clear)
         entries = np.array(
-            [[(a >> (64 * w)) & _WORD_MASK for a in applied] for w in range(n_words)],
-            dtype=np.uint64,
+            [[(a >> (width * w)) & word_mask for a in applied] for w in range(n_words)],
+            dtype=kind.dtype,
         )
         # applied[j] serves the bins above the j-th threshold, up to the next.
         thresholds = [t for t, _ in masks]
@@ -412,25 +458,59 @@ def route_binned(nodes, binned) -> np.ndarray:
             b - a for a, b in zip(thresholds, thresholds[1:])
         ] + [1]
         table = np.repeat(entries, repeats, axis=1)
-        np.copyto(bins, binned[:, f])
-        for w in range(n_words):
-            table[w].take(bins, mode="clip", out=got if done else words[w])
-            if done:
-                words[w] &= got
+        gathers += [(f, w, table[w]) for w in range(n_words)]
+    # Word w's slots map through their bit positions to leaf ids.
+    leaf_of_slot = np.array(leaf_at, dtype=np.intp).reshape(n_words, width)[:, kind.bit_of_slot]
+    return RouteTables(width=width, n_words=n_words, gathers=tuple(gathers),
+                       leaf_of_slot=leaf_of_slot.ravel())
 
-    # The row's leaf is the lowest set bit of its lowest nonzero word.
+
+def route_buffers(k: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for route_binned on up to k rows and trees of up to n_words
+    words: (n_words + 1, k) 64-bit words and k leaf ids."""
+    return np.empty((n_words + 1, k), dtype=np.uint64), np.empty(k, dtype=np.intp)
+
+
+def route_binned(routes: RouteTables, binned, buffers=None) -> np.ndarray:
+    """Map each binned row to its leaf index (creation order): the leaf the
+    walk from the root reaches.
+
+    A row's leaf mask is the AND of one table entry per used feature and
+    word (see compile_routes), and its leaf is the mask's lowest set bit.
+    ``buffers`` (from route_buffers, at least as large as this call needs)
+    lets a caller route many trees through one set of arrays; the result is
+    then a view of its leaf ids, valid until the next call.
+    """
+    k = binned.shape[0]
+    n_words = routes.n_words
+    words, leaf = buffers if buffers is not None else route_buffers(k, n_words)
+    kind = _WORD_KINDS[routes.width]
+    words = words[: n_words + 1, :k].view(kind.dtype)[:, :k]
+    got, words, leaf = words[-1], words[:n_words], leaf[:k]
+    if not routes.gathers:
+        leaf.fill(0)
+        return leaf
+    for i, (f, w, table) in enumerate(routes.gathers):
+        if i < n_words:
+            table.take(binned[:, f], mode="clip", out=words[w])
+        else:
+            table.take(binned[:, f], mode="clip", out=got)
+            words[w] &= got
+
+    # The row's leaf is the lowest set bit of its lowest nonzero word; for
+    # several words, leaf first holds the 64 * w offset of that word.
     low = words[-1]
-    offset = 64 * (n_words - 1)
-    for w in range(n_words - 2, -1, -1):
-        nonzero = words[w] != 0
-        np.copyto(low, words[w], where=nonzero)
-        offset = np.where(nonzero, 64 * w, offset)
+    if n_words > 1:
+        leaf.fill(64 * (n_words - 1))
+        for w in range(n_words - 2, -1, -1):
+            nonzero = words[w] != 0
+            np.copyto(low, words[w], where=nonzero)
+            np.copyto(leaf, 64 * w, where=nonzero)
     np.negative(low, out=got)  # two's complement: ~low + 1
     low &= got
-    low *= np.uint64(_DE_BRUIJN)
-    low >>= np.uint64(58)
-    slot = low.view(np.int64)
-    slot += offset
-    # Word w's 64 slots map through their bit positions to leaf ids.
-    leaf_of_slot = np.array(leaf_at).reshape(n_words, 64)[:, _BIT_OF_SLOT].ravel()
-    return leaf_of_slot[slot]
+    low *= kind.de_bruijn
+    low >>= kind.shift
+    slot = low.view(np.int64) if routes.width == 64 else low
+    if n_words > 1:
+        slot += leaf
+    return routes.leaf_of_slot.take(slot, mode="wrap", out=leaf)

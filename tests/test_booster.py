@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import signal
+import threading
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtboost import tree as tree_module
 from mtboost.booster import (
+    ROW_BLOCK,
     BoosterModel,
     BoosterParams,
     extract_task,
@@ -33,6 +36,7 @@ from mtboost.errors import (
 )
 from mtboost.gradients import MTConfig
 from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
+from mtboost.tree import MultiOutputTree
 
 from oracles import engine_tree_structure, ref_boost_structures, route_binned_oracle
 
@@ -306,7 +310,7 @@ class TestPredict:
             [bin_column(x[:, f], model.mapper.boundaries[f]) for f in range(x.shape[1])]
         )
         last = model.trees[-1]
-        contribution = last.leaf_values[route_binned(last.nodes, cols)]
+        contribution = last.leaf_values[route_binned(last.routes, cols)]
         np.testing.assert_array_equal(predict(shorter, x) + contribution, predict(model, x))
 
     def test_predict_proba_applies_links(self, rng):
@@ -368,6 +372,67 @@ class TestPredictLayout:
         assert predict(model, empty).shape == (0, 3)
         assert predict(model, empty, task=1).shape == (0,)
         assert predict_proba(model, empty).shape == (0, 3)
+
+    @pytest.fixture
+    def models(self, model_and_rows, tmp_path):
+        # predict routes ROW_BLOCK rows at a time through tables compiled
+        # once per tree; a tree without nodes sits among the trained ones.
+        model, _ = model_and_rows
+        stump = MultiOutputTree(
+            nodes=[], leaf_values=np.array([[0.25, -0.5, 0.125]]),
+            leaf_residual_means=np.zeros((1, 3)), leaf_counts=np.array([400]),
+        )
+        model = dataclasses.replace(model, trees=model.trees[:3] + [stump] + model.trees[3:])
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return {"trained": model, "loaded": load_model(path), "extracted": extract_task(model, 1)}
+
+    @staticmethod
+    def rows(rng, k):
+        x = rng.uniform(-0.2, 1.2, size=(k, 3))
+        x[::7, 1] = np.nan
+        x[::5] = np.nan  # whole rows missing
+        return x
+
+    @pytest.mark.parametrize("k", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   2 * ROW_BLOCK + 3])
+    def test_equals_tree_order_oracle_at_block_edges(self, rng, models, k):
+        x = self.rows(rng, k)
+        for name, model in models.items():
+            want = scores_oracle(model, x)
+            assert predict(model, x).tobytes() == want.tobytes(), name
+            for t in range(model.n_tasks):
+                assert predict(model, x, task=t).tobytes() == want[:, t].tobytes(), (name, t)
+
+    def test_extracted_trees_share_the_tables(self, models):
+        full, one = models["trained"], models["extracted"]
+        assert all(a.routes is b.routes for a, b in zip(full.trees, one.trees))
+
+    def test_save_load_save_is_identical(self, models, tmp_path):
+        first, again = tmp_path / "first.txt", tmp_path / "again.txt"
+        for name, model in models.items():
+            save_model(model, first)
+            save_model(load_model(first), again)
+            assert again.read_bytes() == first.read_bytes(), name
+
+    def test_two_threads_predict_the_same_bytes(self, rng, models):
+        model = models["trained"]
+        x = self.rows(rng, 2 * ROW_BLOCK + 3)
+        want = predict(model, x).tobytes()
+        start = threading.Barrier(2)
+        got = [[], []]
+
+        def work(i):
+            start.wait()
+            for _ in range(4):
+                got[i].append(predict(model, x).tobytes())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got[0] == got[1] == [want] * 4
 
 
 class TestModelFile:
@@ -454,6 +519,23 @@ class TestModelFileChecks:
         path = tmp_path / "again.txt"
         save_model(load_model(GOLDEN), path)
         assert path.read_bytes() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("tok, value", [(3, "0"), (2, "99999999999")],
+                             ids=["self-loop", "threshold-1e11"])
+    def test_corrupt_tree_rejected_before_any_table_is_built(self, tmp_path, monkeypatch,
+                                                             tok, value):
+        # The first root names itself as its child, the second asks for a
+        # bin table of about 10**11 entries: load_model must reject either
+        # file before it compiles any tree.
+        compiled = []
+        monkeypatch.setattr(tree_module, "compile_routes", compiled.append)
+        lines = _golden_lines()
+        root = next(i for i, line in enumerate(lines) if line.startswith("node "))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_token(lines, root, tok, value)) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+        assert compiled == []
 
     def test_empty_task_weights_saved_as_null(self, rng, tmp_path):
         params = reg_params(mt=MTConfig(corr_mode="constant_one", task_weights=()))

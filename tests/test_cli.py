@@ -67,6 +67,11 @@ class TestConfigParsing:
         p.write_text("\n# note\nseed = 4  # trailing\n\n")
         assert parse_config(p)["params"]["seed"] == 4
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"\xef\xbb\xbfseed = 4\nobjectives = regression_l2\n")
+        assert parse_config(p)["params"]["seed"] == 4
+
 
     def test_readme_config_table_lists_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

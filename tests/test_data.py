@@ -118,6 +118,23 @@ class TestLoadCsv:
         assert names == ("a", "b")
         assert math.isnan(matrix[1, 0]) and matrix[1, 1] == 4.0
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, quoted):
+        # Spreadsheet programs start UTF-8 CSVs with the bytes EF BB BF. A
+        # file of plain numbers takes numpy's reader, one with a quoted cell
+        # csv.reader; neither may read the mark into the first column's name.
+        p = tmp_path / "t.csv"
+        cell = '"2"' if quoted else "2"
+        p.write_bytes(b"\xef\xbb\xbf" + f"y,a\r\n1,{cell}\r\n0,3.5\r\n".encode())
+        assert (data._loadtxt(p, "") is None) == quoted
+        table = load_csv(p, ["y"])
+        assert (table.task_names, table.feature_names) == (("y",), ("a",))
+        assert table.labels[:, 0].tolist() == [1.0, 0.0]
+        assert table.features[:, 0].tolist() == [2.0, 3.5]
+        matrix, names = read_feature_matrix(p)
+        assert names == ("y", "a")
+        assert matrix.tolist() == [[1.0, 2.0], [0.0, 3.5]]
+
 
 def as_bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)

@@ -11,6 +11,7 @@ from mtboost.tree import (
     GrowthParams,
     TreeNode,
     build_histograms,
+    compile_routes,
     find_best_split,
     fit_leaf_values,
     grow_tree,
@@ -328,7 +329,7 @@ class TestGrowTree:
         skeleton, leaf_id = grow_tree(ds, g, np.ones(120), loose_params(max_leaves=8))
         assert leaf_id.shape == (120,)
         assert np.array_equal(np.unique(leaf_id), np.arange(skeleton.n_leaves))
-        assert np.array_equal(route_binned(skeleton.nodes, binned), leaf_id)
+        assert np.array_equal(route_binned(compile_routes(skeleton.nodes), binned), leaf_id)
 
     def test_max_depth_respected(self, rng):
         binned = rng.integers(0, 16, size=(400, 2))
@@ -522,13 +523,14 @@ def routed_trees(draw, n_leaves, left_chain=False):
 
 
 class TestRouteBinned:
-    @pytest.mark.parametrize("n_leaves", [1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n_leaves", [1, 2, 8, 9, 16, 17, 32, 33, 63, 64, 65, 130])
     @settings(max_examples=25)
     @given(data=st.data())
     def test_matches_node_walk(self, n_leaves, data):
-        # 63, 64, 65 and 130 leaves fill one, two and three 64-leaf words.
+        # Up to 8, 16, 32 and 64 leaves take one word of that width; 65 and
+        # 130 leaves take two and three 64-bit words.
         nodes, binned = data.draw(routed_trees(n_leaves))
-        got = route_binned(nodes, binned)
+        got = route_binned(compile_routes(nodes), binned)
         assert got.dtype == np.int64 and got.shape == (binned.shape[0],)
         assert np.array_equal(got, route_binned_oracle(nodes, binned))
 
@@ -536,13 +538,15 @@ class TestRouteBinned:
     @given(data=st.data())
     def test_left_chain_deeper_than_a_word(self, data):
         nodes, binned = data.draw(routed_trees(130, left_chain=True))
-        assert np.array_equal(route_binned(nodes, binned), route_binned_oracle(nodes, binned))
+        got = route_binned(compile_routes(nodes), binned)
+        assert np.array_equal(got, route_binned_oracle(nodes, binned))
 
     @settings(max_examples=50)
     @given(data=st.data())
     def test_any_size(self, data):
         nodes, binned = data.draw(routed_trees(data.draw(st.integers(1, 140))))
-        assert np.array_equal(route_binned(nodes, binned), route_binned_oracle(nodes, binned))
+        got = route_binned(compile_routes(nodes), binned)
+        assert np.array_equal(got, route_binned_oracle(nodes, binned))
 
     def test_every_leaf_of_a_long_chain(self):
         # One feature, thresholds 129, 128, ..., 1 down a left chain: bin b
@@ -553,6 +557,6 @@ class TestRouteBinned:
                  for i in range(n)]
         nodes[-1].left = ~n
         binned = np.arange(n + 3, dtype=np.uint8)[:, None]
-        got = route_binned(nodes, binned)
+        got = route_binned(compile_routes(nodes), binned)
         assert np.array_equal(got, route_binned_oracle(nodes, binned))
         assert len(set(got.tolist())) == n + 1
