@@ -40,7 +40,7 @@ from .objectives import (
 from .tree import (
     GrowthParams,
     MultiOutputTree,
-    TreeNode,
+    TreeSkeleton,
     fit_leaf_values,
     grow_tree,
     route_binned,
@@ -284,12 +284,15 @@ def _add_tree_values(out, trees, binned, tasks=slice(None)) -> None:
     """Add every tree's leaf values, in tree order, to ``out``: (tasks, k)
     scores, one row per task selected by ``tasks``.
 
-    Rows go in blocks of ROW_BLOCK. Each block's bins are cast to ``intp``
-    once, its scores are copied to a row-major (rows, tasks) block, and
-    every tree routes the block through one set of buffers, owned by this
-    call, and adds its values there before the block is copied back.
+    Rows go in blocks of ROW_BLOCK. The bins of each block that the trees
+    split on are cast to ``intp`` once, its scores are copied to a row-major
+    (rows, tasks) block, and every tree routes the block through one set of
+    buffers, owned by this call, and adds its values there before the block
+    is copied back.
     """
     k, d = binned.shape
+    split_on = np.concatenate([np.empty(0, np.intp), *(t.skeleton.feature for t in trees)])
+    used = np.flatnonzero(np.bincount(split_on, minlength=d))
     size = min(k, ROW_BLOCK)
     n_out = out.shape[0]
     values = [np.ascontiguousarray(tree.leaf_values[:, tasks]) for tree in trees]
@@ -300,7 +303,7 @@ def _add_tree_values(out, trees, binned, tasks=slice(None)) -> None:
     for start in range(0, k, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, k)
         rows = bins[: d * (stop - start)].reshape(d, stop - start)
-        np.copyto(rows, binned[start:stop].T)
+        rows[used] = binned[start:stop, used].T
         block = sums[: n_out * (stop - start)].reshape(stop - start, n_out)
         got = gathered[: n_out * (stop - start)].reshape(stop - start, n_out)
         np.copyto(block, out[:, start:stop].T)
@@ -353,7 +356,7 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
         raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
     trees = [
         MultiOutputTree(
-            nodes=t.nodes,
+            skeleton=t.skeleton,
             leaf_values=np.ascontiguousarray(t.leaf_values[:, task : task + 1]),
             leaf_residual_means=np.ascontiguousarray(
                 t.leaf_residual_means[:, task : task + 1]
@@ -391,12 +394,8 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
 # ---------------------------------------------------------------------------
 
 
-def _hex(x: float) -> str:
-    return float(x).hex()
-
-
 def _hexline(values) -> str:
-    return " ".join(_hex(v) for v in values)
+    return " ".join(float(v).hex() for v in values)
 
 
 def save_model(model: BoosterModel, path) -> None:
@@ -415,19 +414,15 @@ def save_model(model: BoosterModel, path) -> None:
     for f, cuts in enumerate(model.mapper.boundaries):
         lines.append(f"feature {f} boundaries " + _hexline(cuts))
     for i, tree in enumerate(model.trees):
-        lines.append(f"tree {i} nodes {len(tree.nodes)} leaves {tree.n_leaves}")
-        for node in tree.nodes:
-            # The fifth field, <default_right>, is always 1: missing goes right.
-            lines.append(
-                f"node {node.feature} {node.threshold_bin} {node.left} {node.right} "
-                f"1 {_hex(node.gain)} {node.count}"
-            )
-        for leaf in range(tree.n_leaves):
-            lines.append(
-                f"leaf {int(tree.leaf_counts[leaf])} "
-                f"values {_hexline(tree.leaf_values[leaf])} "
-                f"means {_hexline(tree.leaf_residual_means[leaf])}"
-            )
+        s = tree.skeleton
+        lines.append(f"tree {i} nodes {s.feature.size} leaves {tree.n_leaves}")
+        # The fifth field, <default_right>, is always 1: missing goes right.
+        lines += map("node {} {} {} {} 1 {} {}".format, s.feature.tolist(),
+                     s.threshold_bin.tolist(), s.left.tolist(), s.right.tolist(),
+                     map(float.hex, s.gain.tolist()), s.count.tolist())
+        lines += map("leaf {} values {} means {}".format, tree.leaf_counts.tolist(),
+                     map(_hexline, tree.leaf_values.tolist()),
+                     map(_hexline, tree.leaf_residual_means.tolist()))
     for row in model.training_log:
         valid = "-" if row.valid is None else _hexline(row.valid)
         lines.append(f"log {row.iteration} train {_hexline(row.train)} valid {valid}")
@@ -467,28 +462,29 @@ def _params_from_dict(d) -> BoosterParams:
     return BoosterParams(mt=mt, **_kwargs_from_json(BoosterParams, kwargs))
 
 
-def _check_tree(nodes, n_leaves: int, finite_bins) -> None:
+def _check_tree(tree: TreeSkeleton, finite_bins) -> None:
     """Raise ValueError unless the nodes form one binary tree over n_leaves
     leaves with splits the mapper can produce: every child comes after its
     parent, and every node but the root and every leaf has exactly one
-    parent."""
-    node_refs = []
-    leaf_refs = [] if nodes else [0]  # a tree without nodes is the single leaf 0
-    for i, node in enumerate(nodes):
-        if not 0 <= node.feature < len(finite_bins):
-            raise ValueError(f"node {i}: feature {node.feature} out of range")
-        if not 0 <= node.threshold_bin < finite_bins[node.feature] - 1:
-            raise ValueError(f"node {i}: threshold_bin {node.threshold_bin} out of range")
-        for child in (node.left, node.right):
-            if 0 <= child <= i:
-                raise ValueError(f"node {i}: child node {child} does not come after it")
-            if child >= 0:
-                node_refs.append(child)
-            else:
-                leaf_refs.append(~child)
-    if sorted(node_refs) != list(range(1, len(nodes))) or sorted(leaf_refs) != list(
-        range(n_leaves)
-    ):
+    parent. The leaf count is compared first, so a huge claimed count
+    costs nothing."""
+    n = tree.feature.size
+    if tree.n_leaves != n + 1:
+        raise ValueError(f"{n} nodes cannot hold {tree.n_leaves} leaves")
+    if n == 0:
+        return
+    feature, threshold = tree.feature, tree.threshold_bin
+    if feature.min() < 0 or feature.max() >= len(finite_bins):
+        raise ValueError("a node's feature is out of range")
+    if threshold.min() < 0 or (threshold >= finite_bins[feature] - 1).any():
+        raise ValueError("a node's threshold_bin is out of range")
+    children = np.array([tree.left, tree.right])
+    if ((children >= 0) & (children <= np.arange(n))).any():
+        raise ValueError("a child node does not come after its parent")
+    # Sorted, a tree's children are its leaves ~n, ..., ~0, then its nodes 1, ..., n - 1.
+    expected = np.arange(-n - 1, n - 1)
+    expected[n + 1:] += 1
+    if (np.sort(children, axis=None) != expected).any():
         raise ValueError("node children must reference every node and leaf exactly once")
 
 
@@ -508,6 +504,16 @@ class _Reader:
                 f"{self.path}: expected {expect_prefix!r}, got {line[:40]!r}"
             )
         return line
+
+    def rows(self, count: int, head: str, width: int) -> list[list[str]]:
+        """The fields of the next ``count`` lines: ``head`` and ``width`` more."""
+        if not 0 <= count <= len(self.lines) - self.pos:
+            raise FormatVersionMismatch(f"{self.path}: {count} {head} lines do not follow")
+        rows = [line.split(" ") for line in self.lines[self.pos:self.pos + count]]
+        self.pos += count
+        if any(len(row) != width + 1 or row[0] != head for row in rows):
+            raise ValueError(f"each {head!r} line must have {width} fields")
+        return rows
 
 
 def _parse_hexline(rest: str, count: int | None = None) -> np.ndarray:
@@ -541,6 +547,11 @@ def load_model(path) -> BoosterModel:
         if type(extra) is not dict:
             raise ValueError("extra must be a JSON object")
         base_scores = _parse_hexline(rd.next("base_scores ")[len("base_scores "):])
+        # Counts are checked before any of them sizes a loop or an array.
+        if (min(n_tasks, n_features, num_trees, num_log_rows) < 0
+                or len(base_scores) != n_tasks or len(task_names) != n_tasks
+                or len(params.objectives) != n_tasks or len(feature_names) != n_features):
+            raise FormatVersionMismatch(f"{path}: inconsistent header counts")
         max_bins = int(rd.next("mapper max_bins ").split(" ")[2])
         boundaries = []
         for f in range(n_features):
@@ -550,45 +561,28 @@ def load_model(path) -> BoosterModel:
                 raise ValueError(f"{head} must be strictly ascending")
             boundaries.append(cuts)
         mapper = BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)
+        finite_bins = mapper.finite_bin_counts
         trees = []
         for i in range(num_trees):
             header = rd.next(f"tree {i} ").split(" ")
             n_nodes, n_leaves = int(header[3]), int(header[5])
-            nodes = []
-            for _ in range(n_nodes):
-                line = rd.next("node ")
-                tok = line.split(" ")
-                if len(tok) != 8 or tok[5] != "1":
-                    raise ValueError(f"{line!r}: expected 7 fields, <default_right> 1")
-                nodes.append(
-                    TreeNode(
-                        feature=int(tok[1]),
-                        threshold_bin=int(tok[2]),
-                        left=int(tok[3]),
-                        right=int(tok[4]),
-                        gain=float.fromhex(tok[6]),
-                        count=int(tok[7]),
-                    )
-                )
-            _check_tree(nodes, n_leaves, mapper.finite_bin_counts)
-            values = np.empty((n_leaves, n_tasks))
-            means = np.empty((n_leaves, n_tasks))
-            counts = np.empty(n_leaves, dtype=np.int64)
-            for leaf in range(n_leaves):
-                line = rd.next("leaf ")
-                head, _, tail = line.partition(" values ")
-                counts[leaf] = int(head.split(" ")[1])
-                values_part, _, means_part = tail.partition(" means ")
-                values[leaf] = _parse_hexline(values_part, n_tasks)
-                means[leaf] = _parse_hexline(means_part, n_tasks)
-            trees.append(
-                MultiOutputTree(
-                    nodes=nodes,
-                    leaf_values=values,
-                    leaf_residual_means=means,
-                    leaf_counts=counts,
-                )
-            )
+            nodes = rd.rows(n_nodes, "node", 7)
+            _, feature, threshold, left, right, default_right, gain, count = (
+                zip(*nodes) if nodes else [()] * 8)
+            if any(flag != "1" for flag in default_right):
+                raise ValueError("<default_right> must be 1")
+            # The int fields are parsed by numpy, as int() parses them.
+            skeleton = TreeSkeleton(feature, threshold, left, right,
+                                    [float.fromhex(t) for t in gain], count, n_leaves)
+            _check_tree(skeleton, finite_bins)
+            leaves = rd.rows(n_leaves, "leaf", 2 * n_tasks + 3)
+            if any(row[2] != "values" or row[3 + n_tasks] != "means" for row in leaves):
+                raise ValueError(f"leaf lines must hold {n_tasks} values and {n_tasks} means")
+            values, means = (
+                np.array([[float.fromhex(t) for t in row[a:a + n_tasks]] for row in leaves])
+                for a in (3, 4 + n_tasks))
+            counts = np.array([row[1] for row in leaves], dtype=np.int64)
+            trees.append(MultiOutputTree(skeleton, values, means, counts))
         log = []
         for _ in range(num_log_rows):
             line = rd.next("log ")
@@ -606,11 +600,8 @@ def load_model(path) -> BoosterModel:
         rd.next("end")
     except FormatVersionMismatch:
         raise
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise FormatVersionMismatch(f"{path}: corrupt model file: {exc}") from None
-    if (len(base_scores) != n_tasks or len(task_names) != n_tasks
-            or len(params.objectives) != n_tasks or len(feature_names) != n_features):
-        raise FormatVersionMismatch(f"{path}: inconsistent header counts")
     return BoosterModel(
         trees=trees,
         params=params,

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
+from operator import and_, itemgetter
 
 import numpy as np
 
@@ -171,28 +173,39 @@ def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
     )
 
 
-@dataclass
-class TreeNode:
-    """Internal node. Children >= 0 index nodes; negative c encodes leaf ~c.
-
-    Rows whose bin is <= threshold_bin go left. The missing bin is larger than
-    any threshold bin, so missing values always go right.
-    """
-
-    feature: int
-    threshold_bin: int
-    left: int = 0
-    right: int = 0
-    gain: float = 0.0
-    count: int = 0
+# Node fields and their dtypes: node i of a tree is entry i of each array.
+NODE_DTYPES = dict(feature=np.intp, threshold_bin=np.intp, left=np.intp, right=np.intp,
+                   gain=np.float64, count=np.int64)
 
 
 @dataclass(eq=False)
 class TreeSkeleton:
-    """Split structure produced by growth, before leaf values are fitted."""
+    """Split structure produced by growth, before leaf values are fitted.
 
-    nodes: list[TreeNode]
+    One array per NODE_DTYPES field, converted on construction (a value
+    outside the dtype raises OverflowError). Rows whose bin of ``feature[i]``
+    is <= ``threshold_bin[i]`` go to child ``left[i]``, the others, missing
+    values included, to ``right[i]``. A child >= 0 is a node; a negative
+    child c is leaf ~c.
+    """
+
+    feature: np.ndarray
+    threshold_bin: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    gain: np.ndarray
+    count: np.ndarray
     n_leaves: int
+
+    def __post_init__(self):
+        for name, dtype in NODE_DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    @property
+    def nodes(self) -> list:
+        """Per-node records copied from the arrays, for readers of node objects."""
+        return list(np.rec.fromarrays([getattr(self, name) for name in NODE_DTYPES],
+                                      names=list(NODE_DTYPES)))
 
 
 class _Candidate:
@@ -206,7 +219,7 @@ class _Candidate:
         self.totals = totals
         self.depth = depth
         self.best = best
-        self.slot = slot  # (parent node id, "left"/"right") or None for root
+        self.slot = slot  # the entry of grow_tree's children that will point to it
 
 
 def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
@@ -222,7 +235,9 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
     hist = build_histograms(samples, dataset, g_e, h_e)
     totals = (float(np.sum(g_e)), float(np.sum(h_e)), m)
 
-    nodes: list[TreeNode] = []
+    feature, threshold_bin, gain, count = [], [], [], []
+    # children[0] points to the root; node i's children go to 2 * i + 1 and 2 * i + 2.
+    children = [0]
     pending: dict[int, _Candidate] = {}
     heap: list[tuple[float, int]] = []
     counter = 0
@@ -238,23 +253,19 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
             heapq.heappush(heap, (-best.gain, counter))
         counter += 1
 
-    add_candidate(samples, hist, totals, 0, None)
+    add_candidate(samples, hist, totals, 0, 0)
 
-    n_leaves = 1
-    while n_leaves < params.max_leaves and heap:
+    while len(feature) + 1 < params.max_leaves and heap:  # n nodes hold n + 1 leaves
         _, cid = heapq.heappop(heap)
         cand = pending.pop(cid)
         best = cand.best
-        node_id = len(nodes)
-        node = TreeNode(
-            feature=best.feature,
-            threshold_bin=best.threshold_bin,
-            gain=best.gain,
-            count=cand.totals[2],
-        )
-        nodes.append(node)
-        if cand.slot is not None:
-            _link(nodes, cand.slot, node_id)
+        node_id = len(feature)
+        feature.append(best.feature)
+        threshold_bin.append(best.threshold_bin)
+        gain.append(best.gain)
+        count.append(cand.totals[2])
+        children += [0, 0]
+        children[cand.slot] = node_id
 
         col = dataset.binned[:, best.feature][cand.samples]
         left_mask = col <= best.threshold_bin
@@ -269,25 +280,17 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
         left_hist, right_hist = (built, derived) if build_left else (derived, built)
 
         depth = cand.depth + 1
-        add_candidate(left_samples, left_hist, best.left_sums, depth, (node_id, "left"))
-        add_candidate(right_samples, right_hist, best.right_sums, depth, (node_id, "right"))
-        n_leaves += 1
+        add_candidate(left_samples, left_hist, best.left_sums, depth, 2 * node_id + 1)
+        add_candidate(right_samples, right_hist, best.right_sums, depth, 2 * node_id + 2)
 
     # Whatever is still pending becomes a leaf, in creation order.
     leaf_id = np.empty(m, dtype=np.intp)
     for leaf, cand in enumerate(pending.values()):
         leaf_id[cand.samples] = leaf
-        if cand.slot is not None:
-            _link(nodes, cand.slot, ~leaf)
-    return TreeSkeleton(nodes=nodes, n_leaves=len(pending)), leaf_id
-
-
-def _link(nodes, slot, child_id):
-    parent_id, side = slot
-    if side == "left":
-        nodes[parent_id].left = child_id
-    else:
-        nodes[parent_id].right = child_id
+        children[cand.slot] = ~leaf
+    skeleton = TreeSkeleton(feature, threshold_bin, children[1::2], children[2::2], gain, count,
+                            n_leaves=len(pending))
+    return skeleton, leaf_id
 
 
 @dataclass(eq=False)
@@ -297,11 +300,11 @@ class MultiOutputTree:
     ``leaf_values`` holds the shrunk Newton steps, ``leaf_residual_means``
     the plain per-task mean gradient of each leaf's samples (kept in the
     model dump as the residual summary of the leaf). ``routes`` are the
-    routing tables compiled from ``nodes`` when the tree is made, unless
-    given (trees sharing nodes share them); they are never saved.
+    routing tables compiled from ``skeleton`` when the tree is made, unless
+    given (trees sharing a skeleton share them); they are never saved.
     """
 
-    nodes: list[TreeNode]
+    skeleton: TreeSkeleton
     leaf_values: np.ndarray  # (L, n)
     leaf_residual_means: np.ndarray  # (L, n)
     leaf_counts: np.ndarray  # (L,)
@@ -309,7 +312,11 @@ class MultiOutputTree:
 
     def __post_init__(self):
         if self.routes is None:
-            self.routes = compile_routes(self.nodes)
+            self.routes = compile_routes(self.skeleton)
+
+    @property
+    def nodes(self) -> list:
+        return self.skeleton.nodes
 
     @property
     def n_tasks(self) -> int:
@@ -342,7 +349,7 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
     values = -learning_rate * sum_g / (sum_h + lambda_reg)
     np.clip(values, -max_delta, max_delta, out=values)
     return MultiOutputTree(
-        nodes=skeleton.nodes,
+        skeleton=skeleton,
         leaf_values=values,
         leaf_residual_means=sum_g / counts[:, None],
         leaf_counts=counts,
@@ -397,7 +404,7 @@ class RouteTables:
     leaf_of_slot: np.ndarray
 
 
-def compile_routes(nodes) -> RouteTables:
+def compile_routes(skeleton: TreeSkeleton) -> RouteTables:
     """Fold a tree's nodes into the tables route_binned gathers from.
 
     QuickScorer's exit rule (Lucchese et al., SIGIR 2015): number the leaves
@@ -407,58 +414,58 @@ def compile_routes(nodes) -> RouteTables:
     table over its bins whose entry b is the AND of the clear masks of the
     nodes with ``threshold_bin < b``, one table per word. Bins above the
     highest threshold, the missing bin included, clip to the last entry,
-    where every node of that feature sends the row right. ``nodes`` must
+    where every node of that feature sends the row right. The nodes must
     form one tree with each child after its parent, as grow_tree builds them
     and load_model checks.
     """
-    if not nodes:
-        return RouteTables(width=8, n_words=1, gathers=(),
-                           leaf_of_slot=np.zeros(8, dtype=np.intp))
-    # Leaves under each node; children come after their parents.
-    under = [0] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        left, right = nodes[i].left, nodes[i].right
-        under[i] = (under[left] if left >= 0 else 1) + (under[right] if right >= 0 else 1)
-    width = next(w for w in _WORD_KINDS if under[0] <= w or w == 64)
-    n_words = (under[0] + width - 1) // width
+    feature, threshold = skeleton.feature.tolist(), skeleton.threshold_bin.tolist()
+    left, right = skeleton.left.tolist(), skeleton.right.tolist()
+    n = len(feature)  # and n + 1 leaves
+    width = next(w for w in _WORD_KINDS if n + 1 <= w or w == 64)
+    n_words = (n + width) // width
     kind = _WORD_KINDS[width]
+    # Leaves under each node; children come after their parents.
+    under = [0] * n
+    for i in range(n - 1, -1, -1):
+        lc, rc = left[i], right[i]
+        under[i] = (under[lc] if lc >= 0 else 1) + (under[rc] if rc >= 0 else 1)
     # In-order leaf positions: node i's leaves start at first[i], and the
     # span of them under its left child is what its clear mask clears.
-    first = [0] * len(nodes)
+    first = [0] * n
+    clear = [0] * n
     leaf_at = [0] * (width * n_words)
-    masks_by_feature: dict[int, list[tuple[int, int]]] = {}
-    for i, node in enumerate(nodes):
-        start, left, right = first[i], node.left, node.right
-        span = under[left] if left >= 0 else 1
-        if left >= 0:
-            first[left] = start
+    for i in range(n):
+        start, lc, rc = first[i], left[i], right[i]
+        span = under[lc] if lc >= 0 else 1
+        if lc >= 0:
+            first[lc] = start
         else:
-            leaf_at[start] = ~left
-        if right >= 0:
-            first[right] = start + span
+            leaf_at[start] = ~lc
+        if rc >= 0:
+            first[rc] = start + span
         else:
-            leaf_at[start + span] = ~right
-        clear = ~(((1 << span) - 1) << start)
-        masks_by_feature.setdefault(node.feature, []).append((node.threshold_bin, clear))
+            leaf_at[start + span] = ~rc
+        clear[i] = ~(((1 << span) - 1) << start)
 
+    # Every used feature's entries go into one array: applied[j] of a
+    # feature, the AND of its j lowest-threshold masks, serves the bins above
+    # its j-th threshold, up to the next.
+    applied, repeats, sizes = [], [], []
+    for f, group in groupby(sorted(zip(feature, threshold, clear)), key=itemgetter(0)):
+        _, thresholds, masks = zip(*group)
+        applied += accumulate(masks, and_, initial=-1)
+        repeats += [thresholds[0] + 1, *(b - a for a, b in zip(thresholds, thresholds[1:])), 1]
+        sizes.append((f, thresholds[-1] + 2))
     word_mask = (1 << width) - 1
-    gathers = []
-    for f, masks in masks_by_feature.items():
-        masks.sort()
-        applied = [-1]  # applied[j]: the AND of the j lowest-threshold masks
-        for _, clear in masks:
-            applied.append(applied[-1] & clear)
-        entries = np.array(
-            [[(a >> (width * w)) & word_mask for a in applied] for w in range(n_words)],
-            dtype=kind.dtype,
-        )
-        # applied[j] serves the bins above the j-th threshold, up to the next.
-        thresholds = [t for t, _ in masks]
-        repeats = [thresholds[0] + 1] + [
-            b - a for a, b in zip(thresholds, thresholds[1:])
-        ] + [1]
-        table = np.repeat(entries, repeats, axis=1)
-        gathers += [(f, w, table[w]) for w in range(n_words)]
+    entries = np.array(
+        [[(a >> (width * w)) & word_mask for a in applied] for w in range(n_words)],
+        dtype=kind.dtype,
+    )
+    table = np.repeat(entries, repeats, axis=1)
+    gathers, start = [], 0
+    for f, size in sizes:
+        gathers += [(f, w, table[w, start:start + size]) for w in range(n_words)]
+        start += size
     # Word w's slots map through their bit positions to leaf ids.
     leaf_of_slot = np.array(leaf_at, dtype=np.intp).reshape(n_words, width)[:, kind.bit_of_slot]
     return RouteTables(width=width, n_words=n_words, gathers=tuple(gathers),

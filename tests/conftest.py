@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from mtboost.data import BinMapper, Dataset
+from mtboost.tree import TreeSkeleton
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -31,6 +32,11 @@ def make_binned_dataset(binned, labels=None, finite_bins=None, max_bins=255):
         feature_names=tuple(f"f{j}" for j in range(d)),
         task_names=tuple(f"t{j}" for j in range(labels.shape[1])),
     )
+
+
+def nodeless_skeleton():
+    """The structure of a tree without nodes: its one leaf takes every row."""
+    return TreeSkeleton([], [], [], [], [], [], n_leaves=1)
 
 
 @pytest.fixture

@@ -238,6 +238,32 @@ def route_binned_oracle(nodes, binned):
     return out
 
 
+def check_tree_oracle(nodes, n_leaves, finite_bins):
+    """Raise ValueError unless the nodes (objects with feature,
+    threshold_bin, left and right) form one binary tree over n_leaves leaves
+    with splits the mapper can produce, checked node by node: every child
+    comes after its parent, and every node but the root and every leaf has
+    exactly one parent."""
+    node_refs = []
+    leaf_refs = [] if nodes else [0]  # a tree without nodes is the single leaf 0
+    for i, node in enumerate(nodes):
+        if not 0 <= node.feature < len(finite_bins):
+            raise ValueError(f"node {i}: feature {node.feature} out of range")
+        if not 0 <= node.threshold_bin < finite_bins[node.feature] - 1:
+            raise ValueError(f"node {i}: threshold_bin {node.threshold_bin} out of range")
+        for child in (node.left, node.right):
+            if 0 <= child <= i:
+                raise ValueError(f"node {i}: child node {child} does not come after it")
+            if child >= 0:
+                node_refs.append(child)
+            else:
+                leaf_refs.append(~child)
+    if sorted(node_refs) != list(range(1, len(nodes))) or sorted(leaf_refs) != list(
+        range(n_leaves)
+    ):
+        raise ValueError("node children must reference every node and leaf exactly once")
+
+
 # ---------------------------------------------------------------------------
 # Gradient ensemble and updating passes (straight-line transcriptions)
 # ---------------------------------------------------------------------------

@@ -16,21 +16,50 @@ from mtboost import booster, tree
 from mtboost.data import RawTable, apply_bins, fit_bins
 from mtboost.gradients import MTConfig
 
-SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).parents[1] / "bench"
+GOLDEN = Path(__file__).parent / "golden_model_v1.txt"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
 
 
 def test_every_target_resolves(spans):
     for name, (places, _) in spans.TARGETS.items():
         for module, attr in places:
             assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+
+
+def test_checks_read_trained_and_loaded_trees(rng):
+    # bench/checks.py walks t.nodes by attribute and truth-tests it; a tree
+    # without nodes (max_leaves=1) must read as falsy and walk to leaf 0.
+    checks = _load("checks")
+    x = rng.normal(size=(300, 3))
+    x[::7, 1] = np.nan
+    y = np.column_stack([x[:, 0] + rng.normal(scale=0.1, size=300), x[:, 2] > 0])
+    table = RawTable(x, y.astype(np.float64), ("a", "b", "c"), ("y_reg", "y_cls"))
+    ds = apply_bins(table, fit_bins(table, 16))
+    models = []
+    for max_leaves in (1, 6):
+        params = booster.BoosterParams(
+            objectives=("regression_l2", "binary_logloss"), num_iterations=3,
+            learning_rate=0.3, max_leaves=max_leaves, min_samples_leaf=5,
+        )
+        models.append((booster.train(ds, params), table.m))
+    assert not models[0][0].trees[0].nodes and models[1][0].trees[0].nodes
+    golden = booster.load_model(GOLDEN)
+    models.append((golden, int(golden.trees[0].leaf_counts.sum())))
+    for model, m in models:
+        assert checks.check_structure(model, m) == []
+        assert checks.check_walk(model, x, booster.predict(model, x)) == []
 
 
 def test_traced_train_predict_save(spans, rng, tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import signal
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from mtboost.booster import (
     ROW_BLOCK,
     BoosterModel,
     BoosterParams,
+    _check_tree,
     extract_task,
     load_model,
     param_types,
@@ -36,9 +38,15 @@ from mtboost.errors import (
 )
 from mtboost.gradients import MTConfig
 from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
-from mtboost.tree import MultiOutputTree
+from mtboost.tree import MultiOutputTree, TreeSkeleton
 
-from oracles import engine_tree_structure, ref_boost_structures, route_binned_oracle
+from conftest import nodeless_skeleton
+from oracles import (
+    check_tree_oracle,
+    engine_tree_structure,
+    ref_boost_structures,
+    route_binned_oracle,
+)
 
 
 def regression_table(rng, m=200, d=3, n=2):
@@ -268,7 +276,7 @@ class TestPredict:
         table = regression_table(rng)
         base_model = train(binned(table), reg_params(num_iterations=1))
         stump = MultiOutputTree(
-            nodes=[],
+            skeleton=nodeless_skeleton(),
             leaf_values=np.array([[0.2, -0.1]]),
             leaf_residual_means=np.zeros((1, 2)),
             leaf_counts=np.array([table.m]),
@@ -379,7 +387,7 @@ class TestPredictLayout:
         # once per tree; a tree without nodes sits among the trained ones.
         model, _ = model_and_rows
         stump = MultiOutputTree(
-            nodes=[], leaf_values=np.array([[0.25, -0.5, 0.125]]),
+            skeleton=nodeless_skeleton(), leaf_values=np.array([[0.25, -0.5, 0.125]]),
             leaf_residual_means=np.zeros((1, 3)), leaf_counts=np.array([400]),
         )
         model = dataclasses.replace(model, trees=model.trees[:3] + [stump] + model.trees[3:])
@@ -514,6 +522,64 @@ def _set(key, value, section=None):
     return change
 
 
+TREE_MUTATIONS = ("none", "self-loop", "back-edge", "forward-edge", "duplicate-child",
+                  "swap", "leaf", "feature", "threshold", "leaf-count")
+
+
+@st.composite
+def mutated_trees(draw):
+    """(mutation, skeleton, finite bins per feature): a valid tree grown one
+    leaf split at a time, as grow_tree does, then changed by one mutation.
+    A "swap" exchanges two child entries, which keeps every reference count
+    and so can only be caught by the order of nodes; a "leaf" mutation
+    points a child at a leaf that may already be referenced or lie past the
+    last; "leaf-count" changes the claimed count, also for a tree without
+    nodes."""
+    finite_bins = np.array(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    n = draw(st.integers(0, 8))
+    feature = [draw(st.integers(0, len(finite_bins) - 1)) for _ in range(n)]
+    threshold_bin = [draw(st.integers(0, finite_bins[f] - 2)) for f in feature]
+    children, pending = [], [None]  # children[2 * i + side]: node i's left, right
+    for i in range(n):
+        slot = pending.pop(draw(st.integers(0, len(pending) - 1)))
+        children += [0, 0]
+        if slot is not None:
+            children[slot] = i
+        pending += [2 * i, 2 * i + 1]
+    for leaf, slot in enumerate(pending):
+        if slot is not None:
+            children[slot] = ~leaf
+    n_leaves = n + 1
+
+    kind = draw(st.sampled_from(TREE_MUTATIONS))
+    slot = draw(st.integers(0, max(2 * n - 1, 0)))
+    i = slot // 2
+    if kind == "leaf-count":
+        n_leaves = draw(st.integers(0, n + 3).filter(lambda count: count != n + 1))
+    elif n == 0:
+        kind = "none"
+    elif kind == "self-loop":
+        children[slot] = i
+    elif kind == "back-edge":
+        children[slot] = draw(st.integers(0, i))
+    elif kind == "forward-edge":
+        children[slot] = draw(st.integers(i + 1, n + 1))
+    elif kind == "duplicate-child":
+        children[slot] = children[draw(st.integers(0, 2 * n - 1))]
+    elif kind == "swap":
+        other = draw(st.integers(0, 2 * n - 1))
+        children[slot], children[other] = children[other], children[slot]
+    elif kind == "leaf":
+        children[slot] = ~draw(st.integers(0, n + 1))
+    elif kind == "feature":
+        feature[i] = draw(st.sampled_from([-1, len(finite_bins)]))
+    elif kind == "threshold":
+        threshold_bin[i] = draw(st.sampled_from([-1, finite_bins[feature[i]] - 1]))
+    skeleton = TreeSkeleton(feature, threshold_bin, children[0::2], children[1::2],
+                            [0.0] * n, [0] * n, n_leaves)
+    return kind, skeleton, finite_bins
+
+
 class TestModelFileChecks:
     def test_golden_v1_round_trips_byte_for_byte(self, tmp_path):
         path = tmp_path / "again.txt"
@@ -626,7 +692,7 @@ class TestModelFileChecks:
             if not line.startswith("node "):
                 continue
             for tok in range(len(line.split(" "))):
-                for value in ("-1", "0", "99", "x"):
+                for value in ("-1", "0", "99", "x", str(2**70), str(-2**70)):
                     path.write_text("\n".join(_with_token(lines, i, tok, value)) + "\n")
                     try:
                         model = load_model(path)
@@ -635,6 +701,39 @@ class TestModelFileChecks:
                         continue
                     assert predict(model, x).shape == (40, 2)
         assert rejected > 0
+
+    def test_huge_leaf_count_rejected_before_allocating(self, tmp_path):
+        # The first tree's header claims 10**12 leaves for its 4 nodes.
+        lines = _golden_lines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("tree 0 "))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_token(lines, header, 5, str(10**12))) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatVersionMismatch):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+
+    @settings(max_examples=500)
+    @given(case=mutated_trees())
+    def test_check_tree_agrees_with_node_by_node_oracle(self, case):
+        kind, skeleton, finite_bins = case
+
+        def accepts(check, *args):
+            try:
+                check(*args)
+            except ValueError:
+                return False
+            return True
+
+        accepted = accepts(_check_tree, skeleton, finite_bins)
+        assert accepted == accepts(
+            check_tree_oracle, skeleton.nodes, skeleton.n_leaves, finite_bins)
+        if kind == "none":
+            assert accepted
 
     @settings(max_examples=300)
     @given(edits=st.lists(

@@ -369,6 +369,24 @@ def test_non_utf8_model_is_one_line_error(tmp_path, capsys):
             f"error: FormatVersionMismatch: {model}: not UTF-8 text (invalid start byte)\n")
 
 
+@pytest.mark.parametrize("line, value", [
+    ("n_tasks 2", "n_tasks 1000000000000"),
+    ("n_features 3", "n_features -1"),
+    ("num_trees 4", "num_trees -1"),
+    ("num_log_rows 4", "num_log_rows -4"),
+], ids=["tasks-1e12", "features-negative", "trees-negative", "log-rows-negative"])
+def test_bad_header_count_is_one_line_error(tmp_path, capsys, line, value):
+    # The counts are checked before any of them sizes an array: 10**12 tasks
+    # used to ask numpy for 36 TiB of leaf values and die with a traceback.
+    model = tmp_path / "model.txt"
+    model.write_text(GOLDEN.read_text().replace(line + "\n", value + "\n", 1))
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c\n0.5,,1.5\n")
+    assert run(["predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: FormatVersionMismatch: {model}: inconsistent header counts\n")
+
+
 # Values a fuzzed config line may carry: zero, both signs, the edges of the
 # float range, non-finite and empty values, lists, repeated names and
 # integers past every fixed-width type.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mtboost.errors import EmptyLeaf
 from mtboost.tree import (
     GrowthParams,
-    TreeNode,
+    TreeSkeleton,
     build_histograms,
     compile_routes,
     find_best_split,
@@ -20,7 +20,7 @@ from mtboost.tree import (
     subtract_histograms,
 )
 
-from conftest import make_binned_dataset
+from conftest import make_binned_dataset, nodeless_skeleton
 from oracles import (
     engine_tree_structure,
     enumerate_best_split,
@@ -329,7 +329,7 @@ class TestGrowTree:
         skeleton, leaf_id = grow_tree(ds, g, np.ones(120), loose_params(max_leaves=8))
         assert leaf_id.shape == (120,)
         assert np.array_equal(np.unique(leaf_id), np.arange(skeleton.n_leaves))
-        assert np.array_equal(route_binned(compile_routes(skeleton.nodes), binned), leaf_id)
+        assert np.array_equal(route_binned(compile_routes(skeleton), binned), leaf_id)
 
     def test_max_depth_respected(self, rng):
         binned = rng.integers(0, 16, size=(400, 2))
@@ -409,9 +409,7 @@ class TestFitLeafValues:
         return skeleton, leaf_id
 
     def test_newton_formula(self):
-        from mtboost.tree import TreeSkeleton
-
-        skeleton = TreeSkeleton(nodes=[], n_leaves=1)
+        skeleton = nodeless_skeleton()
         g = np.array([[2.0]])
         h = np.array([[1.0]])
         tree = fit_leaf_values(skeleton, np.array([0]), g, h, 1.0, 0.1)
@@ -460,9 +458,7 @@ class TestFitLeafValues:
             fit_leaf_values(skeleton, skipped, np.ones((m, 2)), np.ones((m, 2)), 0.1, 0.1)
 
     def test_empty_leaf_raises(self):
-        from mtboost.tree import TreeSkeleton
-
-        skeleton = TreeSkeleton(nodes=[], n_leaves=1)
+        skeleton = nodeless_skeleton()
         with pytest.raises(EmptyLeaf):
             fit_leaf_values(
                 skeleton, np.array([], dtype=np.int64),
@@ -472,7 +468,7 @@ class TestFitLeafValues:
 
 @st.composite
 def routed_trees(draw, n_leaves, left_chain=False):
-    """A valid tree over n_leaves leaves as a TreeNode list, and binned rows.
+    """A valid tree over n_leaves leaves as a TreeSkeleton, and binned rows.
 
     Leaves are split one at a time, as grow_tree does, so every child comes
     after its parent and leaves are numbered in creation order; a left chain
@@ -483,43 +479,46 @@ def routed_trees(draw, n_leaves, left_chain=False):
     wide = draw(st.booleans())  # uint32 bins, more than uint8 can hold
     d = draw(st.integers(1, 4))
     finite = [draw(st.integers(2, 700 if wide else 255)) for _ in range(d)]
-    nodes, pending = [], [None]
+    # children[2 * i] and children[2 * i + 1] are node i's left and right.
+    feature, threshold_bin, children, pending = [], [], [], [None]
     while len(pending) < n_leaves:
-        pick = len(pending) - 2 if left_chain and nodes else draw(
+        pick = len(pending) - 2 if left_chain and feature else draw(
             st.integers(0, len(pending) - 1))
         slot = pending.pop(pick)
         f = draw(st.integers(0, d - 1))
         top = finite[f] - 2
-        threshold = draw(st.sampled_from([0, top]) | st.integers(0, top))
-        nodes.append(TreeNode(feature=f, threshold_bin=threshold))
+        feature.append(f)
+        threshold_bin.append(draw(st.sampled_from([0, top]) | st.integers(0, top)))
+        children += [0, 0]
         if slot is not None:
-            setattr(nodes[slot[0]], slot[1], len(nodes) - 1)
-        pending += [(len(nodes) - 1, "left"), (len(nodes) - 1, "right")]
+            children[slot] = len(feature) - 1
+        pending += [len(children) - 2, len(children) - 1]
     for leaf, slot in enumerate(pending):
         if slot is not None:
-            setattr(nodes[slot[0]], slot[1], ~leaf)
+            children[slot] = ~leaf
+    skeleton = TreeSkeleton(feature, threshold_bin, children[0::2], children[1::2],
+                            [0.0] * len(feature), [0] * len(feature), n_leaves)
 
     k = draw(st.sampled_from([0, 1, 2, 300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     binned = np.column_stack([rng.integers(0, nb + 1, size=k) for nb in finite])
     binned[rng.random(k) < 0.1, 0] = finite[0]  # missing bin
-    parent = {child: (i, side) for i, node in enumerate(nodes)
-              for side, child in (("left", node.left), ("right", node.right))}
+    parent = {child: slot for slot, child in enumerate(children)}
     for row in range(0, k, 2):
         lo, hi = [0] * d, list(finite)
         child = ~int(rng.integers(n_leaves))
         while child in parent:
-            i, side = parent[child]
-            node = nodes[i]
-            if side == "left":
-                hi[node.feature] = min(hi[node.feature], node.threshold_bin)
+            i, went_right = divmod(parent[child], 2)
+            f, threshold = feature[i], threshold_bin[i]
+            if went_right:
+                lo[f] = max(lo[f], threshold + 1)
             else:
-                lo[node.feature] = max(lo[node.feature], node.threshold_bin + 1)
+                hi[f] = min(hi[f], threshold)
             child = i
         if all(a <= b for a, b in zip(lo, hi)):
             binned[row] = [rng.integers(a, b + 1) for a, b in zip(lo, hi)]
     dtype = np.uint32 if wide else np.uint8
-    return nodes, np.asfortranarray(binned, dtype=dtype)
+    return skeleton, np.asfortranarray(binned, dtype=dtype)
 
 
 class TestRouteBinned:
@@ -529,34 +528,35 @@ class TestRouteBinned:
     def test_matches_node_walk(self, n_leaves, data):
         # Up to 8, 16, 32 and 64 leaves take one word of that width; 65 and
         # 130 leaves take two and three 64-bit words.
-        nodes, binned = data.draw(routed_trees(n_leaves))
-        got = route_binned(compile_routes(nodes), binned)
+        skeleton, binned = data.draw(routed_trees(n_leaves))
+        got = route_binned(compile_routes(skeleton), binned)
         assert got.dtype == np.int64 and got.shape == (binned.shape[0],)
-        assert np.array_equal(got, route_binned_oracle(nodes, binned))
+        assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
 
     @settings(max_examples=25)
     @given(data=st.data())
     def test_left_chain_deeper_than_a_word(self, data):
-        nodes, binned = data.draw(routed_trees(130, left_chain=True))
-        got = route_binned(compile_routes(nodes), binned)
-        assert np.array_equal(got, route_binned_oracle(nodes, binned))
+        skeleton, binned = data.draw(routed_trees(130, left_chain=True))
+        got = route_binned(compile_routes(skeleton), binned)
+        assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
 
     @settings(max_examples=50)
     @given(data=st.data())
     def test_any_size(self, data):
-        nodes, binned = data.draw(routed_trees(data.draw(st.integers(1, 140))))
-        got = route_binned(compile_routes(nodes), binned)
-        assert np.array_equal(got, route_binned_oracle(nodes, binned))
+        skeleton, binned = data.draw(routed_trees(data.draw(st.integers(1, 140))))
+        got = route_binned(compile_routes(skeleton), binned)
+        assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
 
     def test_every_leaf_of_a_long_chain(self):
         # One feature, thresholds 129, 128, ..., 1 down a left chain: bin b
         # goes left at node i while b <= 129 - i, so bins 1 to 130 each end
         # on a different leaf, across three words.
         n = 129
-        nodes = [TreeNode(feature=0, threshold_bin=n - i, left=i + 1, right=~i)
-                 for i in range(n)]
-        nodes[-1].left = ~n
+        i = np.arange(n)
+        zeros = np.zeros(n, dtype=np.intp)
+        skeleton = TreeSkeleton(zeros, n - i, np.append(i[1:], ~n), ~i, zeros, zeros,
+                                n_leaves=n + 1)
         binned = np.arange(n + 3, dtype=np.uint8)[:, None]
-        got = route_binned(compile_routes(nodes), binned)
-        assert np.array_equal(got, route_binned_oracle(nodes, binned))
+        got = route_binned(compile_routes(skeleton), binned)
+        assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
         assert len(set(got.tolist())) == n + 1
