@@ -38,6 +38,7 @@ from .objectives import (
     validate_objectives,
 )
 from .tree import (
+    MAX_DELTA_DEFAULT,
     GrowthParams,
     MultiOutputTree,
     TreeSkeleton,
@@ -47,7 +48,7 @@ from .tree import (
     route_buffers,
 )
 
-MODEL_FORMAT_MARKER = "mtboost-model-v1"
+MODEL_FORMAT_MARKER = "mtboost-model-v2"
 # Rows that predict passes every tree over before it moves to the next
 # rows, so the block's bins, route buffers and scores (about 1.1 MB for 6
 # features and 4 tasks) stay in cache across trees. Of 4096 to 32768 rows,
@@ -72,7 +73,7 @@ class BoosterParams:
     ``lambda_reg`` is the denominator regularizer of the split gain and leaf
     values. Historic configs sometimes call this knob "lambda_l1"; the CLI
     accepts that alias but the engine applies it in the denominator only.
-    ``seed`` offsets the task-selection stream of the multi-task config, so
+    ``seed`` keys the task-selection stream of the multi-task config, so
     harnesses can vary whole runs with one knob. ``growth`` is the
     GrowthParams view of the fields that share its names, built (and so
     checked) once, with the params.
@@ -91,7 +92,7 @@ class BoosterParams:
     early_stopping_rounds: int = 0
     seed: int = 0
     main_task_index: int = 0
-    max_delta_step: float = 1e10
+    max_delta_step: float = MAX_DELTA_DEFAULT
     mt: MTConfig = field(default_factory=MTConfig)
 
     def __post_init__(self):
@@ -206,7 +207,6 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         if valid.n != n:
             raise InvalidParameter("validation label count differs from training")
 
-    mt = replace(params.mt, seed=params.mt.seed + params.seed)
     # One layout: every per-task (m, n) array is column-major, so each task's
     # column is contiguous. A no-op for apply_bins output. The scores,
     # gradients and hessians are transposes of (n, m) per-task rows of one
@@ -228,8 +228,8 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
 
     for it in range(params.num_iterations):
         gh = grad_hess(labels, scores, params.objectives, out=(g, h))
-        eg = ensemble_grad_hess(gh, mt, it)
-        gu = updating_grad_hess(gh, mt, out=g)  # the ensemble pass has read g
+        eg = ensemble_grad_hess(gh, params.mt, it, params.seed)
+        gu = updating_grad_hess(gh, params.mt, out=g)  # the ensemble pass has read g
         skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params.growth)
         tree = fit_leaf_values(
             skeleton, leaf_id, gu.g, gu.h,
@@ -241,7 +241,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
-            _add_tree_values(valid_scores.T, [tree], valid.binned)
+            _add_leaf_values(valid_scores, tree, route_binned(tree.routes, valid.binned))
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 
@@ -280,7 +280,7 @@ def _bin_features(model: BoosterModel, features: np.ndarray) -> np.ndarray:
     return binned
 
 
-def _add_tree_values(out, trees, binned, tasks=slice(None)) -> None:
+def _add_tree_values(out, trees, binned, tasks) -> None:
     """Add every tree's leaf values, in tree order, to ``out``: (tasks, k)
     scores, one row per task selected by ``tasks``.
 
@@ -348,8 +348,8 @@ def predict_proba(model: BoosterModel, features, task: int | None = None) -> np.
 def extract_task(model: BoosterModel, task: int) -> BoosterModel:
     """Slice a multi-task model down to one task.
 
-    The shared structure is kept; only the chosen task's leaf values,
-    residual means and metadata survive. Predictions equal the chosen
+    The shared structure and routing tables are kept; only the chosen
+    task's leaf values and metadata survive. Predictions equal the chosen
     column of the full model exactly.
     """
     if not 0 <= task < model.n_tasks:
@@ -358,9 +358,6 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
         MultiOutputTree(
             skeleton=t.skeleton,
             leaf_values=np.ascontiguousarray(t.leaf_values[:, task : task + 1]),
-            leaf_residual_means=np.ascontiguousarray(
-                t.leaf_residual_means[:, task : task + 1]
-            ),
             leaf_counts=t.leaf_counts,
             routes=t.routes,
         )
@@ -416,13 +413,11 @@ def save_model(model: BoosterModel, path) -> None:
     for i, tree in enumerate(model.trees):
         s = tree.skeleton
         lines.append(f"tree {i} nodes {s.feature.size} leaves {tree.n_leaves}")
-        # The fifth field, <default_right>, is always 1: missing goes right.
-        lines += map("node {} {} {} {} 1 {} {}".format, s.feature.tolist(),
+        lines += map("node {} {} {} {} {} {}".format, s.feature.tolist(),
                      s.threshold_bin.tolist(), s.left.tolist(), s.right.tolist(),
                      map(float.hex, s.gain.tolist()), s.count.tolist())
-        lines += map("leaf {} values {} means {}".format, tree.leaf_counts.tolist(),
-                     map(_hexline, tree.leaf_values.tolist()),
-                     map(_hexline, tree.leaf_residual_means.tolist()))
+        lines += map("leaf {} values {}".format, tree.leaf_counts.tolist(),
+                     map(_hexline, tree.leaf_values.tolist()))
     for row in model.training_log:
         valid = "-" if row.valid is None else _hexline(row.valid)
         lines.append(f"log {row.iteration} train {_hexline(row.train)} valid {valid}")
@@ -442,10 +437,10 @@ _JSON_TYPE_OK = {
 }
 
 
-def _kwargs_from_json(cls, obj) -> dict:
+def _kwargs_from_json(cls, obj, v1_types=None) -> dict:
     """Constructor arguments of ``cls`` from its JSON snapshot: the keys must
-    be exactly its fields and each value must have its field's type."""
-    types = param_types(cls)
+    be exactly its fields and those of ``v1_types``, each of its type tag."""
+    types = param_types(cls) | (v1_types or {})
     if type(obj) is not dict or obj.keys() != types.keys():
         raise ValueError(f"{cls.__name__} params must have exactly the keys {list(types)}")
     for name, tag in types.items():
@@ -454,12 +449,19 @@ def _kwargs_from_json(cls, obj) -> dict:
     return {k: tuple(v) if type(v) is list else v for k, v in obj.items()}
 
 
-def _params_from_dict(d) -> BoosterParams:
+def _params_from_dict(d, v1: bool) -> BoosterParams:
     if type(d) is not dict:
         raise ValueError("params must be a JSON object")
     kwargs = dict(d)
-    mt = MTConfig(**_kwargs_from_json(MTConfig, kwargs.pop("mt", None)))
-    return BoosterParams(mt=mt, **_kwargs_from_json(BoosterParams, kwargs))
+    v1_types = {"g_target_std": "float", "h_target_std": "float", "seed": "int"} if v1 else None
+    mt = _kwargs_from_json(MTConfig, kwargs.pop("mt", None), v1_types)
+    kwargs = _kwargs_from_json(BoosterParams, kwargs)
+    if v1:
+        stds = (mt.pop("g_target_std"), mt.pop("h_target_std"))
+        if not all(map(math.isfinite, stds)) or mt["seed"] < 0:
+            raise ValueError("v1 mt params need finite std targets and a seed >= 0")
+        kwargs["seed"] += mt.pop("seed")
+    return BoosterParams(mt=MTConfig(**mt), **kwargs)
 
 
 def _check_tree(tree: TreeSkeleton, finite_bins) -> None:
@@ -533,7 +535,12 @@ def load_model(path) -> BoosterModel:
     except UnicodeDecodeError as exc:
         raise FormatVersionMismatch(f"{path}: not UTF-8 text ({exc.reason})") from None
     rd = _Reader(lines, path)
-    if rd.next() != MODEL_FORMAT_MARKER:
+    # A v1 file also holds the mt params g_target_std, h_target_std and seed
+    # (added to seed), a node column <default_right> that must be 1 and "means
+    # <hex>{n_tasks}" ending each leaf line: all checked as v1 did, then dropped.
+    marker = rd.next()
+    v1 = marker == "mtboost-model-v1"
+    if not v1 and marker != MODEL_FORMAT_MARKER:
         raise FormatVersionMismatch(f"{path}: not a {MODEL_FORMAT_MARKER} file")
     try:
         n_tasks = int(rd.next("n_tasks ").split(" ")[1])
@@ -542,7 +549,7 @@ def load_model(path) -> BoosterModel:
         num_log_rows = int(rd.next("num_log_rows ").split(" ")[1])
         feature_names = tuple(json.loads(rd.next("feature_names ")[len("feature_names "):]))
         task_names = tuple(json.loads(rd.next("task_names ")[len("task_names "):]))
-        params = _params_from_dict(json.loads(rd.next("params ")[len("params "):]))
+        params = _params_from_dict(json.loads(rd.next("params ")[len("params "):]), v1)
         extra = json.loads(rd.next("extra ")[len("extra "):])
         if type(extra) is not dict:
             raise ValueError("extra must be a JSON object")
@@ -566,23 +573,23 @@ def load_model(path) -> BoosterModel:
         for i in range(num_trees):
             header = rd.next(f"tree {i} ").split(" ")
             n_nodes, n_leaves = int(header[3]), int(header[5])
-            nodes = rd.rows(n_nodes, "node", 7)
-            _, feature, threshold, left, right, default_right, gain, count = (
-                zip(*nodes) if nodes else [()] * 8)
-            if any(flag != "1" for flag in default_right):
+            nodes = rd.rows(n_nodes, "node", 6 + v1)
+            columns = list(zip(*nodes)) if nodes else [()] * (7 + v1)
+            if v1 and any(flag != "1" for flag in columns.pop(5)):
                 raise ValueError("<default_right> must be 1")
+            _, feature, threshold, left, right, gain, count = columns
             # The int fields are parsed by numpy, as int() parses them.
             skeleton = TreeSkeleton(feature, threshold, left, right,
                                     [float.fromhex(t) for t in gain], count, n_leaves)
             _check_tree(skeleton, finite_bins)
-            leaves = rd.rows(n_leaves, "leaf", 2 * n_tasks + 3)
-            if any(row[2] != "values" or row[3 + n_tasks] != "means" for row in leaves):
-                raise ValueError(f"leaf lines must hold {n_tasks} values and {n_tasks} means")
-            values, means = (
-                np.array([[float.fromhex(t) for t in row[a:a + n_tasks]] for row in leaves])
-                for a in (3, 4 + n_tasks))
+            leaves = rd.rows(n_leaves, "leaf", (1 + v1) * (n_tasks + 1) + 1)
+            if any(row[2] != "values" or v1 and row[3 + n_tasks] != "means" for row in leaves):
+                raise ValueError(f"leaf lines must hold {n_tasks} values")
+            if v1:  # the v1 means are checked to parse as floats, then dropped
+                [float.fromhex(t) for row in leaves for t in row[4 + n_tasks:]]
+            values = np.array([[float.fromhex(t) for t in row[3:3 + n_tasks]] for row in leaves])
             counts = np.array([row[1] for row in leaves], dtype=np.int64)
-            trees.append(MultiOutputTree(skeleton, values, means, counts))
+            trees.append(MultiOutputTree(skeleton, values, counts))
         log = []
         for _ in range(num_log_rows):
             line = rd.next("log ")

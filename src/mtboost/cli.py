@@ -1,9 +1,9 @@
 """Command-line interface: train, predict, eval, synth and extract.
 
 The training config is plain ``key = value`` text ('#' starts a comment).
-Unknown keys are rejected outright so hyperparameter typos cannot pass
-silently; errors name the file, line and key. The full schema is listed in
-the README.
+Unknown keys, and keys that set a field already set, are rejected outright
+so hyperparameter typos cannot pass silently; errors name the file, line
+and key. The full schema is listed in the README.
 
 On failure every subcommand prints a single line ``error: <Kind>: <detail>``
 to stderr and exits nonzero.
@@ -38,9 +38,9 @@ from .gradients import MTConfig
 from .metrics import METRIC_NAMES, compute_metric
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
 
-# Config keys that differ from the field they set, per target section.
-_RENAMED = {("params", "lambda_reg"): ("lambda", "lambda_l1"), ("mt", "seed"): ("mt_seed",)}
-_PARAM_RENAMES = {key: name for (_, name), keys in _RENAMED.items() for key in keys}
+# Config keys that differ from the field they set.
+_RENAMED = {"lambda_reg": ("lambda", "lambda_l1")}
+_PARAM_RENAMES = {key: name for name, keys in _RENAMED.items() for key in keys}
 
 
 def _make_schema() -> dict:
@@ -54,7 +54,7 @@ def _make_schema() -> dict:
     }
     for target, cls in (("params", bt.BoosterParams), ("mt", MTConfig)):
         for name, tag in bt.param_types(cls).items():
-            for key in _RENAMED.get((target, name), (name,)):
+            for key in _RENAMED.get(name, (name,)):
                 schema[key] = (tag, target)
     return schema
 
@@ -94,7 +94,11 @@ def parse_config(path) -> dict:
                 f"{path}:{lineno}: key {key!r}: cannot parse {value!r} as {type_tag}",
                 path=str(path), line=lineno, key=key,
             ) from None
-        sections[target][_PARAM_RENAMES.get(key, key)] = parsed
+        name = _PARAM_RENAMES.get(key, key)
+        if name in sections[target]:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} sets {name!r} a second time",
+                              path=str(path), line=lineno, key=key)
+        sections[target][name] = parsed
     return sections
 
 

@@ -55,21 +55,18 @@ class MTConfig:
 
     ``gamma_boost`` amplifies the chosen tasks' weights (useful range 10 to
     100; higher helps when tasks conflict). Target means control the common
-    scale gradients are normalized to; the std targets are kept in the
-    model file but not enforced, since a single scalar weight cannot hit a
-    mean and a std at once.
+    scale gradients are normalized to. ``always_main`` selection and
+    ``pearson_to_main`` damping take task 0 as the main task, whatever
+    ``BoosterParams.main_task_index`` is.
     """
 
     gamma_boost: float = 50.0
     g_target_mean: float = 0.05
-    g_target_std: float = 0.01
     h_target_mean: float = 1.0
-    h_target_std: float = 0.1
     task_select: str = "always_main"
     task_weights: tuple[float, ...] | None = None
     n_selected: int = 1
     corr_mode: str = "pearson_to_main"
-    seed: int = 0
 
     def __post_init__(self):
         if self.task_weights is not None and len(self.task_weights) == 0:
@@ -99,8 +96,6 @@ class MTConfig:
                     f"n_selected={self.n_selected} exceeds the {nonzero} tasks "
                     "with nonzero task_weights"
                 )
-        if self.seed < 0:
-            raise InvalidParameter("seed must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -130,7 +125,7 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, iteration])
 
 
-def select_tasks(config: MTConfig, n_tasks: int, iteration: int) -> frozenset[int]:
+def select_tasks(config: MTConfig, n_tasks: int, iteration: int, seed: int) -> frozenset[int]:
     """Pick the task indices to amplify this iteration.
 
     ``always_main`` forces task 0 and fills the rest uniformly; the other
@@ -140,7 +135,7 @@ def select_tasks(config: MTConfig, n_tasks: int, iteration: int) -> frozenset[in
     k = min(config.n_selected, n_tasks)
     if n_tasks == 1:
         return frozenset({0})
-    rng = _iteration_rng(config.seed, iteration)
+    rng = _iteration_rng(seed, iteration)
     if config.task_select == "always_main":
         rest = rng.choice(np.arange(1, n_tasks), size=k - 1, replace=False) if k > 1 else []
         return frozenset({0, *map(int, rest)})
@@ -155,7 +150,7 @@ def select_tasks(config: MTConfig, n_tasks: int, iteration: int) -> frozenset[in
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int) -> EnsembleGrad:
+def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int, seed: int) -> EnsembleGrad:
     """Collapse per-task gradients into one splitting pair per sample. Raises
     NonFiniteGradient unless the combined values and their total over the
     rows, which bounds every node sum, are finite."""
@@ -163,7 +158,7 @@ def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int) -> Ensemb
     n = g.shape[1]
     w = normalize_weights(g, config.g_target_mean)
     v = normalize_weights(h, config.h_target_mean)
-    chosen = select_tasks(config, n, iteration)
+    chosen = select_tasks(config, n, iteration, seed)
     for k in chosen:
         w[k] *= config.gamma_boost
 

@@ -34,15 +34,15 @@ MAX_DELTA_DEFAULT = 1e10
 
 @dataclass(frozen=True)
 class GrowthParams:
-    """Stopping and regularization knobs for a single tree."""
+    """Stopping and regularization knobs for a single tree (defaults in BoosterParams)."""
 
-    max_leaves: int = 31
-    max_depth: int = 6
-    min_samples_leaf: int = 20
-    min_hess_leaf: float = 1e-3
-    min_gain_to_split: float = 0.0
-    lambda_reg: float = 0.1
-    gamma_reg: float = 0.0
+    max_leaves: int
+    max_depth: int
+    min_samples_leaf: int
+    min_hess_leaf: float
+    min_gain_to_split: float
+    lambda_reg: float
+    gamma_reg: float
 
     def __post_init__(self):
         if self.max_leaves < 1:
@@ -297,16 +297,14 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
 class MultiOutputTree:
     """Finished tree: shared structure plus per-task leaf values.
 
-    ``leaf_values`` holds the shrunk Newton steps, ``leaf_residual_means``
-    the plain per-task mean gradient of each leaf's samples (kept in the
-    model dump as the residual summary of the leaf). ``routes`` are the
+    ``leaf_values`` holds the shrunk Newton steps, one row of n per leaf,
+    and ``leaf_counts`` the training rows of each leaf. ``routes`` are the
     routing tables compiled from ``skeleton`` when the tree is made, unless
     given (trees sharing a skeleton share them); they are never saved.
     """
 
     skeleton: TreeSkeleton
     leaf_values: np.ndarray  # (L, n)
-    leaf_residual_means: np.ndarray  # (L, n)
     leaf_counts: np.ndarray  # (L,)
     routes: RouteTables = field(default=None, repr=False)
 
@@ -348,12 +346,7 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
         sum_h[:, t] = np.bincount(leaf_id, weights=h_u[:, t], minlength=counts.size)
     values = -learning_rate * sum_g / (sum_h + lambda_reg)
     np.clip(values, -max_delta, max_delta, out=values)
-    return MultiOutputTree(
-        skeleton=skeleton,
-        leaf_values=values,
-        leaf_residual_means=sum_g / counts[:, None],
-        leaf_counts=counts,
-    )
+    return MultiOutputTree(skeleton=skeleton, leaf_values=values, leaf_counts=counts)
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,10 @@ def enumerate_best_split(binned, finite_bins, g, h, *, lam, gamma_reg,
 
 
 def leaf_values_oracle(leaf_id, n_leaves, g, h, *, lam, lr, max_delta):
-    """Per-leaf Newton values, mean gradients and row counts.
+    """Per-leaf Newton values and row counts.
 
     Each row's gradients are added to its leaf's running sums one row at a
-    time, in ascending row order. Returns (values, means, counts) arrays.
+    time, in ascending row order. Returns (values, counts) arrays.
     """
     m, n = g.shape
     sum_g = [[0.0] * n for _ in range(n_leaves)]
@@ -197,17 +197,13 @@ def leaf_values_oracle(leaf_id, n_leaves, g, h, *, lam, lr, max_delta):
             sum_g[leaf][t] += float(g[i, t])
             sum_h[leaf][t] += float(h[i, t])
     values = []
-    means = []
     for leaf in range(n_leaves):
         row_values = []
-        row_means = []
         for t in range(n):
             value = -lr * sum_g[leaf][t] / (sum_h[leaf][t] + lam)
             row_values.append(min(max(value, -max_delta), max_delta))
-            row_means.append(sum_g[leaf][t] / counts[leaf])
         values.append(row_values)
-        means.append(row_means)
-    return np.array(values), np.array(means), np.array(counts)
+    return np.array(values), np.array(counts)
 
 
 # ---------------------------------------------------------------------------

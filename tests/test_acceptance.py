@@ -176,10 +176,9 @@ def test_criterion_3_gradient_algorithm_oracles():
                 task_select="uniform_random",
                 n_selected=int(rng.integers(1, n + 1)),
                 corr_mode="pearson_to_main" if trial % 2 else "constant_one",
-                seed=trial,
             )
-            eg = ensemble_grad_hess(gh, cfg, iteration=trial)
-            chosen = select_tasks(cfg, n, trial)
+            eg = ensemble_grad_hess(gh, cfg, iteration=trial, seed=trial)
+            chosen = select_tasks(cfg, n, trial, seed=trial)
             assert eg.chosen_tasks == chosen
             oge, ohe, ow, ov = ensemble_oracle(
                 g, h, gamma=cfg.gamma_boost, chosen=chosen,

@@ -278,7 +278,6 @@ class TestPredict:
         stump = MultiOutputTree(
             skeleton=nodeless_skeleton(),
             leaf_values=np.array([[0.2, -0.1]]),
-            leaf_residual_means=np.zeros((1, 2)),
             leaf_counts=np.array([table.m]),
         )
         model = BoosterModel(
@@ -388,7 +387,7 @@ class TestPredictLayout:
         model, _ = model_and_rows
         stump = MultiOutputTree(
             skeleton=nodeless_skeleton(), leaf_values=np.array([[0.25, -0.5, 0.125]]),
-            leaf_residual_means=np.zeros((1, 3)), leaf_counts=np.array([400]),
+            leaf_counts=np.array([400]),
         )
         model = dataclasses.replace(model, trees=model.trees[:3] + [stump] + model.trees[3:])
         path = tmp_path / "model.txt"
@@ -497,10 +496,11 @@ class TestModelFile:
 
 
 GOLDEN = Path(__file__).parent / "golden_model_v1.txt"  # 2 tasks, NaN features, valid log
+GOLDEN_V2 = Path(__file__).parent / "golden_model_v2.txt"  # save_model(load_model(GOLDEN))
 
 
-def _golden_lines():
-    return GOLDEN.read_text().splitlines()
+def _golden_lines(golden=GOLDEN):
+    return golden.read_text().splitlines()
 
 
 def _with_token(lines, line_no, tok, value):
@@ -580,11 +580,11 @@ def mutated_trees(draw):
     return kind, skeleton, finite_bins
 
 
-class TestModelFileChecks:
-    def test_golden_v1_round_trips_byte_for_byte(self, tmp_path):
-        path = tmp_path / "again.txt"
-        save_model(load_model(GOLDEN), path)
-        assert path.read_bytes() == GOLDEN.read_bytes()
+class GoldenFileEdits:
+    """Edits of a golden model file: each is rejected, or loads and predicts.
+    Run on the v1 file and on the v2 file."""
+
+    golden = GOLDEN
 
     @pytest.mark.parametrize("tok, value", [(3, "0"), (2, "99999999999")],
                              ids=["self-loop", "threshold-1e11"])
@@ -595,7 +595,7 @@ class TestModelFileChecks:
         # file before it compiles any tree.
         compiled = []
         monkeypatch.setattr(tree_module, "compile_routes", compiled.append)
-        lines = _golden_lines()
+        lines = _golden_lines(self.golden)
         root = next(i for i, line in enumerate(lines) if line.startswith("node "))
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(_with_token(lines, root, tok, value)) + "\n")
@@ -603,24 +603,15 @@ class TestModelFileChecks:
             load_model(path)
         assert compiled == []
 
-    def test_empty_task_weights_saved_as_null(self, rng, tmp_path):
-        params = reg_params(mt=MTConfig(corr_mode="constant_one", task_weights=()))
-        assert params.mt.task_weights is None
-        path = tmp_path / "model.txt"
-        save_model(train(binned(regression_table(rng)), params), path)
-        assert '"task_weights": null' in path.read_text()
-
     @pytest.mark.parametrize("tok, value", [
         (3, "0"),  # left child is the node itself: routing would never end
         (4, "99"),  # right child past the last node
         (3, "-99"),  # leaf past the last leaf
         (1, "99"),  # feature past the last feature
         (2, "99"),  # threshold_bin past the feature's last boundary
-        (5, "0"),  # <default_right> must be 1
-    ], ids=["self-loop", "child-99", "leaf-99", "feature-99", "threshold-99",
-            "default_right-0"])
+    ], ids=["self-loop", "child-99", "leaf-99", "feature-99", "threshold-99"])
     def test_corrupt_node_rejected(self, tmp_path, tok, value):
-        lines = _golden_lines()
+        lines = _golden_lines(self.golden)
         root = next(i for i, line in enumerate(lines) if line.startswith("node "))
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(_with_token(lines, root, tok, value)) + "\n")
@@ -640,9 +631,98 @@ class TestModelFileChecks:
             "str-list", "str-in-floatlist", "mt-null"])
     def test_corrupt_params_rejected(self, tmp_path, change):
         path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_params(_golden_lines(self.golden), change)) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    def test_leaf_width_must_match_task_count(self, tmp_path):
+        lines = _golden_lines(self.golden)
+        i = next(i for i, line in enumerate(lines) if line.startswith("leaf "))
+        parts = lines[i].split(" ")
+        del parts[4]  # "leaf <count> values <v0> <v1> ..." loses <v1>
+        lines[i] = " ".join(parts)
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    def test_node_token_sweep_loads_and_predicts_or_rejects(self, rng, tmp_path):
+        lines = _golden_lines(self.golden)
+        x = rng.normal(size=(40, 3))
+        x[::3, 1] = np.nan
+        path = tmp_path / "swept.txt"
+        rejected = 0
+        for i, line in enumerate(lines):
+            if not line.startswith("node "):
+                continue
+            for tok in range(len(line.split(" "))):
+                for value in ("-1", "0", "99", "x", str(2**70), str(-2**70)):
+                    path.write_text("\n".join(_with_token(lines, i, tok, value)) + "\n")
+                    try:
+                        model = load_model(path)
+                    except MtboostError:
+                        rejected += 1
+                        continue
+                    assert predict(model, x).shape == (40, 2)
+        assert rejected > 0
+
+
+class TestModelFileChecks(GoldenFileEdits):
+    def test_golden_v2_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "again.txt"
+        save_model(load_model(GOLDEN_V2), path)
+        assert path.read_bytes() == GOLDEN_V2.read_bytes()
+
+    def test_golden_v1_predicts_as_v2(self, rng):
+        v1, v2 = load_model(GOLDEN), load_model(GOLDEN_V2)
+        # The v1 file holds seed 3 and mt.seed 2; train() keyed selection on their sum.
+        assert v1.params == v2.params and v1.params.seed == 5
+        x = rng.normal(size=(300, 3))
+        x[::3, 1] = np.nan
+        x[::5, 0] = np.nan
+        for task in (None, 0, 1):
+            assert predict(v1, x, task).tobytes() == predict(v2, x, task).tobytes()
+
+    @pytest.mark.parametrize("line, tok, value", [
+        ("node ", 5, "0"),  # <default_right> must be 1
+        ("leaf ", 5, "mean"),  # the token before the means
+        ("leaf ", 6, "x"),  # a mean that is not a hex float
+    ], ids=["default_right-0", "means-token", "means-hex"])
+    def test_v1_only_columns_checked(self, tmp_path, line, tok, value):
+        lines = _golden_lines()
+        i = next(i for i, text in enumerate(lines) if text.startswith(line))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_token(lines, i, tok, value)) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda p: p["mt"].pop("g_target_std"),
+        _set("h_target_std", math.nan, "mt"),
+        _set("seed", -1, "mt"),
+        _set("seed", 1.0, "mt"),
+    ], ids=["no-mt-g_target_std", "nan-std", "negative-mt-seed", "float-mt-seed"])
+    def test_v1_only_params_checked(self, tmp_path, change):
+        path = tmp_path / "bad.txt"
         path.write_text("\n".join(_with_params(_golden_lines(), change)) + "\n")
         with pytest.raises(FormatVersionMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("golden, marker", [
+        (GOLDEN, "mtboost-model-v2"), (GOLDEN_V2, "mtboost-model-v1"),
+    ], ids=["v1-lines", "v2-lines"])
+    def test_marker_must_match_lines(self, tmp_path, golden, marker):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join([marker, *_golden_lines(golden)[1:]]) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    def test_empty_task_weights_saved_as_null(self, rng, tmp_path):
+        params = reg_params(mt=MTConfig(corr_mode="constant_one", task_weights=()))
+        assert params.mt.task_weights is None
+        path = tmp_path / "model.txt"
+        save_model(train(binned(regression_table(rng)), params), path)
+        assert '"task_weights": null' in path.read_text()
 
     @pytest.mark.parametrize("change", [
         lambda cuts: [cuts[-1], *cuts[1:-1], cuts[0]],
@@ -670,37 +750,6 @@ class TestModelFileChecks:
         path = tmp_path / "neg_inf.txt"
         path.write_text("\n".join(lines) + "\n")
         assert load_model(path).mapper.boundaries[0][0] == -np.inf
-
-    def test_leaf_width_must_match_task_count(self, tmp_path):
-        lines = _golden_lines()
-        i = next(i for i, line in enumerate(lines) if line.startswith("leaf "))
-        parts = lines[i].split(" ")
-        del parts[4]  # "leaf <count> values <v0> <v1> means ..." loses <v1>
-        lines[i] = " ".join(parts)
-        path = tmp_path / "bad.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatVersionMismatch):
-            load_model(path)
-
-    def test_node_token_sweep_loads_and_predicts_or_rejects(self, rng, tmp_path):
-        lines = _golden_lines()
-        x = rng.normal(size=(40, 3))
-        x[::3, 1] = np.nan
-        path = tmp_path / "swept.txt"
-        rejected = 0
-        for i, line in enumerate(lines):
-            if not line.startswith("node "):
-                continue
-            for tok in range(len(line.split(" "))):
-                for value in ("-1", "0", "99", "x", str(2**70), str(-2**70)):
-                    path.write_text("\n".join(_with_token(lines, i, tok, value)) + "\n")
-                    try:
-                        model = load_model(path)
-                    except MtboostError:
-                        rejected += 1
-                        continue
-                    assert predict(model, x).shape == (40, 2)
-        assert rejected > 0
 
     def test_huge_leaf_count_rejected_before_allocating(self, tmp_path):
         # The first tree's header claims 10**12 leaves for its 4 nodes.
@@ -744,34 +793,41 @@ class TestModelFileChecks:
     def test_line_edits_load_and_predict_or_reject(self, tmp_path_factory, edits):
         # Whole lines of the golden file deleted, duplicated or swapped: the
         # file loads and predicts, or load_model raises an MtboostError.
-        lines = _golden_lines()
-        for kind, i, j in edits:
-            i, j = i % len(lines), j % len(lines)
-            if kind == "delete":
-                del lines[i]
-            elif kind == "duplicate":
-                lines.insert(j, lines[i])
-            else:
-                lines[i], lines[j] = lines[j], lines[i]
-        path = tmp_path_factory.getbasetemp() / "line_edits.txt"
-        path.write_text("\n".join(lines) + "\n")
+        # On both golden files: a hypothesis test must not be inherited by
+        # two classes (GoldenFileEdits), so this one loops over them.
         x = np.random.default_rng(0).normal(size=(40, 3))
         x[::3, 1] = np.nan
 
         def hang(signum, frame):
             raise TimeoutError("load or predict did not finish in 10 s")
 
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(10)
-        try:
+        for golden in (GOLDEN, GOLDEN_V2):
+            lines = _golden_lines(golden)
+            for kind, i, j in edits:
+                i, j = i % len(lines), j % len(lines)
+                if kind == "delete":
+                    del lines[i]
+                elif kind == "duplicate":
+                    lines.insert(j, lines[i])
+                else:
+                    lines[i], lines[j] = lines[j], lines[i]
+            path = tmp_path_factory.getbasetemp() / "line_edits.txt"
+            path.write_text("\n".join(lines) + "\n")
+            previous = signal.signal(signal.SIGALRM, hang)
+            signal.alarm(10)
             try:
-                model = load_model(path)
-            except MtboostError:
-                return
-            assert predict(model, x).shape == (40, model.n_tasks)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+                try:
+                    model = load_model(path)
+                except MtboostError:
+                    continue
+                assert predict(model, x).shape == (40, model.n_tasks)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+
+
+class TestModelFileChecksV2(GoldenFileEdits):
+    golden = GOLDEN_V2
 
 
 class TestExtractTask:
@@ -813,7 +869,7 @@ class TestDeterminism:
         table = regression_table(rng, n=2)
         ds = binned(table)
         params = reg_params(
-            seed=42, mt=MTConfig(task_select="uniform_random", n_selected=1, seed=7)
+            seed=42 + 7, mt=MTConfig(task_select="uniform_random", n_selected=1)
         )
         m1 = train(ds, params)
         m2 = train(ds, params)

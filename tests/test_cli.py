@@ -41,12 +41,14 @@ def run(args):
 
 class TestConfigParsing:
     def test_unknown_key(self, tmp_path):
+        # The last three set fields that no longer exist.
         p = tmp_path / "c.txt"
-        p.write_text("definitely_not_a_key = 5\n")
-        with pytest.raises(ConfigError) as excinfo:
-            parse_config(p)
-        assert "definitely_not_a_key" in str(excinfo.value)
-        assert excinfo.value.line == 1
+        for key in ("definitely_not_a_key", "g_target_std", "h_target_std", "mt_seed"):
+            p.write_text(f"{key} = 5\n")
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(p)
+            assert f"unknown config key {key!r}" in str(excinfo.value)
+            assert excinfo.value.line == 1
 
     def test_bad_value_reports_key_and_line(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -170,6 +172,23 @@ class TestPipeline:
         assert err.count("\n") == 1  # single-line error
         assert "mystery_knob" in err
 
+    def test_field_set_twice_is_one_line_error(self, workdir, capsys):
+        # A repeated key, and two aliases of one field: the second line is
+        # rejected, not silently taken.
+        data = workdir / "data.csv"
+        data.write_text("a,y\n1,0\n2,1\n")
+        cfg = workdir / "twice.txt"
+        for first, second in (("num_iterations = 3", "num_iterations = 4"),
+                              ("lambda = 0.5", "lambda_l1 = 2.0")):
+            cfg.write_text(f"label_columns = y\n{first}\nobjectives = regression_l2\n{second}\n")
+            assert run(["train", "--config", cfg, "--data", data,
+                        "--out", workdir / "m.txt"]) == 1
+            err = capsys.readouterr().err
+            assert err.count("error: ConfigError: ") == 1 and err.count("\n") == 1
+            key = second.split(" ")[0]
+            assert err.startswith(f"error: ConfigError: {cfg}:4: key {key!r} sets ")
+        assert not (workdir / "m.txt").exists()
+
     def test_ragged_csv_is_one_line_error(self, workdir, capsys):
         data = workdir / "ragged.csv"
         data.write_text("a,b,y\n1,2,3\n4,5\n")
@@ -230,7 +249,10 @@ class TestPipeline:
         run(["synth", "--scenario", "noisy_tasks", "--m", "200", "--d", "3",
              "--seed", "5", "--out", data])
         bad = workdir / "bad.txt"
-        bad.write_text(CONFIG + extra)  # later lines override CONFIG's
+        # A field may be set once, so extra's lines replace CONFIG's for their keys.
+        keys = {line.split(" = ")[0] for line in extra.splitlines()}
+        kept = [line for line in CONFIG.splitlines() if line.split(" = ")[0] not in keys]
+        bad.write_text("\n".join(kept) + "\n" + extra)
         capsys.readouterr()
         code = run(["train", "--config", bad, "--data", data, "--out", workdir / "m.txt"])
         assert code == 1
@@ -430,7 +452,11 @@ def test_fuzzed_config_exits_cleanly_or_with_one_error_line(tmp_path_factory, fu
                                                             lines):
     work = tmp_path_factory.mktemp("fuzz_run")
     cfg = work / "cfg.txt"
-    cfg.write_text(FUZZ_CONFIG + "".join(f"{key} = {value}\n" for key, value in lines))
+    # A field may be set once, so a fuzzed key replaces FUZZ_CONFIG's line for
+    # it; a key repeated within ``lines`` still fuzzes the duplicate-key error.
+    keys = {key for key, _ in lines}
+    kept = [line for line in FUZZ_CONFIG.splitlines(True) if line.split(" = ")[0] not in keys]
+    cfg.write_text("".join(kept) + "".join(f"{key} = {value}\n" for key, value in lines))
     model = work / "model.txt"
     err = io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):

@@ -51,36 +51,36 @@ class TestNormalizeWeights:
 
 class TestSelectTasks:
     def test_always_main_single(self):
-        cfg = MTConfig(task_select="always_main", n_selected=1, seed=3)
-        assert select_tasks(cfg, 4, 0) == {0}
+        cfg = MTConfig(task_select="always_main", n_selected=1)
+        assert select_tasks(cfg, 4, 0, seed=3) == {0}
 
     def test_single_task_any_policy(self):
         for policy in ("always_main", "uniform_random"):
-            cfg = MTConfig(task_select=policy, n_selected=1, seed=9)
-            assert select_tasks(cfg, 1, 5) == {0}
+            cfg = MTConfig(task_select=policy, n_selected=1)
+            assert select_tasks(cfg, 1, 5, seed=9) == {0}
 
     def test_uniform_deterministic(self):
-        cfg = MTConfig(task_select="uniform_random", n_selected=2, seed=11)
-        first = select_tasks(cfg, 4, 7)
+        cfg = MTConfig(task_select="uniform_random", n_selected=2)
+        first = select_tasks(cfg, 4, 7, seed=11)
         assert len(first) == 2
-        assert select_tasks(cfg, 4, 7) == first
+        assert select_tasks(cfg, 4, 7, seed=11) == first
 
     def test_iterations_vary(self):
-        cfg = MTConfig(task_select="uniform_random", n_selected=1, seed=11)
-        picks = {tuple(sorted(select_tasks(cfg, 4, it))) for it in range(50)}
+        cfg = MTConfig(task_select="uniform_random", n_selected=1)
+        picks = {tuple(sorted(select_tasks(cfg, 4, it, seed=11))) for it in range(50)}
         assert len(picks) > 1
 
     def test_always_main_includes_zero(self):
-        cfg = MTConfig(task_select="always_main", n_selected=3, seed=4)
+        cfg = MTConfig(task_select="always_main", n_selected=3)
         for it in range(10):
-            chosen = select_tasks(cfg, 5, it)
+            chosen = select_tasks(cfg, 5, it, seed=4)
             assert 0 in chosen and len(chosen) == 3
 
     def test_weighted_needs_weights(self):
         with pytest.raises(ValueError):
             MTConfig(task_select="weighted")
         cfg = MTConfig(task_select="weighted", task_weights=(0.9, 0.1), n_selected=1)
-        counts = sum(0 in select_tasks(cfg, 2, it) for it in range(200))
+        counts = sum(0 in select_tasks(cfg, 2, it, seed=0) for it in range(200))
         assert counts > 150  # heavy weight dominates
 
 
@@ -91,14 +91,14 @@ def random_gh(rng, m=40, n=3):
 class TestEnsembleGradHess:
     def test_single_task_sign_pattern(self, rng):
         gh = GradHess(g=rng.normal(size=(20, 1)), h=np.ones((20, 1)))
-        eg = ensemble_grad_hess(gh, MTConfig(), 0)
+        eg = ensemble_grad_hess(gh, MTConfig(), 0, seed=0)
         assert np.array_equal(np.sign(eg.g_e), np.sign(gh.g[:, 0]))
 
     def test_equal_columns_proportional(self, rng):
         col = rng.normal(size=30)
         gh = GradHess(g=np.column_stack([col, col]), h=np.ones((30, 2)))
-        cfg = MTConfig(task_select="uniform_random", n_selected=2, seed=1)
-        eg = ensemble_grad_hess(gh, cfg, 0)
+        cfg = MTConfig(task_select="uniform_random", n_selected=2)
+        eg = ensemble_grad_hess(gh, cfg, 0, seed=1)
         ratio = eg.g_e[col != 0] / col[col != 0]
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
@@ -109,8 +109,8 @@ class TestEnsembleGradHess:
         h = np.array(
             [[1.0, 0.5], [1.0, 0.7], [1.0, 0.9], [1.0, 1.1]], dtype=np.float64
         )
-        cfg = MTConfig(gamma_boost=10.0, task_select="always_main", n_selected=1, seed=0)
-        eg = ensemble_grad_hess(GradHess(g=g, h=h), cfg, 0)
+        cfg = MTConfig(gamma_boost=10.0, task_select="always_main", n_selected=1)
+        eg = ensemble_grad_hess(GradHess(g=g, h=h), cfg, 0, seed=0)
         assert eg.chosen_tasks == {0}
         ge, he, w, v = ensemble_oracle(g, h, gamma=10.0, chosen={0})
         np.testing.assert_allclose(eg.g_e, ge, rtol=1e-12, atol=1e-15)
@@ -121,7 +121,7 @@ class TestEnsembleGradHess:
     def test_nonfinite_rejected(self):
         g = np.array([[np.nan]])
         with pytest.raises(NonFiniteGradient):
-            ensemble_grad_hess(GradHess(g=g, h=np.ones((1, 1))), MTConfig(), 0)
+            ensemble_grad_hess(GradHess(g=g, h=np.ones((1, 1))), MTConfig(), 0, seed=0)
 
     @pytest.mark.parametrize("config", [
         MTConfig(g_target_mean=1e308),  # weight 2e308 overflows
@@ -136,18 +136,18 @@ class TestEnsembleGradHess:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteGradient):
-                ensemble_grad_hess(gh, config, 0)
+                ensemble_grad_hess(gh, config, 0, seed=0)
 
     def test_h_e_strictly_positive(self, rng):
         gh = GradHess(g=rng.normal(size=(30, 2)), h=np.zeros((30, 2)))
-        eg = ensemble_grad_hess(gh, MTConfig(task_select="uniform_random"), 2)
+        eg = ensemble_grad_hess(gh, MTConfig(task_select="uniform_random"), 2, seed=0)
         assert (eg.h_e > 0).all()
 
     def test_deterministic(self, rng):
         gh = random_gh(rng)
-        cfg = MTConfig(task_select="uniform_random", n_selected=2, seed=5)
-        a = ensemble_grad_hess(gh, cfg, 3)
-        b = ensemble_grad_hess(gh, cfg, 3)
+        cfg = MTConfig(task_select="uniform_random", n_selected=2)
+        a = ensemble_grad_hess(gh, cfg, 3, seed=5)
+        b = ensemble_grad_hess(gh, cfg, 3, seed=5)
         assert np.array_equal(a.g_e, b.g_e)
         assert np.array_equal(a.h_e, b.h_e)
         assert a.chosen_tasks == b.chosen_tasks

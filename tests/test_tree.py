@@ -414,7 +414,6 @@ class TestFitLeafValues:
         h = np.array([[1.0]])
         tree = fit_leaf_values(skeleton, np.array([0]), g, h, 1.0, 0.1)
         assert tree.leaf_values[0, 0] == pytest.approx(-0.1 * 2.0 / 2.0)
-        assert tree.leaf_residual_means[0, 0] == 2.0
 
     def test_zero_gradients_zero_values(self, rng):
         skeleton, leaf_id = self._grow(rng)
@@ -441,11 +440,10 @@ class TestFitLeafValues:
             g = rng.normal(size=(300, n_tasks)) * 10.0 ** rng.integers(-8, 8, size=(300, n_tasks))
             h = rng.uniform(0.1, 3.0, size=(300, n_tasks))
             tree = fit_leaf_values(skeleton, leaf_id, g, h, 0.3, 0.1, max_delta=1e4)
-            values, means, counts = leaf_values_oracle(
+            values, counts = leaf_values_oracle(
                 leaf_id, skeleton.n_leaves, g, h, lam=0.3, lr=0.1, max_delta=1e4
             )
             assert np.array_equal(tree.leaf_values, values)
-            assert np.array_equal(tree.leaf_residual_means, means)
             assert np.array_equal(tree.leaf_counts, counts)
             assert np.abs(values).max() == 1e4  # the clamp was exercised
 
