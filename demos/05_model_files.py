@@ -34,25 +34,25 @@ model = train(dataset, BoosterParams(
     mt=MTConfig(task_select="uniform_random", n_selected=1),
 ))
 
-workdir = tempfile.mkdtemp()
-full_path = os.path.join(workdir, "full.txt")
-save_model(model, full_path)
+with tempfile.TemporaryDirectory() as workdir:
+    full_path = os.path.join(workdir, "full.txt")
+    save_model(model, full_path)
 
-with open(full_path) as fh:
-    head = [next(fh) for _ in range(8)]
-print("model file header:")
-print("".join("  " + line for line in head))
+    with open(full_path) as fh:
+        head = [next(fh) for _ in range(8)]
+    print("model file header:")
+    print("".join("  " + line for line in head))
 
-# Round trip is lossless.
-reloaded = load_model(full_path)
-x = np.random.default_rng(0).uniform(0, 1, size=(500, 4))
-assert np.array_equal(predict(model, x), predict(reloaded, x))
-print("save -> load -> predict: bit-identical")
+    # Round trip is lossless.
+    reloaded = load_model(full_path)
+    x = np.random.default_rng(0).uniform(0, 1, size=(500, 4))
+    assert np.array_equal(predict(model, x), predict(reloaded, x))
+    print("save -> load -> predict: bit-identical")
 
-# Extraction keeps only one task's outputs.
-aux = extract_task(model, 1)
-aux_path = os.path.join(workdir, "aux_only.txt")
-save_model(aux, aux_path)
-assert np.array_equal(predict(aux, x, task=0), predict(model, x, task=1))
-print(f"extracted task 'y_aux': predictions exact, file "
-      f"{os.path.getsize(full_path)} -> {os.path.getsize(aux_path)} bytes")
+    # Extraction keeps only one task's outputs.
+    aux = extract_task(model, 1)
+    aux_path = os.path.join(workdir, "aux_only.txt")
+    save_model(aux, aux_path)
+    assert np.array_equal(predict(aux, x, task=0), predict(model, x, task=1))
+    print(f"extracted task 'y_aux': predictions exact, file "
+          f"{os.path.getsize(full_path)} -> {os.path.getsize(aux_path)} bytes")

@@ -56,6 +56,7 @@ from .tree import (
     grow_tree,
     route_binned,
     split_gain,
+    stack_routes,
     subtract_histograms,
 )
 
@@ -104,6 +105,7 @@ __all__ = [
     "save_model",
     "select_tasks",
     "split_gain",
+    "stack_routes",
     "subtract_histograms",
     "train",
     "transform_score",

@@ -46,14 +46,19 @@ from .tree import (
     grow_tree,
     route_binned,
     route_buffers,
+    stack_routes,
 )
 
 MODEL_FORMAT_MARKER = "mtboost-model-v2"
-# Rows that predict passes every tree over before it moves to the next
-# rows, so the block's bins, route buffers and scores (about 1.1 MB for 6
-# features and 4 tasks) stay in cache across trees. Of 4096 to 32768 rows,
-# 8192 routed predict_batch's model fastest on a 2-vCPU VM (2 MB L2 per core).
-ROW_BLOCK = 8192
+# predict routes up to TREE_CHUNK trees together, ROUTE_CELLS // trees rows
+# at a time, so no buffer or table it makes grows with the number of trees
+# or rows. A pass's words and slot positions take 1 MB, its (trees + 1,
+# rows, tasks) value buffer 1 MB at 4 tasks, and 100 trees of 16-bit words
+# over 6 features stack into 0.3 MB of tables. Of chunks of 32 to 128 trees
+# and 2**14 to 2**17 cells, this routed predict_batch's 100-tree model
+# fastest on a 2-vCPU VM (2 MB L2 per core).
+TREE_CHUNK = 128
+ROUTE_CELLS = 1 << 15
 
 # Annotation of a parameter field -> type tag. The CLI parses config values
 # by these tags and load_model checks the params JSON against them.
@@ -164,10 +169,11 @@ def _base_scores(labels, objectives) -> np.ndarray:
     return base
 
 
-def _add_leaf_values(scores, tree: MultiOutputTree, leaf_id) -> None:
-    """Add each row's leaf values to its scores, one task column at a time."""
-    for t, values in enumerate(tree.leaf_values.T):
-        scores[:, t] += values.take(leaf_id)
+def _add_leaf_values(scores, values, index) -> None:
+    """Add each row's row of ``values``, picked by ``index``, to its scores,
+    one task column at a time."""
+    for t, column in enumerate(values.T):
+        scores[:, t] += column.take(index)
 
 
 def _losses(labels, scores, objectives, which: str) -> tuple[float, ...]:
@@ -237,11 +243,13 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         )
         del gh, gu, eg  # free g_e and h_e before the next iteration allocates its own
         trees.append(tree)
-        _add_leaf_values(scores, tree, leaf_id)
+        _add_leaf_values(scores, tree.leaf_values, leaf_id)
         train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
-            _add_leaf_values(valid_scores, tree, route_binned(tree.routes, valid.binned))
+            stack = stack_routes([tree.routes], [0])
+            _add_leaf_values(valid_scores, tree.leaf_values[stack.leaf_of_slot],
+                             route_binned(stack, valid.binned)[0])
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 
@@ -284,34 +292,50 @@ def _add_tree_values(out, trees, binned, tasks) -> None:
     """Add every tree's leaf values, in tree order, to ``out``: (tasks, k)
     scores, one row per task selected by ``tasks``.
 
-    Rows go in blocks of ROW_BLOCK. The bins of each block that the trees
-    split on are cast to ``intp`` once, its scores are copied to a row-major
-    (rows, tasks) block, and every tree routes the block through one set of
-    buffers, owned by this call, and adds its values there before the block
-    is copied back.
+    Trees go in chunks of TREE_CHUNK. The trees of a chunk are stacked once
+    per word kind (stack_routes), and their leaf values are laid out by
+    slot position. Rows then go in blocks of ROUTE_CELLS // trees: each
+    kind's route_binned call gives the block's slot positions for its
+    trees, one take gathers the values of all of them behind a copy of the
+    block's scores, and one reduce over that leading axis adds them to the
+    scores in tree order, as the walk from tree to tree would.
     """
-    k, d = binned.shape
-    split_on = np.concatenate([np.empty(0, np.intp), *(t.skeleton.feature for t in trees)])
-    used = np.flatnonzero(np.bincount(split_on, minlength=d))
-    size = min(k, ROW_BLOCK)
+    k = binned.shape[0]
     n_out = out.shape[0]
-    values = [np.ascontiguousarray(tree.leaf_values[:, tasks]) for tree in trees]
-    bins = np.empty(d * size, dtype=np.intp)
-    sums = np.empty(size * n_out)
-    gathered = np.empty(size * n_out)
-    buffers = route_buffers(size, max((tree.routes.n_words for tree in trees), default=1))
-    for start in range(0, k, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, k)
-        rows = bins[: d * (stop - start)].reshape(d, stop - start)
-        rows[used] = binned[start:stop, used].T
-        block = sums[: n_out * (stop - start)].reshape(stop - start, n_out)
-        got = gathered[: n_out * (stop - start)].reshape(stop - start, n_out)
-        np.copyto(block, out[:, start:stop].T)
-        for tree, tree_values in zip(trees, values):
-            leaf = route_binned(tree.routes, rows.T, buffers)
-            tree_values.take(leaf, axis=0, mode="wrap", out=got)
-            block += got
-        np.copyto(out[:, start:stop].T, block)
+    for first_tree in range(0, len(trees), TREE_CHUNK):
+        chunk = trees[first_tree:first_tree + TREE_CHUNK]
+        n_trees = len(chunk)
+        values = np.concatenate([tree.leaf_values[:, tasks] for tree in chunk])
+        first = np.cumsum([0] + [tree.n_leaves for tree in chunk])
+        kinds: dict[tuple[int, int], list[int]] = {}
+        for j, tree in enumerate(chunk):
+            kinds.setdefault((tree.routes.width, tree.routes.n_words), []).append(j)
+        stacks = [stack_routes([chunk[j].routes for j in js], first[js]) for js in kinds.values()]
+        # Each kind's positions index its own part of the chunk's values by slot.
+        by_slot = np.concatenate([values[stack.leaf_of_slot] for stack in stacks])
+        bases = np.cumsum([0] + [stack.leaf_of_slot.size for stack in stacks])
+        size = max(1, min(k, ROUTE_CELLS // n_trees))
+        buffers = route_buffers(size * max(s.n_trees * s.n_words for s in stacks))
+        gathered = np.empty((n_trees + 1) * size * n_out)
+        summed = np.empty(size * n_out)
+        for start in range(0, k, size):
+            rows = binned[start:start + size]
+            n_rows = rows.shape[0]
+            if len(stacks) == 1:
+                pos = route_binned(stacks[0], rows, buffers)
+            else:
+                pos = np.empty((n_trees, n_rows), dtype=np.intp)
+                for js, stack, base in zip(kinds.values(), stacks, bases):
+                    pos[js] = route_binned(stack, rows, buffers) + base
+            sums = gathered[:(n_trees + 1) * n_rows * n_out].reshape(n_trees + 1, n_rows, n_out)
+            block = summed[:n_rows * n_out].reshape(n_rows, n_out)
+            np.copyto(sums[0], out[:, start:start + n_rows].T)
+            by_slot.take(pos, axis=0, mode="clip", out=sums[1:])
+            if block.size > 1:
+                np.add.reduce(sums, axis=0, out=block)
+            else:  # a lone score's values would be added pairwise by reduce
+                block[:] = np.add.accumulate(sums, axis=0)[-1]
+            np.copyto(out[:, start:start + n_rows].T, block)
 
 
 def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -147,29 +148,59 @@ def _empty_cells(body: np.ndarray):
     return np.append(empty, body.size) if body[-1] == ord(",") else empty
 
 
-def _read_columns(path):
-    """Header, row count and cell columns of a CSV with a header row, by
-    csv.reader. Raises MalformedCsv when the file is not UTF-8 or a cell is
-    past csv's field limit, EmptyFile without a header or a data row, and
+# Rows that csv.reader reads before _read_columns parses them: only one
+# chunk's cells are held as text, so a file costs about 8 bytes a cell.
+_CHUNK_ROWS = 1024
+
+
+def _read_columns(path, missing_token: str, label_columns=None):
+    """Header and (m, k) float matrix of a CSV with a header row, by
+    csv.reader, parsed by ``_parse_columns`` _CHUNK_ROWS rows at a time
+    (cells of the columns named in ``label_columns`` keep the missing
+    token). Raises MalformedCsv when the file is not UTF-8 or a cell is past
+    csv's field limit, then EmptyFile without a header or a data row, then
     ShapeError on the first row whose cell count differs from the header's."""
-    rows = []
+    header, m, ragged, rows, parsed = None, 0, None, [], []
+
+    def parse():
+        parsed.append(_parse_columns(list(zip(*rows)), len(rows), missing_token, labels))
+        rows.clear()
+
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows.extend(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is not None:
+                labels = [header.index(name) for name in label_columns or () if name in header]
+                for row in reader:
+                    m += 1
+                    if ragged is None and len(row) != len(header):
+                        ragged = f"row {m + 1} has {len(row)} cells, header has {len(header)}"
+                    if ragged is None:
+                        rows.append(row)
+                        if len(rows) == _CHUNK_ROWS:
+                            parse()
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        raise MalformedCsv(f"{path}: row {len(rows) + 1}: {exc}") from None
-    if not rows:
+        raise MalformedCsv(f"{path}: row {m + 1 + (header is not None)}: {exc}") from None
+    if header is None:
         raise EmptyFile(f"{path}: no header row")
-    header = rows.pop(0)
-    if not rows:
+    if not m:
         raise EmptyFile(f"{path}: no data rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ShapeError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
-    # A file of blank lines has rows but no columns, so count the rows.
-    return header, len(rows), list(zip(*rows))
+    if ragged is not None:
+        raise ShapeError(ragged)
+    if rows:
+        parse()
+    # A file of blank lines has rows but no columns: the chunks count them.
+    return header, parsed[0] if len(parsed) == 1 else np.concatenate(parsed)
+
+
+def _cell(path, row: int, column: int) -> str:
+    """A cell of a CSV that _read_columns has read: ``column`` of record
+    ``row``, the header being record 0."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return next(itertools.islice(csv.reader(fh), row, None))[column]
 
 
 def _read_csv(path, missing_token: str, label_columns=None):
@@ -190,13 +221,12 @@ def _read_csv(path, missing_token: str, label_columns=None):
         if np.isfinite(matrix[:, label_idx]).all():
             return header, label_idx, matrix
         del fast, matrix
-    header, m, columns = _read_columns(path)
+    header, matrix = _read_columns(path, missing_token, label_columns)
     label_idx = _label_indices(header, label_columns)
-    matrix = _parse_columns(columns, m, missing_token, label_idx)
     bad = np.argwhere(~np.isfinite(matrix[:, label_idx].T))  # label column by label column
     if bad.size:
         t, i = bad[0]
-        cell = columns[label_idx[t]][i]
+        cell = _cell(path, i + 1, label_idx[t])
         try:
             float(cell)
             detail = "non-finite label"

@@ -398,7 +398,7 @@ class RouteTables:
 
 
 def compile_routes(skeleton: TreeSkeleton) -> RouteTables:
-    """Fold a tree's nodes into the tables route_binned gathers from.
+    """Fold a tree's nodes into the tables that stack_routes stacks for route_binned.
 
     QuickScorer's exit rule (Lucchese et al., SIGIR 2015): number the leaves
     left to right and start every row with all of them set. Each node whose
@@ -465,52 +465,117 @@ def compile_routes(skeleton: TreeSkeleton) -> RouteTables:
                        leaf_of_slot=leaf_of_slot.ravel())
 
 
-def route_buffers(k: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for route_binned on up to k rows and trees of up to n_words
-    words: (n_words + 1, k) 64-bit words and k leaf ids."""
-    return np.empty((n_words + 1, k), dtype=np.uint64), np.empty(k, dtype=np.intp)
+@dataclass(frozen=True, eq=False)
+class StackedRoutes:
+    """The routing tables of several trees of one word kind, side by side.
+
+    Word w of tree j is column ``j * n_words + w``. ``tables`` lists
+    (feature, table) for every feature any of the trees splits on, in
+    ascending feature order; row b of a table holds every tree's words for
+    bin b of that feature. A tree that does not split on the feature has
+    all-ones columns, and bins past a tree's top threshold repeat its last
+    entry, so the AND of one row per feature is every tree's leaf mask.
+    Tree j's exit slots take the positions from ``start[j]`` on, and
+    ``leaf_of_slot[p]`` is the index, in the trees' concatenated leaves, of
+    the leaf at position p.
+    """
+
+    width: int
+    n_words: int
+    tables: tuple[tuple[int, np.ndarray], ...]
+    start: np.ndarray
+    leaf_of_slot: np.ndarray
+
+    @property
+    def n_trees(self) -> int:
+        return self.start.size
 
 
-def route_binned(routes: RouteTables, binned, buffers=None) -> np.ndarray:
-    """Map each binned row to its leaf index (creation order): the leaf the
-    walk from the root reaches.
+def stack_routes(routes, first) -> StackedRoutes:
+    """Put the tables of trees of one word kind side by side; ``first[j]``
+    is the index of tree j's leaf 0 in their concatenated leaves."""
+    width, n_words = routes[0].width, routes[0].n_words
+    dtype = _WORD_KINDS[width].dtype
+    n_columns = len(routes) * n_words
+    gathers = [(f, j * n_words + w, table)
+               for j, r in enumerate(routes) for f, w, table in r.gathers]
+    tables = ()
+    if gathers:
+        features, columns, parts = zip(*gathers)
+        used, row = np.unique(features, return_inverse=True)
+        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+        # Every table's entries, then one all-ones entry that serves each
+        # tree not splitting on a feature; (first, last) entry of each cell.
+        entries = np.concatenate([*parts, np.full(1, np.iinfo(dtype).max, dtype)])
+        span = np.full((2, used.size, n_columns), entries.size - 1, dtype=np.int32)
+        span[1, row, columns] = np.cumsum(sizes) - 1
+        span[0, row, columns] = span[1, row, columns] - sizes + 1
+        at = span[0, :, None] + np.arange(sizes.max(), dtype=np.int32)[:, None]
+        np.minimum(at, span[1, :, None], out=at)
+        tables = tuple(zip(used.tolist(), entries.take(at)))
+    # Positions are counted in the words' own dtype (8-bit words in 16
+    # bits), which holds those of up to 4096 trees.
+    slots = n_words * width
+    start = np.arange(0, len(routes) * slots, slots, dtype=np.promote_types(dtype, np.uint16))
+    leaf_of_slot = np.concatenate([r.leaf_of_slot for r in routes]) + np.repeat(first, slots)
+    return StackedRoutes(width=width, n_words=n_words, tables=tables, start=start,
+                         leaf_of_slot=leaf_of_slot)
 
-    A row's leaf mask is the AND of one table entry per used feature and
-    word (see compile_routes), and its leaf is the mask's lowest set bit.
-    ``buffers`` (from route_buffers, at least as large as this call needs)
-    lets a caller route many trees through one set of arrays; the result is
-    then a view of its leaf ids, valid until the next call.
+
+def route_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for route_binned on up to ``cells`` rows times word columns:
+    two rows of 64-bit words and two rows of positions."""
+    return np.empty((2, cells), dtype=np.uint64), np.empty((2, cells), dtype=np.intp)
+
+
+def route_binned(stack: StackedRoutes, binned, buffers=None) -> np.ndarray:
+    """Route each binned row through every stacked tree: a (trees, rows)
+    array of the slot position of the leaf each row reaches in each tree,
+    which ``stack.leaf_of_slot`` maps to the leaf's index (see
+    stack_routes). That leaf is the one the walk from the root reaches.
+
+    A row's leaf masks are the AND of one table row per used feature, one
+    gather for all trees, and each tree's leaf is the lowest set bit of its
+    mask (see compile_routes). ``buffers`` (from route_buffers, with at
+    least rows times word columns cells) lets a caller route many blocks
+    through one set of arrays; the result is then a view of them, valid
+    until the next call.
     """
     k = binned.shape[0]
-    n_words = routes.n_words
-    words, leaf = buffers if buffers is not None else route_buffers(k, n_words)
-    kind = _WORD_KINDS[routes.width]
-    words = words[: n_words + 1, :k].view(kind.dtype)[:, :k]
-    got, words, leaf = words[-1], words[:n_words], leaf[:k]
-    if not routes.gathers:
-        leaf.fill(0)
-        return leaf
-    for i, (f, w, table) in enumerate(routes.gathers):
-        if i < n_words:
-            table.take(binned[:, f], mode="clip", out=words[w])
-        else:
-            table.take(binned[:, f], mode="clip", out=got)
-            words[w] &= got
+    n_trees, n_words = stack.n_trees, stack.n_words
+    cells = k * n_trees * n_words
+    words, index = buffers if buffers is not None else route_buffers(cells)
+    kind = _WORD_KINDS[stack.width]
+    spare = words[1]
+    words, got = (row[:cells].reshape(k, n_trees * n_words) for row in words.view(kind.dtype))
+    if not stack.tables:  # stumps only: every mask is all ones, leaf 0
+        words.fill(1)
+    for i, (f, table) in enumerate(stack.tables):
+        table.take(binned[:, f], axis=0, mode="clip", out=got if i else words)
+        if i:
+            words &= got
 
     # The row's leaf is the lowest set bit of its lowest nonzero word; for
-    # several words, leaf first holds the 64 * w offset of that word.
-    low = words[-1]
+    # several words, offset holds the 64 * w position of that word.
+    low = words
     if n_words > 1:
-        leaf.fill(64 * (n_words - 1))
+        words = words.reshape(k, n_trees, n_words)
+        low = words[:, :, -1]
+        offset = index[1, :k * n_trees].view(np.uint64).reshape(k, n_trees)
+        offset.fill(64 * (n_words - 1))
         for w in range(n_words - 2, -1, -1):
-            nonzero = words[w] != 0
-            np.copyto(low, words[w], where=nonzero)
-            np.copyto(leaf, 64 * w, where=nonzero)
-    np.negative(low, out=got)  # two's complement: ~low + 1
-    low &= got
+            nonzero = words[:, :, w] != 0
+            np.copyto(low, words[:, :, w], where=nonzero)
+            np.copyto(offset, 64 * w, where=nonzero)
+    neg = got[:, :n_trees]
+    np.negative(low, out=neg)  # two's complement: ~low + 1
+    low &= neg
     low *= kind.de_bruijn
     low >>= kind.shift
-    slot = low.view(np.int64) if routes.width == 64 else low
+    slot = spare.view(stack.start.dtype)[:k * n_trees].reshape(k, n_trees)
+    np.add(low, stack.start, out=slot)
     if n_words > 1:
-        slot += leaf
-    return routes.leaf_of_slot.take(slot, mode="wrap", out=leaf)
+        slot += offset
+    pos = index[0, :k * n_trees].reshape(n_trees, k)
+    np.copyto(pos, slot.T)
+    return pos

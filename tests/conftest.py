@@ -39,6 +39,28 @@ def nodeless_skeleton():
     return TreeSkeleton([], [], [], [], [], [], n_leaves=1)
 
 
+def random_skeleton(rng, n_leaves, finite_bins):
+    """A valid tree over n_leaves leaves, split one random leaf at a time as
+    grow_tree splits them (each child after its parent, leaves numbered in
+    creation order), on random features and thresholds the mapper allows."""
+    feature, threshold_bin, children, pending = [], [], [], [None]
+    while len(pending) < n_leaves:
+        slot = pending.pop(int(rng.integers(len(pending))))
+        f = int(rng.integers(len(finite_bins)))
+        feature.append(f)
+        threshold_bin.append(int(rng.integers(finite_bins[f] - 1)))
+        children += [0, 0]
+        if slot is not None:
+            children[slot] = len(feature) - 1
+        pending += [len(children) - 2, len(children) - 1]
+    for leaf, slot in enumerate(pending):
+        if slot is not None:
+            children[slot] = ~leaf
+    n = len(feature)
+    return TreeSkeleton(feature, threshold_bin, children[0::2], children[1::2],
+                        [0.0] * n, [1] * n, n_leaves=n_leaves)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -94,6 +94,12 @@ def test_traced_train_predict_save(spans, rng, tmp_path):
     n_leaves = sum(t.n_leaves for t in model.trees)
     assert n_leaves > len(model.trees)
     assert totals["tree.grow_tree"]["work"] == n_leaves
-    assert totals["tree.route_binned"]["work"] == len(model.trees) * (valid_ds.m + len(rows))
+    # Validation routes each new tree over every validation row; predict
+    # routes all trees of a row block together, so each of its calls counts
+    # the block's rows once (here one block and one word kind).
+    routed = totals["tree.route_binned"]
+    predict_calls = routed["calls"] - len(model.trees)
+    assert predict_calls == 1
+    assert routed["work"] == len(model.trees) * valid_ds.m + predict_calls * len(rows)
     assert totals["booster.save_model"]["work"] == (tmp_path / "model.txt").stat().st_size
     assert booster.grow_tree is tree.grow_tree  # the phase restored the originals

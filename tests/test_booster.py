@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from mtboost import tree as tree_module
 from mtboost.booster import (
-    ROW_BLOCK,
+    ROUTE_CELLS,
+    TREE_CHUNK,
     BoosterModel,
     BoosterParams,
     _check_tree,
@@ -40,7 +41,7 @@ from mtboost.gradients import MTConfig
 from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
 from mtboost.tree import MultiOutputTree, TreeSkeleton
 
-from conftest import nodeless_skeleton
+from conftest import nodeless_skeleton, random_skeleton
 from oracles import (
     check_tree_oracle,
     engine_tree_structure,
@@ -310,14 +311,15 @@ class TestPredict:
             task_names=model.task_names, training_log=[],
         )
         from mtboost.data import bin_column
-        from mtboost.tree import route_binned
+        from mtboost.tree import route_binned, stack_routes
 
         x = table.features[:20]
         cols = np.column_stack(
             [bin_column(x[:, f], model.mapper.boundaries[f]) for f in range(x.shape[1])]
         )
         last = model.trees[-1]
-        contribution = last.leaf_values[route_binned(last.routes, cols)]
+        stack = stack_routes([last.routes], [0])
+        contribution = last.leaf_values[stack.leaf_of_slot[route_binned(stack, cols)[0]]]
         np.testing.assert_array_equal(predict(shorter, x) + contribution, predict(model, x))
 
     def test_predict_proba_applies_links(self, rng):
@@ -382,8 +384,8 @@ class TestPredictLayout:
 
     @pytest.fixture
     def models(self, model_and_rows, tmp_path):
-        # predict routes ROW_BLOCK rows at a time through tables compiled
-        # once per tree; a tree without nodes sits among the trained ones.
+        # predict routes the 7 trees together, ROUTE_CELLS // 7 rows at a
+        # time; a tree without nodes sits among the trained ones.
         model, _ = model_and_rows
         stump = MultiOutputTree(
             skeleton=nodeless_skeleton(), leaf_values=np.array([[0.25, -0.5, 0.125]]),
@@ -401,8 +403,11 @@ class TestPredictLayout:
         x[::5] = np.nan  # whole rows missing
         return x
 
-    @pytest.mark.parametrize("k", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
-                                   2 * ROW_BLOCK + 3])
+    BLOCK = ROUTE_CELLS // 7
+
+    # Each block edge, and row counts that span several blocks.
+    @pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
+                                   8191, 8192, 8193, 16387])
     def test_equals_tree_order_oracle_at_block_edges(self, rng, models, k):
         x = self.rows(rng, k)
         for name, model in models.items():
@@ -424,7 +429,7 @@ class TestPredictLayout:
 
     def test_two_threads_predict_the_same_bytes(self, rng, models):
         model = models["trained"]
-        x = self.rows(rng, 2 * ROW_BLOCK + 3)
+        x = self.rows(rng, 2 * self.BLOCK + 3)
         want = predict(model, x).tobytes()
         start = threading.Barrier(2)
         got = [[], []]
@@ -440,6 +445,57 @@ class TestPredictLayout:
         for thread in threads:
             thread.join()
         assert got[0] == got[1] == [want] * 4
+
+
+class TestMixedWordKinds:
+    """A hand-built model of TREE_CHUNK + 7 trees cycling through every word
+    kind: a stump, up to 8, 16, 32 and 64 leaves, and two and three 64-bit
+    words. Its first chunk routes six kinds side by side in blocks of
+    ROUTE_CELLS // TREE_CHUNK rows, its last chunk of 7 trees in blocks of
+    ROUTE_CELLS // 7 rows."""
+
+    LEAVES = (1, 6, 13, 30, 64, 65, 150)
+    EDGES = (ROUTE_CELLS // TREE_CHUNK, ROUTE_CELLS // 7)
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((500, 5))
+        x[::9, 2] = np.nan
+        table = RawTable(x, np.zeros((500, 3)), tuple(f"f{j}" for j in range(5)),
+                         ("a", "b", "c"))
+        mapper = fit_bins(table, 64)
+        finite = mapper.finite_bin_counts
+        trees = []
+        for i in range(TREE_CHUNK + 7):
+            skeleton = random_skeleton(rng, self.LEAVES[i % len(self.LEAVES)], finite)
+            # Values of very different sizes, so any other order of the
+            # additions would move the sums' last bits.
+            values = rng.standard_normal((skeleton.n_leaves, 3)) * 10.0 ** rng.integers(
+                -6, 7, size=(skeleton.n_leaves, 3))
+            trees.append(MultiOutputTree(skeleton, values, np.ones(skeleton.n_leaves, np.int64)))
+        assert {(t.routes.width, t.routes.n_words) for t in trees[:TREE_CHUNK]} == {
+            (8, 1), (16, 1), (32, 1), (64, 1), (64, 2), (64, 3)}
+        model = BoosterModel(
+            trees=trees, params=BoosterParams(objectives=(REGRESSION_L2,) * 3),
+            mapper=mapper, base_scores=np.array([0.5, -1e-3, 1e4]),
+            feature_names=table.feature_names, task_names=table.task_names, training_log=[],
+        )
+        path = tmp_path_factory.mktemp("mixed") / "model.txt"
+        save_model(model, path)
+        return model, load_model(path)
+
+    @pytest.mark.parametrize("k", [1, 2, EDGES[0] - 1, EDGES[0] + 1, EDGES[1] + 1])
+    def test_equals_tree_order_oracle(self, models, k):
+        model, loaded = models
+        x = np.random.default_rng(k).standard_normal((k, 5)) * 1.5
+        x[::4, 2] = np.nan
+        want = scores_oracle(model, x)
+        for name, m in (("trained", model), ("loaded", loaded)):
+            assert predict(m, x).tobytes() == want.tobytes(), name
+            for t in range(3):
+                assert predict(m, x, task=t).tobytes() == want[:, t].tobytes(), (name, t)
+                assert predict(extract_task(m, t), x).tobytes() == want[:, [t]].tobytes()
 
 
 class TestModelFile:

@@ -276,6 +276,34 @@ class TestParseCells:
             else:
                 assert got.labels[:, 0].tolist() == [float(row[-1]) for row in rows]
 
+    @pytest.mark.parametrize("text", [
+        'a,y\n"1",2\nNA,3\n"x",4\n5,NA\n,7\n8,9\n10,11\n',
+        'a,y\n"1",2\n3,4\n5,abc\n7,8\n9,inf\n',
+        'a,y\n"1",2\n3,4\n5,6\n7\n9,10\n',
+        'a,y\n"1",2\n3\n5,6\n7,' + "8" * 131073 + '\n',
+        '\n\n\n\n\n',
+    ], ids=["parses", "bad-labels", "ragged", "ragged-then-malformed", "blank-lines"])
+    def test_chunks_read_as_one(self, tmp_path, monkeypatch, text):
+        # csv.reader's rows are parsed _CHUNK_ROWS at a time: any chunk size
+        # gives the same matrix bits, or the same first error.
+        p = tmp_path / "t.csv"
+        p.write_text(text, newline="")
+
+        def read_all():
+            # Each outcome as matrix bits, or the error's type and message.
+            got = [(as_bits(table.features).tobytes(), as_bits(table.labels).tobytes())
+                   if isinstance(table, RawTable) else table
+                   for table in outcomes(lambda: load_csv(p, ["y"], missing_token="NA"))]
+            for read in outcomes(lambda: read_feature_matrix(p, missing_token="NA")):
+                error = isinstance(read[0], type)
+                got.append(read if error else (as_bits(read[0]).tobytes(), read[1]))
+            return got
+
+        want = read_all()
+        for size in (1, 2, 3):
+            monkeypatch.setattr(data, "_CHUNK_ROWS", size)
+            assert read_all() == want, size
+
     def test_blank_lines_give_zero_columns(self, tmp_path):
         p = tmp_path / "blank.csv"
         p.write_text("\n\n\n")
@@ -283,9 +311,10 @@ class TestParseCells:
             assert matrix.shape == (2, 0) and names == ()
 
     def test_fault_order(self, tmp_path):
-        # Ragged rows come before label columns and label cells.
+        # Ragged rows come before label columns and label cells; the first
+        # ragged row is the one named.
         p = tmp_path / "t.csv"
-        p.write_text("a,y\n1,abc\n2\n")
+        p.write_text("a,y\n1,abc\n2\n3,4,5\n")
         for read in (lambda: load_csv(p, ["y", "z"]), lambda: read_feature_matrix(p)):
             with pytest.raises(ShapeError, match="row 3 has 1 cells, header has 2"):
                 read()

@@ -17,10 +17,11 @@ from mtboost.tree import (
     grow_tree,
     route_binned,
     split_gain,
+    stack_routes,
     subtract_histograms,
 )
 
-from conftest import make_binned_dataset, nodeless_skeleton
+from conftest import make_binned_dataset, nodeless_skeleton, random_skeleton
 from oracles import (
     engine_tree_structure,
     enumerate_best_split,
@@ -43,6 +44,12 @@ def loose_params(**kw):
     )
     defaults.update(kw)
     return GrowthParams(**defaults)
+
+
+def route_one(skeleton, binned):
+    """Each row's leaf through route_binned, with the tree stacked alone."""
+    stack = stack_routes([compile_routes(skeleton)], [0])
+    return stack.leaf_of_slot.take(route_binned(stack, binned)[0])
 
 
 def capture_subtractions(monkeypatch):
@@ -329,7 +336,7 @@ class TestGrowTree:
         skeleton, leaf_id = grow_tree(ds, g, np.ones(120), loose_params(max_leaves=8))
         assert leaf_id.shape == (120,)
         assert np.array_equal(np.unique(leaf_id), np.arange(skeleton.n_leaves))
-        assert np.array_equal(route_binned(compile_routes(skeleton), binned), leaf_id)
+        assert np.array_equal(route_one(skeleton, binned), leaf_id)
 
     def test_max_depth_respected(self, rng):
         binned = rng.integers(0, 16, size=(400, 2))
@@ -527,7 +534,7 @@ class TestRouteBinned:
         # Up to 8, 16, 32 and 64 leaves take one word of that width; 65 and
         # 130 leaves take two and three 64-bit words.
         skeleton, binned = data.draw(routed_trees(n_leaves))
-        got = route_binned(compile_routes(skeleton), binned)
+        got = route_one(skeleton, binned)
         assert got.dtype == np.int64 and got.shape == (binned.shape[0],)
         assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
 
@@ -535,14 +542,14 @@ class TestRouteBinned:
     @given(data=st.data())
     def test_left_chain_deeper_than_a_word(self, data):
         skeleton, binned = data.draw(routed_trees(130, left_chain=True))
-        got = route_binned(compile_routes(skeleton), binned)
+        got = route_one(skeleton, binned)
         assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
 
     @settings(max_examples=50)
     @given(data=st.data())
     def test_any_size(self, data):
         skeleton, binned = data.draw(routed_trees(data.draw(st.integers(1, 140))))
-        got = route_binned(compile_routes(skeleton), binned)
+        got = route_one(skeleton, binned)
         assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
 
     def test_every_leaf_of_a_long_chain(self):
@@ -555,6 +562,25 @@ class TestRouteBinned:
         skeleton = TreeSkeleton(zeros, n - i, np.append(i[1:], ~n), ~i, zeros, zeros,
                                 n_leaves=n + 1)
         binned = np.arange(n + 3, dtype=np.uint8)[:, None]
-        got = route_binned(compile_routes(skeleton), binned)
+        got = route_one(skeleton, binned)
         assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
         assert len(set(got.tolist())) == n + 1
+
+    @pytest.mark.parametrize("low, high", [(1, 8), (9, 16), (17, 32), (33, 64), (65, 128)])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_stacked_trees_match_node_walk(self, low, high, data):
+        # Trees of one word kind routed together: each splits on its own
+        # features up to its own top thresholds, so the stacked tables hold
+        # all-ones columns and repeated last entries.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        finite = rng.integers(2, 40, size=int(rng.integers(1, 5)))
+        skeletons = [random_skeleton(rng, int(rng.integers(low, high + 1)), finite)
+                     for _ in range(data.draw(st.integers(1, 5)))]
+        first = np.cumsum([0] + [s.n_leaves for s in skeletons])
+        stack = stack_routes([compile_routes(s) for s in skeletons], first[:-1])
+        binned = np.column_stack([rng.integers(0, nb + 1, size=200) for nb in finite])
+        got = stack.leaf_of_slot[route_binned(stack, binned)]
+        assert got.shape == (len(skeletons), 200)
+        for j, skeleton in enumerate(skeletons):
+            assert np.array_equal(got[j] - first[j], route_binned_oracle(skeleton.nodes, binned))
