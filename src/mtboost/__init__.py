@@ -56,7 +56,6 @@ from .tree import (
     grow_tree,
     route_binned,
     split_gain,
-    stack_routes,
     subtract_histograms,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "save_model",
     "select_tasks",
     "split_gain",
-    "stack_routes",
     "subtract_histograms",
     "train",
     "transform_score",

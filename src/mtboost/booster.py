@@ -50,15 +50,19 @@ from .tree import (
 )
 
 MODEL_FORMAT_MARKER = "mtboost-model-v2"
-# predict routes up to TREE_CHUNK trees together, ROUTE_CELLS // trees rows
-# at a time, so no buffer or table it makes grows with the number of trees
-# or rows. A pass's words and slot positions take 1 MB, its (trees + 1,
-# rows, tasks) value buffer 1 MB at 4 tasks, and 100 trees of 16-bit words
-# over 6 features stack into 0.3 MB of tables. Of chunks of 32 to 128 trees
-# and 2**14 to 2**17 cells, this routed predict_batch's 100-tree model
-# fastest on a 2-vCPU VM (2 MB L2 per core).
+# predict routes runs of consecutive trees (chunks) together, a block of
+# rows at a time. A chunk holds at most TREE_CHUNK trees whose stacked
+# tables take at most TABLE_BYTES (a tree whose own tables take more goes
+# alone), and a block's buffers take about BLOCK_BYTES, so neither grows
+# with the number of trees, rows, features, bins or tasks: more of them
+# makes more passes. predict_batch's 100 trees of 16-bit words over 6
+# features stack into 0.3 MB of tables, a 100-tree model of 31 leaves over
+# 20 features into chunks of 57 and 43 trees. On a 2-vCPU VM (2 MB L2 per
+# core), chunks of 128 trees routed predict_batch's model faster than
+# chunks of 32 or 64, and BLOCK_BYTES of 1 to 4 MB within 10% of each other.
 TREE_CHUNK = 128
-ROUTE_CELLS = 1 << 15
+TABLE_BYTES = 1 << 20
+BLOCK_BYTES = 1 << 21
 
 # Annotation of a parameter field -> type tag. The CLI parses config values
 # by these tags and load_model checks the params JSON against them.
@@ -288,45 +292,69 @@ def _bin_features(model: BoosterModel, features: np.ndarray) -> np.ndarray:
     return binned
 
 
+def _chunks(trees, n_features: int):
+    """Split trees into runs of consecutive trees, each of at most TREE_CHUNK
+    trees whose stacked tables take at most TABLE_BYTES. A run's tables take
+    at most its trees times the bytes of its widest tree's words times the
+    summed rows of the longest table of each feature over all the trees;
+    one tree whose tables take more than TABLE_BYTES by that count is a run
+    alone."""
+    longest = np.zeros(n_features, dtype=np.intp)
+    if trees:
+        # A feature's table has a row per bin up to one past its top threshold.
+        features = np.concatenate([tree.skeleton.feature for tree in trees])
+        thresholds = np.concatenate([tree.skeleton.threshold_bin for tree in trees])
+        np.maximum.at(longest, features, thresholds + 2)
+    n_rows = int(longest.sum())
+    start, widest = 0, 0
+    for j, tree in enumerate(trees):
+        word_bytes = tree.routes.n_words * tree.routes.width // 8
+        if j > start and (j - start == TREE_CHUNK
+                          or n_rows * (j - start + 1) * max(widest, word_bytes) > TABLE_BYTES):
+            yield trees[start:j]
+            start, widest = j, 0
+        widest = max(widest, word_bytes)
+    if trees:
+        yield trees[start:]
+
+
+def _block_rows(n_trees: int, n_words: int, n_out: int) -> int:
+    """Rows per block of a chunk of ``n_trees`` trees of ``n_words`` words
+    each, adding to ``n_out`` scores per row, so that the block's buffers
+    take about BLOCK_BYTES: 32 bytes a row and word for route_binned's
+    scratch (route_buffers), and 8 a row, task and tree for the values, plus
+    two more for the scores and their sums."""
+    return max(1, BLOCK_BYTES // (32 * n_trees * n_words + 8 * (n_trees + 2) * n_out))
+
+
 def _add_tree_values(out, trees, binned, tasks) -> None:
     """Add every tree's leaf values, in tree order, to ``out``: (tasks, k)
     scores, one row per task selected by ``tasks``.
 
-    Trees go in chunks of TREE_CHUNK. The trees of a chunk are stacked once
-    per word kind (stack_routes), and their leaf values are laid out by
-    slot position. Rows then go in blocks of ROUTE_CELLS // trees: each
-    kind's route_binned call gives the block's slot positions for its
-    trees, one take gathers the values of all of them behind a copy of the
-    block's scores, and one reduce over that leading axis adds them to the
-    scores in tree order, as the walk from tree to tree would.
+    Trees go in chunks (_chunks). The trees of a chunk are stacked once, in
+    the words of the widest of them (stack_routes), and their leaf values
+    are laid out by slot position. Rows then go in blocks (_block_rows):
+    one route_binned call gives the block's slot positions in every tree,
+    one take gathers the values of all of them behind a copy of the block's
+    scores, and one reduce over that leading axis adds them to the scores in
+    tree order, as the walk from tree to tree would.
     """
     k = binned.shape[0]
     n_out = out.shape[0]
-    for first_tree in range(0, len(trees), TREE_CHUNK):
-        chunk = trees[first_tree:first_tree + TREE_CHUNK]
+    for chunk in _chunks(trees, binned.shape[1]):
         n_trees = len(chunk)
-        values = np.concatenate([tree.leaf_values[:, tasks] for tree in chunk])
         first = np.cumsum([0] + [tree.n_leaves for tree in chunk])
-        kinds: dict[tuple[int, int], list[int]] = {}
-        for j, tree in enumerate(chunk):
-            kinds.setdefault((tree.routes.width, tree.routes.n_words), []).append(j)
-        stacks = [stack_routes([chunk[j].routes for j in js], first[js]) for js in kinds.values()]
-        # Each kind's positions index its own part of the chunk's values by slot.
-        by_slot = np.concatenate([values[stack.leaf_of_slot] for stack in stacks])
-        bases = np.cumsum([0] + [stack.leaf_of_slot.size for stack in stacks])
-        size = max(1, min(k, ROUTE_CELLS // n_trees))
-        buffers = route_buffers(size * max(s.n_trees * s.n_words for s in stacks))
+        stack = stack_routes([tree.routes for tree in chunk], first[:-1])
+        values = np.concatenate([tree.leaf_values[:, tasks] for tree in chunk])
+        by_slot = values[stack.leaf_of_slot]
+        size = max(1, min(k, _block_rows(n_trees, stack.n_words, n_out)))
+        buffers = route_buffers(size * n_trees * stack.n_words)
         gathered = np.empty((n_trees + 1) * size * n_out)
         summed = np.empty(size * n_out)
         for start in range(0, k, size):
             rows = binned[start:start + size]
             n_rows = rows.shape[0]
-            if len(stacks) == 1:
-                pos = route_binned(stacks[0], rows, buffers)
-            else:
-                pos = np.empty((n_trees, n_rows), dtype=np.intp)
-                for js, stack, base in zip(kinds.values(), stacks, bases):
-                    pos[js] = route_binned(stack, rows, buffers) + base
+            pos = route_binned(stack, rows, buffers)
             sums = gathered[:(n_trees + 1) * n_rows * n_out].reshape(n_trees + 1, n_rows, n_out)
             block = summed[:n_rows * n_out].reshape(n_rows, n_out)
             np.copyto(sums[0], out[:, start:start + n_rows].T)

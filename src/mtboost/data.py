@@ -149,7 +149,9 @@ def _empty_cells(body: np.ndarray):
 
 
 # Rows that csv.reader reads before _read_columns parses them: only one
-# chunk's cells are held as text, so a file costs about 8 bytes a cell.
+# chunk's cells are held as text. The parsed chunks take 8 bytes a cell,
+# and joining them holds both them and the matrix, so a file of more than
+# one chunk peaks at about 16 bytes a cell on return.
 _CHUNK_ROWS = 1024
 
 

@@ -353,12 +353,14 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
 class _WordKind:
     """Leaf-mask words of one width. (x * de_bruijn) >> shift differs for
     each of the width one-bit words x, so it maps a word's isolated lowest
-    set bit to a slot; bit_of_slot[slot] is that bit's position."""
+    set bit to a slot; bit_of_slot[slot] is that bit's position, and
+    slot_of_bit its inverse."""
 
     dtype: type
     de_bruijn: np.unsignedinteger
     shift: np.unsignedinteger
     bit_of_slot: np.ndarray
+    slot_of_bit: np.ndarray
 
     @classmethod
     def make(cls, dtype, de_bruijn: int) -> _WordKind:
@@ -367,7 +369,7 @@ class _WordKind:
         bit_of_slot = np.empty(width, dtype=np.intp)
         slots = [((de_bruijn << p) & ((1 << width) - 1)) >> shift for p in range(width)]
         bit_of_slot[slots] = np.arange(width)
-        return cls(dtype, dtype(de_bruijn), dtype(shift), bit_of_slot)
+        return cls(dtype, dtype(de_bruijn), dtype(shift), bit_of_slot, np.array(slots))
 
 
 # A tree's leaves take one word of the narrowest width that holds them, or
@@ -384,16 +386,19 @@ _WORD_KINDS = {
 class RouteTables:
     """One tree's routing tables, derived from its nodes.
 
-    The leaf mask of a row is ``n_words`` words of ``width`` bits. ``gathers``
-    lists (feature, word, table) with ``table[b]`` that word of the mask
-    that bin b of the feature leaves set; its first ``n_words`` entries, one
-    per word, belong to one feature. ``leaf_of_slot`` maps a row's exit
-    slot to its leaf id.
+    The leaf mask of a row is ``n_words`` words of ``width`` bits. Each
+    feature ``features[i]`` the tree splits on, in ascending order, has a
+    table over its first ``sizes[i]`` bins: ``table[w, starts[i] + b]`` is
+    word w of the mask that bin b of the feature leaves set.
+    ``leaf_of_slot`` maps a row's exit slot to its leaf id.
     """
 
     width: int
     n_words: int
-    gathers: tuple[tuple[int, int, np.ndarray], ...]
+    features: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    table: np.ndarray
     leaf_of_slot: np.ndarray
 
 
@@ -443,36 +448,35 @@ def compile_routes(skeleton: TreeSkeleton) -> RouteTables:
     # Every used feature's entries go into one array: applied[j] of a
     # feature, the AND of its j lowest-threshold masks, serves the bins above
     # its j-th threshold, up to the next.
-    applied, repeats, sizes = [], [], []
+    applied, repeats, features, sizes = [], [], [], []
     for f, group in groupby(sorted(zip(feature, threshold, clear)), key=itemgetter(0)):
         _, thresholds, masks = zip(*group)
         applied += accumulate(masks, and_, initial=-1)
         repeats += [thresholds[0] + 1, *(b - a for a, b in zip(thresholds, thresholds[1:])), 1]
-        sizes.append((f, thresholds[-1] + 2))
+        features.append(f)
+        sizes.append(thresholds[-1] + 2)
     word_mask = (1 << width) - 1
     entries = np.array(
         [[(a >> (width * w)) & word_mask for a in applied] for w in range(n_words)],
         dtype=kind.dtype,
     )
-    table = np.repeat(entries, repeats, axis=1)
-    gathers, start = [], 0
-    for f, size in sizes:
-        gathers += [(f, w, table[w, start:start + size]) for w in range(n_words)]
-        start += size
+    sizes = np.array(sizes, dtype=np.intp)
     # Word w's slots map through their bit positions to leaf ids.
     leaf_of_slot = np.array(leaf_at, dtype=np.intp).reshape(n_words, width)[:, kind.bit_of_slot]
-    return RouteTables(width=width, n_words=n_words, gathers=tuple(gathers),
-                       leaf_of_slot=leaf_of_slot.ravel())
+    return RouteTables(width=width, n_words=n_words, features=np.array(features, dtype=np.intp),
+                       starts=np.cumsum(sizes) - sizes, sizes=sizes,
+                       table=np.repeat(entries, repeats, axis=1), leaf_of_slot=leaf_of_slot.ravel())
 
 
 @dataclass(frozen=True, eq=False)
 class StackedRoutes:
-    """The routing tables of several trees of one word kind, side by side.
+    """The routing tables of several trees side by side, in words of one kind.
 
     Word w of tree j is column ``j * n_words + w``. ``tables`` lists
     (feature, table) for every feature any of the trees splits on, in
     ascending feature order; row b of a table holds every tree's words for
-    bin b of that feature. A tree that does not split on the feature has
+    bin b of that feature, and a table has the rows of that feature's
+    longest per-tree table. A tree that does not split on the feature has
     all-ones columns, and bins past a tree's top threshold repeat its last
     entry, so the AND of one row per feature is every tree's leaf mask.
     Tree j's exit slots take the positions from ``start[j]`` on, and
@@ -492,34 +496,71 @@ class StackedRoutes:
 
 
 def stack_routes(routes, first) -> StackedRoutes:
-    """Put the tables of trees of one word kind side by side; ``first[j]``
-    is the index of tree j's leaf 0 in their concatenated leaves."""
-    width, n_words = routes[0].width, routes[0].n_words
+    """Put the tables of trees side by side, in the words of the widest of
+    them; ``first[j]`` is the index of tree j's leaf 0 in their
+    concatenated leaves.
+
+    A narrower tree's entries are zero-extended, and the words past its own
+    are all-ones columns. Its leaf's bit stays set and the bits below it
+    keep their values, so the lowest set bit of the lowest nonzero word is
+    still its leaf.
+    """
+    width, n_words = max(r.width for r in routes), max(r.n_words for r in routes)
     dtype = _WORD_KINDS[width].dtype
-    n_columns = len(routes) * n_words
-    gathers = [(f, j * n_words + w, table)
-               for j, r in enumerate(routes) for f, w, table in r.gathers]
-    tables = ()
-    if gathers:
-        features, columns, parts = zip(*gathers)
+    n_trees = len(routes)
+    n_columns = n_trees * n_words
+    counts = [r.features.size for r in routes]
+    tables = []
+    if sum(counts):
+        # Every tree's table, word after word, then one all-ones entry that
+        # serves each tree not splitting on a feature.
+        entries = np.concatenate([*(r.table.ravel() for r in routes),
+                                  np.full(1, np.iinfo(dtype).max, dtype)], dtype=dtype)
+        # One cell per tree and feature it splits on: its tree, the tree's
+        # words, the table's size, and where its word-0 table starts in
+        # entries; word w's table starts w * word_step entries later.
+        tree = np.repeat(np.arange(n_trees), counts)
+        tree_words = np.repeat([r.n_words for r in routes], counts)
+        features = np.concatenate([r.features for r in routes])
+        sizes = np.concatenate([r.sizes for r in routes])
+        at_word_0 = np.concatenate([r.starts for r in routes]) + np.repeat(
+            np.cumsum([0] + [r.table.size for r in routes[:-1]]), counts)
+        word_step = np.repeat([r.table.shape[1] for r in routes], counts)
         used, row = np.unique(features, return_inverse=True)
-        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
-        # Every table's entries, then one all-ones entry that serves each
-        # tree not splitting on a feature; (first, last) entry of each cell.
-        entries = np.concatenate([*parts, np.full(1, np.iinfo(dtype).max, dtype)])
+        longest = np.zeros(used.size, dtype=np.intp)
+        np.maximum.at(longest, row, sizes)
+        # (first, last) entry of the table of each feature and word column.
         span = np.full((2, used.size, n_columns), entries.size - 1, dtype=np.int32)
-        span[1, row, columns] = np.cumsum(sizes) - 1
-        span[0, row, columns] = span[1, row, columns] - sizes + 1
-        at = span[0, :, None] + np.arange(sizes.max(), dtype=np.int32)[:, None]
-        np.minimum(at, span[1, :, None], out=at)
-        tables = tuple(zip(used.tolist(), entries.take(at)))
-    # Positions are counted in the words' own dtype (8-bit words in 16
-    # bits), which holds those of up to 4096 trees.
+        for w in range(n_words):
+            has = tree_words > w
+            at = at_word_0[has] + w * word_step[has]
+            cells = row[has], tree[has] * n_words + w
+            span[0][cells] = at
+            span[1][cells] = at + sizes[has] - 1
+        for u, f in enumerate(used.tolist()):
+            at = span[0, u] + np.arange(longest[u], dtype=np.int32)[:, None]
+            tables.append((f, entries.take(np.minimum(at, span[1, u], out=at))))
+    # Positions are counted in the words' own dtype where they fit (8-bit
+    # words in 16 bits), in a wider one where they do not.
     slots = n_words * width
-    start = np.arange(0, len(routes) * slots, slots, dtype=np.promote_types(dtype, np.uint16))
-    leaf_of_slot = np.concatenate([r.leaf_of_slot for r in routes]) + np.repeat(first, slots)
-    return StackedRoutes(width=width, n_words=n_words, tables=tables, start=start,
-                         leaf_of_slot=leaf_of_slot)
+    n_slots = n_trees * slots
+    start = np.arange(0, n_slots, slots,
+                      dtype=np.result_type(dtype, np.uint16, np.min_scalar_type(n_slots)))
+    leaf_of_slot = np.concatenate([_widen_slots(r, width, n_words) for r in routes])
+    return StackedRoutes(width=width, n_words=n_words, tables=tuple(tables), start=start,
+                         leaf_of_slot=leaf_of_slot + np.repeat(first, slots))
+
+
+def _widen_slots(routes: RouteTables, width: int, n_words: int) -> np.ndarray:
+    """A tree's leaf_of_slot over the slots of ``n_words`` words of ``width``
+    bits, at least as many and as wide as its own."""
+    if (routes.width, routes.n_words) == (width, n_words):
+        return routes.leaf_of_slot
+    # Leaf ids by bit position; the bits past its own are never its leaf's.
+    leaf_at = np.zeros((n_words, width), dtype=np.intp)
+    own = routes.leaf_of_slot.reshape(routes.n_words, routes.width)
+    leaf_at[:routes.n_words, :routes.width] = own[:, _WORD_KINDS[routes.width].slot_of_bit]
+    return leaf_at[:, _WORD_KINDS[width].bit_of_slot].ravel()
 
 
 def route_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:

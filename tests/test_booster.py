@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtboost import booster as booster_module
 from mtboost import tree as tree_module
 from mtboost.booster import (
-    ROUTE_CELLS,
     TREE_CHUNK,
     BoosterModel,
     BoosterParams,
+    _block_rows,
     _check_tree,
+    _chunks,
     extract_task,
     load_model,
     param_types,
@@ -39,7 +41,7 @@ from mtboost.errors import (
 )
 from mtboost.gradients import MTConfig
 from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
-from mtboost.tree import MultiOutputTree, TreeSkeleton
+from mtboost.tree import MultiOutputTree, TreeSkeleton, route_binned, stack_routes
 
 from conftest import nodeless_skeleton, random_skeleton
 from oracles import (
@@ -384,8 +386,9 @@ class TestPredictLayout:
 
     @pytest.fixture
     def models(self, model_and_rows, tmp_path):
-        # predict routes the 7 trees together, ROUTE_CELLS // 7 rows at a
-        # time; a tree without nodes sits among the trained ones.
+        # predict routes the 7 trees together in two 64-bit words, BLOCK rows
+        # at a time (TASK_BLOCK for one task); a tree without nodes sits
+        # among the trained ones.
         model, _ = model_and_rows
         stump = MultiOutputTree(
             skeleton=nodeless_skeleton(), leaf_values=np.array([[0.25, -0.5, 0.125]]),
@@ -403,11 +406,11 @@ class TestPredictLayout:
         x[::5] = np.nan  # whole rows missing
         return x
 
-    BLOCK = ROUTE_CELLS // 7
+    BLOCK, TASK_BLOCK = _block_rows(7, 2, 3), _block_rows(7, 2, 1)
 
     # Each block edge, and row counts that span several blocks.
     @pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
-                                   8191, 8192, 8193, 16387])
+                                   TASK_BLOCK, TASK_BLOCK + 1, 8191, 8192, 8193, 16387])
     def test_equals_tree_order_oracle_at_block_edges(self, rng, models, k):
         x = self.rows(rng, k)
         for name, model in models.items():
@@ -415,6 +418,18 @@ class TestPredictLayout:
             assert predict(model, x).tobytes() == want.tobytes(), name
             for t in range(model.n_tasks):
                 assert predict(model, x, task=t).tobytes() == want[:, t].tobytes(), (name, t)
+
+    def test_blocks_end_at_block_rows(self, rng, models, monkeypatch):
+        seen = []
+
+        def spy(stack, rows, *args):
+            seen.append(rows.shape[0])
+            return route_binned(stack, rows, *args)
+
+        monkeypatch.setattr(booster_module, "route_binned", spy)
+        predict(models["trained"], self.rows(rng, self.BLOCK + 1))
+        predict(models["trained"], self.rows(rng, self.TASK_BLOCK + 1), task=0)
+        assert seen == [self.BLOCK, 1, self.TASK_BLOCK, 1]
 
     def test_extracted_trees_share_the_tables(self, models):
         full, one = models["trained"], models["extracted"]
@@ -450,12 +465,12 @@ class TestPredictLayout:
 class TestMixedWordKinds:
     """A hand-built model of TREE_CHUNK + 7 trees cycling through every word
     kind: a stump, up to 8, 16, 32 and 64 leaves, and two and three 64-bit
-    words. Its first chunk routes six kinds side by side in blocks of
-    ROUTE_CELLS // TREE_CHUNK rows, its last chunk of 7 trees in blocks of
-    ROUTE_CELLS // 7 rows."""
+    words. Each of its two chunks routes every tree in three 64-bit words,
+    its first chunk in blocks of EDGES[0] rows, its last chunk of 7 trees in
+    blocks of EDGES[1] rows."""
 
     LEAVES = (1, 6, 13, 30, 64, 65, 150)
-    EDGES = (ROUTE_CELLS // TREE_CHUNK, ROUTE_CELLS // 7)
+    EDGES = (_block_rows(TREE_CHUNK, 3, 3), _block_rows(7, 3, 3))
 
     @pytest.fixture(scope="class")
     def models(self, tmp_path_factory):
@@ -476,6 +491,7 @@ class TestMixedWordKinds:
             trees.append(MultiOutputTree(skeleton, values, np.ones(skeleton.n_leaves, np.int64)))
         assert {(t.routes.width, t.routes.n_words) for t in trees[:TREE_CHUNK]} == {
             (8, 1), (16, 1), (32, 1), (64, 1), (64, 2), (64, 3)}
+        assert [len(c) for c in _chunks(trees, 5)] == [TREE_CHUNK, 7]
         model = BoosterModel(
             trees=trees, params=BoosterParams(objectives=(REGRESSION_L2,) * 3),
             mapper=mapper, base_scores=np.array([0.5, -1e-3, 1e4]),
@@ -496,6 +512,23 @@ class TestMixedWordKinds:
             for t in range(3):
                 assert predict(m, x, task=t).tobytes() == want[:, t].tobytes(), (name, t)
                 assert predict(extract_task(m, t), x).tobytes() == want[:, [t]].tobytes()
+
+    def test_table_budget_splits_chunks(self, models, monkeypatch):
+        # A smaller budget cuts the trees into chunks of a few trees, at
+        # other places than the word kinds' cycle; the sums stay in tree order.
+        model, _ = models
+        monkeypatch.setattr(booster_module, "TABLE_BYTES", 1 << 13)
+        chunks = list(_chunks(model.trees, 5))
+        assert len(chunks) > 10 and sum(chunks, []) == model.trees
+        for chunk in chunks:
+            stack = stack_routes([tree.routes for tree in chunk], np.zeros(len(chunk), np.intp))
+            nbytes = sum(table.nbytes for _, table in stack.tables)
+            assert len(chunk) == 1 or nbytes <= 1 << 13
+        x = np.random.default_rng(3).standard_normal((300, 5)) * 1.5
+        x[::4, 2] = np.nan
+        want = scores_oracle(model, x)
+        assert predict(model, x).tobytes() == want.tobytes()
+        assert predict(model, x, task=2).tobytes() == want[:, 2].tobytes()
 
 
 class TestModelFile:

@@ -566,13 +566,15 @@ class TestRouteBinned:
         assert np.array_equal(got, route_binned_oracle(skeleton.nodes, binned))
         assert len(set(got.tolist())) == n + 1
 
-    @pytest.mark.parametrize("low, high", [(1, 8), (9, 16), (17, 32), (33, 64), (65, 128)])
+    @pytest.mark.parametrize("low, high", [(1, 8), (9, 16), (17, 32), (33, 64), (65, 128),
+                                           (1, 200)])
     @settings(max_examples=25)
     @given(data=st.data())
     def test_stacked_trees_match_node_walk(self, low, high, data):
-        # Trees of one word kind routed together: each splits on its own
-        # features up to its own top thresholds, so the stacked tables hold
-        # all-ones columns and repeated last entries.
+        # Trees routed together, of one word kind or (1 to 200 leaves) in
+        # the words of the widest: each splits on its own features up to its
+        # own top thresholds, so the stacked tables hold all-ones columns
+        # and repeated last entries.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         finite = rng.integers(2, 40, size=int(rng.integers(1, 5)))
         skeletons = [random_skeleton(rng, int(rng.integers(low, high + 1)), finite)
@@ -584,3 +586,18 @@ class TestRouteBinned:
         assert got.shape == (len(skeletons), 200)
         for j, skeleton in enumerate(skeletons):
             assert np.array_equal(got[j] - first[j], route_binned_oracle(skeleton.nodes, binned))
+
+    def test_stacked_positions_past_the_words_dtype(self):
+        # 4100 trees of 16 leaves have 65600 slot positions, more than the
+        # 16-bit words' own dtype counts.
+        rng = np.random.default_rng(5)
+        finite = np.array([20, 30])
+        skeletons = [random_skeleton(rng, 16, finite) for _ in range(4)] * 1025
+        first = np.arange(len(skeletons)) * 16
+        stack = stack_routes([compile_routes(s) for s in skeletons], first)
+        assert stack.start[-1] > np.iinfo(np.uint16).max
+        binned = np.column_stack([rng.integers(0, nb + 1, size=50) for nb in finite])
+        got = stack.leaf_of_slot[route_binned(stack, binned)]
+        for j in (0, 3, 4096, 4099):
+            want = route_binned_oracle(skeletons[j].nodes, binned)
+            assert np.array_equal(got[j] - first[j], want)
