@@ -41,22 +41,24 @@ from .tree import (
     MAX_DELTA_DEFAULT,
     GrowthParams,
     MultiOutputTree,
+    RouteTables,
     TreeSkeleton,
+    compile_routes,
     fit_leaf_values,
     grow_tree,
+    leaf_words,
     route_binned,
     route_buffers,
-    stack_routes,
 )
 
 MODEL_FORMAT_MARKER = "mtboost-model-v2"
 # predict routes runs of consecutive trees (chunks) together, a block of
-# rows at a time. A chunk holds at most TREE_CHUNK trees whose stacked
+# rows at a time. A chunk holds at most TREE_CHUNK trees whose routing
 # tables take at most TABLE_BYTES (a tree whose own tables take more goes
 # alone), and a block's buffers take about BLOCK_BYTES, so neither grows
 # with the number of trees, rows, features, bins or tasks: more of them
 # makes more passes. predict_batch's 100 trees of 16-bit words over 6
-# features stack into 0.3 MB of tables, a 100-tree model of 31 leaves over
+# features compile into 0.3 MB of tables, a 100-tree model of 31 leaves over
 # 20 features into chunks of 57 and 43 trees. On a 2-vCPU VM (2 MB L2 per
 # core), chunks of 128 trees routed predict_batch's model faster than
 # chunks of 32 or 64, and BLOCK_BYTES of 1 to 4 MB within 10% of each other.
@@ -136,7 +138,15 @@ class IterationLog:
 
 @dataclass(eq=False)
 class BoosterModel:
-    """A trained ensemble; immutable and safe for concurrent prediction."""
+    """A trained ensemble; immutable and safe for concurrent prediction.
+
+    ``chunks`` pairs each run of consecutive trees (_chunks) with its
+    routing tables, compiled once when the model is made (by train,
+    load_model, extract_task or dataclasses.replace) and only read after;
+    they are never saved. Give a model other trees with
+    dataclasses.replace: predict routes the trees of ``chunks``, so a
+    change to ``trees`` in place does not reach it.
+    """
 
     trees: list[MultiOutputTree]
     params: BoosterParams
@@ -146,6 +156,14 @@ class BoosterModel:
     task_names: tuple[str, ...]
     training_log: list[IterationLog]
     extra: dict = field(default_factory=dict)  # CLI-side metadata, round-trips
+    chunks: tuple[tuple[list[MultiOutputTree], RouteTables], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.chunks = tuple(
+            (chunk, compile_routes([tree.skeleton for tree in chunk],
+                                   np.cumsum([0] + [tree.n_leaves for tree in chunk[:-1]])))
+            for chunk in _chunks(self.trees, self.n_features)
+        )
 
     @property
     def n_tasks(self) -> int:
@@ -251,9 +269,9 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
-            stack = stack_routes([tree.routes], [0])
-            _add_leaf_values(valid_scores, tree.leaf_values[stack.leaf_of_slot],
-                             route_binned(stack, valid.binned)[0])
+            routes = compile_routes([tree.skeleton], [0])
+            _add_leaf_values(valid_scores, tree.leaf_values[routes.leaf_of_slot],
+                             route_binned(routes, valid.binned)[0])
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 
@@ -294,11 +312,11 @@ def _bin_features(model: BoosterModel, features: np.ndarray) -> np.ndarray:
 
 def _chunks(trees, n_features: int):
     """Split trees into runs of consecutive trees, each of at most TREE_CHUNK
-    trees whose stacked tables take at most TABLE_BYTES. A run's tables take
-    at most its trees times the bytes of its widest tree's words times the
-    summed rows of the longest table of each feature over all the trees;
-    one tree whose tables take more than TABLE_BYTES by that count is a run
-    alone."""
+    trees whose routing tables (compile_routes) take at most TABLE_BYTES.
+    A run's tables take at most its trees times the bytes of its widest
+    tree's words (leaf_words) times the summed rows of the longest table of
+    each feature over all the trees; one tree whose tables take more than
+    TABLE_BYTES by that count is a run alone."""
     longest = np.zeros(n_features, dtype=np.intp)
     if trees:
         # A feature's table has a row per bin up to one past its top threshold.
@@ -308,7 +326,8 @@ def _chunks(trees, n_features: int):
     n_rows = int(longest.sum())
     start, widest = 0, 0
     for j, tree in enumerate(trees):
-        word_bytes = tree.routes.n_words * tree.routes.width // 8
+        width, n_words = leaf_words(tree.n_leaves)
+        word_bytes = n_words * width // 8
         if j > start and (j - start == TREE_CHUNK
                           or n_rows * (j - start + 1) * max(widest, word_bytes) > TABLE_BYTES):
             yield trees[start:j]
@@ -327,34 +346,32 @@ def _block_rows(n_trees: int, n_words: int, n_out: int) -> int:
     return max(1, BLOCK_BYTES // (32 * n_trees * n_words + 8 * (n_trees + 2) * n_out))
 
 
-def _add_tree_values(out, trees, binned, tasks) -> None:
+def _add_tree_values(out, chunks, binned, tasks) -> None:
     """Add every tree's leaf values, in tree order, to ``out``: (tasks, k)
     scores, one row per task selected by ``tasks``.
 
-    Trees go in chunks (_chunks). The trees of a chunk are stacked once, in
-    the words of the widest of them (stack_routes), and their leaf values
-    are laid out by slot position. Rows then go in blocks (_block_rows):
-    one route_binned call gives the block's slot positions in every tree,
-    one take gathers the values of all of them behind a copy of the block's
-    scores, and one reduce over that leading axis adds them to the scores in
-    tree order, as the walk from tree to tree would.
+    ``chunks`` are a model's runs of trees with their routing tables
+    (BoosterModel.chunks), so nothing is compiled here. A chunk's leaf
+    values are laid out by slot position. Rows then go in blocks
+    (_block_rows): one route_binned call gives the block's slot positions
+    in every tree, one take gathers the values of all of them behind a copy
+    of the block's scores, and one reduce over that leading axis adds them
+    to the scores in tree order, as the walk from tree to tree would.
     """
     k = binned.shape[0]
     n_out = out.shape[0]
-    for chunk in _chunks(trees, binned.shape[1]):
+    for chunk, routes in chunks:
         n_trees = len(chunk)
-        first = np.cumsum([0] + [tree.n_leaves for tree in chunk])
-        stack = stack_routes([tree.routes for tree in chunk], first[:-1])
         values = np.concatenate([tree.leaf_values[:, tasks] for tree in chunk])
-        by_slot = values[stack.leaf_of_slot]
-        size = max(1, min(k, _block_rows(n_trees, stack.n_words, n_out)))
-        buffers = route_buffers(size * n_trees * stack.n_words)
+        by_slot = values[routes.leaf_of_slot]
+        size = max(1, min(k, _block_rows(n_trees, routes.n_words, n_out)))
+        buffers = route_buffers(size * n_trees * routes.n_words)
         gathered = np.empty((n_trees + 1) * size * n_out)
         summed = np.empty(size * n_out)
         for start in range(0, k, size):
             rows = binned[start:start + size]
             n_rows = rows.shape[0]
-            pos = route_binned(stack, rows, buffers)
+            pos = route_binned(routes, rows, buffers)
             sums = gathered[:(n_trees + 1) * n_rows * n_out].reshape(n_trees + 1, n_rows, n_out)
             block = summed[:n_rows * n_out].reshape(n_rows, n_out)
             np.copyto(sums[0], out[:, start:start + n_rows].T)
@@ -382,7 +399,7 @@ def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarra
     base = model.base_scores[tasks]
     out = np.empty((len(base), binned.shape[0]))
     out[:] = base[:, None]
-    _add_tree_values(out, model.trees, binned, tasks)
+    _add_tree_values(out, model.chunks, binned, tasks)
     return out.T if task is None else out[0]
 
 
@@ -400,9 +417,9 @@ def predict_proba(model: BoosterModel, features, task: int | None = None) -> np.
 def extract_task(model: BoosterModel, task: int) -> BoosterModel:
     """Slice a multi-task model down to one task.
 
-    The shared structure and routing tables are kept; only the chosen
-    task's leaf values and metadata survive. Predictions equal the chosen
-    column of the full model exactly.
+    The trees keep their skeletons; only the chosen task's leaf values and
+    metadata survive, and the new model compiles its own routing tables.
+    Predictions equal the chosen column of the full model exactly.
     """
     if not 0 <= task < model.n_tasks:
         raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
@@ -411,7 +428,6 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
             skeleton=t.skeleton,
             leaf_values=np.ascontiguousarray(t.leaf_values[:, task : task + 1]),
             leaf_counts=t.leaf_counts,
-            routes=t.routes,
         )
         for t in model.trees
     ]

@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     FeatureCountMismatch,
     FormatVersionMismatch,
+    InvalidParameter,
     LabelOverflow,
     MtboostError,
 )
@@ -253,8 +254,8 @@ def cmd_eval(args) -> int:
             pred = transform_score(pred, model.params.objectives[t])
         try:
             value = compute_metric(args.metric, labeled.labels[:, t], pred)
-        except LabelOverflow as exc:
-            raise LabelOverflow(f"task {name!r}: {exc}") from None
+        except (LabelOverflow, InvalidParameter) as exc:
+            raise type(exc)(f"task {name!r}: {exc}") from None
         values.append(value)
         print(f"{name} {args.metric} {value!r}")
     print(f"mean {args.metric} {float(np.mean(values))!r}")

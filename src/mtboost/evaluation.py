@@ -8,7 +8,7 @@ import numpy as np
 
 from .booster import BoosterParams, predict, train
 from .data import RawTable, apply_bins, fit_bins
-from .errors import TooFewSamples
+from .errors import InvalidParameter, TooFewSamples
 from .metrics import MetricReport, compute_metric
 from .objectives import BINARY_LOGLOSS
 
@@ -48,7 +48,7 @@ def run_kfold(table: RawTable, k: int, params: BoosterParams,
         splits = [(np.arange(cut), np.arange(cut, table.m))]
     else:
         if k < 2:
-            raise ValueError("k must be >= 2")
+            raise InvalidParameter("k must be >= 2")
         if table.m < 2 * k:
             raise TooFewSamples(f"{table.m} rows are too few for {k} folds")
         rng = np.random.default_rng([params.seed, 0xF01D])

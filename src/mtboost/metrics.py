@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelOverflow, LengthMismatch, SingleClass, ZeroLabelInMape
+from .errors import InvalidParameter, LabelOverflow, LengthMismatch, SingleClass, ZeroLabelInMape
 
 METRIC_NAMES = ("rmse", "mape", "auc")
 
@@ -58,10 +58,11 @@ def roc_auc(labels, scores) -> float:
 
     Computed from average ranks (Mann-Whitney), so tied scores earn half
     credit. Invariant under any strictly increasing transform of scores.
+    Raises InvalidParameter unless every label is 0 or 1.
     """
     y, s = _check_lengths(labels, scores)
     if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be 0/1")
+        raise InvalidParameter("labels must be 0/1")
     n_pos = int(np.sum(y == 1.0))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -81,4 +82,4 @@ def compute_metric(name: str, labels, predictions) -> float:
         return mape(labels, predictions)
     if name == "auc":
         return roc_auc(labels, predictions)
-    raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    raise InvalidParameter(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")

@@ -20,9 +20,7 @@ parent = built + derived an exact identity.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from itertools import accumulate, groupby
-from operator import and_, itemgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,19 +296,14 @@ class MultiOutputTree:
     """Finished tree: shared structure plus per-task leaf values.
 
     ``leaf_values`` holds the shrunk Newton steps, one row of n per leaf,
-    and ``leaf_counts`` the training rows of each leaf. ``routes`` are the
-    routing tables compiled from ``skeleton`` when the tree is made, unless
-    given (trees sharing a skeleton share them); they are never saved.
+    and ``leaf_counts`` the training rows of each leaf. A tree holds no
+    routing tables: compile_routes builds them from skeletons, once per
+    chunk of a model's trees when the model is made.
     """
 
     skeleton: TreeSkeleton
     leaf_values: np.ndarray  # (L, n)
     leaf_counts: np.ndarray  # (L,)
-    routes: RouteTables = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.routes is None:
-            self.routes = compile_routes(self.skeleton)
 
     @property
     def nodes(self) -> list:
@@ -353,14 +346,12 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
 class _WordKind:
     """Leaf-mask words of one width. (x * de_bruijn) >> shift differs for
     each of the width one-bit words x, so it maps a word's isolated lowest
-    set bit to a slot; bit_of_slot[slot] is that bit's position, and
-    slot_of_bit its inverse."""
+    set bit to a slot; bit_of_slot[slot] is that bit's position."""
 
     dtype: type
     de_bruijn: np.unsignedinteger
     shift: np.unsignedinteger
     bit_of_slot: np.ndarray
-    slot_of_bit: np.ndarray
 
     @classmethod
     def make(cls, dtype, de_bruijn: int) -> _WordKind:
@@ -369,11 +360,9 @@ class _WordKind:
         bit_of_slot = np.empty(width, dtype=np.intp)
         slots = [((de_bruijn << p) & ((1 << width) - 1)) >> shift for p in range(width)]
         bit_of_slot[slots] = np.arange(width)
-        return cls(dtype, dtype(de_bruijn), dtype(shift), bit_of_slot, np.array(slots))
+        return cls(dtype, dtype(de_bruijn), dtype(shift), bit_of_slot)
 
 
-# A tree's leaves take one word of the narrowest width that holds them, or
-# as many 64-bit words as they need.
 _WORD_KINDS = {
     8: _WordKind.make(np.uint8, 0x1D),
     16: _WordKind.make(np.uint16, 0x0F2D),
@@ -382,106 +371,26 @@ _WORD_KINDS = {
 }
 
 
+def leaf_words(n_leaves: int) -> tuple[int, int]:
+    """The width and count of the words that hold a leaf mask of
+    ``n_leaves`` leaves: one word of the narrowest width that holds them, or
+    as many 64-bit words as they need."""
+    width = next(w for w in _WORD_KINDS if n_leaves <= w or w == 64)
+    return width, -(-n_leaves // width)
+
+
 @dataclass(frozen=True, eq=False)
 class RouteTables:
-    """One tree's routing tables, derived from its nodes.
+    """The routing tables of a run of trees, side by side in words of one kind.
 
-    The leaf mask of a row is ``n_words`` words of ``width`` bits. Each
-    feature ``features[i]`` the tree splits on, in ascending order, has a
-    table over its first ``sizes[i]`` bins: ``table[w, starts[i] + b]`` is
-    word w of the mask that bin b of the feature leaves set.
-    ``leaf_of_slot`` maps a row's exit slot to its leaf id.
-    """
-
-    width: int
-    n_words: int
-    features: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    table: np.ndarray
-    leaf_of_slot: np.ndarray
-
-
-def compile_routes(skeleton: TreeSkeleton) -> RouteTables:
-    """Fold a tree's nodes into the tables that stack_routes stacks for route_binned.
-
-    QuickScorer's exit rule (Lucchese et al., SIGIR 2015): number the leaves
-    left to right and start every row with all of them set. Each node whose
-    test sends the row right clears the leaves of its left subtree, and the
-    row's leaf is then its lowest set bit. One feature's nodes fold into a
-    table over its bins whose entry b is the AND of the clear masks of the
-    nodes with ``threshold_bin < b``, one table per word. Bins above the
-    highest threshold, the missing bin included, clip to the last entry,
-    where every node of that feature sends the row right. The nodes must
-    form one tree with each child after its parent, as grow_tree builds them
-    and load_model checks.
-    """
-    feature, threshold = skeleton.feature.tolist(), skeleton.threshold_bin.tolist()
-    left, right = skeleton.left.tolist(), skeleton.right.tolist()
-    n = len(feature)  # and n + 1 leaves
-    width = next(w for w in _WORD_KINDS if n + 1 <= w or w == 64)
-    n_words = (n + width) // width
-    kind = _WORD_KINDS[width]
-    # Leaves under each node; children come after their parents.
-    under = [0] * n
-    for i in range(n - 1, -1, -1):
-        lc, rc = left[i], right[i]
-        under[i] = (under[lc] if lc >= 0 else 1) + (under[rc] if rc >= 0 else 1)
-    # In-order leaf positions: node i's leaves start at first[i], and the
-    # span of them under its left child is what its clear mask clears.
-    first = [0] * n
-    clear = [0] * n
-    leaf_at = [0] * (width * n_words)
-    for i in range(n):
-        start, lc, rc = first[i], left[i], right[i]
-        span = under[lc] if lc >= 0 else 1
-        if lc >= 0:
-            first[lc] = start
-        else:
-            leaf_at[start] = ~lc
-        if rc >= 0:
-            first[rc] = start + span
-        else:
-            leaf_at[start + span] = ~rc
-        clear[i] = ~(((1 << span) - 1) << start)
-
-    # Every used feature's entries go into one array: applied[j] of a
-    # feature, the AND of its j lowest-threshold masks, serves the bins above
-    # its j-th threshold, up to the next.
-    applied, repeats, features, sizes = [], [], [], []
-    for f, group in groupby(sorted(zip(feature, threshold, clear)), key=itemgetter(0)):
-        _, thresholds, masks = zip(*group)
-        applied += accumulate(masks, and_, initial=-1)
-        repeats += [thresholds[0] + 1, *(b - a for a, b in zip(thresholds, thresholds[1:])), 1]
-        features.append(f)
-        sizes.append(thresholds[-1] + 2)
-    word_mask = (1 << width) - 1
-    entries = np.array(
-        [[(a >> (width * w)) & word_mask for a in applied] for w in range(n_words)],
-        dtype=kind.dtype,
-    )
-    sizes = np.array(sizes, dtype=np.intp)
-    # Word w's slots map through their bit positions to leaf ids.
-    leaf_of_slot = np.array(leaf_at, dtype=np.intp).reshape(n_words, width)[:, kind.bit_of_slot]
-    return RouteTables(width=width, n_words=n_words, features=np.array(features, dtype=np.intp),
-                       starts=np.cumsum(sizes) - sizes, sizes=sizes,
-                       table=np.repeat(entries, repeats, axis=1), leaf_of_slot=leaf_of_slot.ravel())
-
-
-@dataclass(frozen=True, eq=False)
-class StackedRoutes:
-    """The routing tables of several trees side by side, in words of one kind.
-
-    Word w of tree j is column ``j * n_words + w``. ``tables`` lists
-    (feature, table) for every feature any of the trees splits on, in
-    ascending feature order; row b of a table holds every tree's words for
-    bin b of that feature, and a table has the rows of that feature's
-    longest per-tree table. A tree that does not split on the feature has
-    all-ones columns, and bins past a tree's top threshold repeat its last
-    entry, so the AND of one row per feature is every tree's leaf mask.
-    Tree j's exit slots take the positions from ``start[j]`` on, and
-    ``leaf_of_slot[p]`` is the index, in the trees' concatenated leaves, of
-    the leaf at position p.
+    Every tree's leaf mask is ``n_words`` words of ``width`` bits, and word
+    w of tree j is column ``j * n_words + w``. ``tables`` lists (feature,
+    table) for every feature any of the trees splits on, in ascending
+    feature order; row b of a table holds every tree's words for bin b of
+    that feature, and the table has a row per bin up to one past the top
+    threshold of the feature's nodes. Tree j's exit slots take the positions
+    from ``start[j]`` on, and ``leaf_of_slot[p]`` is the index, in the
+    trees' concatenated leaves, of the leaf at position p.
     """
 
     width: int
@@ -490,77 +399,83 @@ class StackedRoutes:
     start: np.ndarray
     leaf_of_slot: np.ndarray
 
-    @property
-    def n_trees(self) -> int:
-        return self.start.size
 
+def compile_routes(skeletons, first) -> RouteTables:
+    """Fold the nodes of one or more trees into the tables route_binned
+    routes through, in the words of the widest tree (leaf_words);
+    ``first[j]`` is the index of tree j's leaf 0 in their concatenated leaves.
 
-def stack_routes(routes, first) -> StackedRoutes:
-    """Put the tables of trees side by side, in the words of the widest of
-    them; ``first[j]`` is the index of tree j's leaf 0 in their
-    concatenated leaves.
-
-    A narrower tree's entries are zero-extended, and the words past its own
-    are all-ones columns. Its leaf's bit stays set and the bits below it
-    keep their values, so the lowest set bit of the lowest nonzero word is
-    still its leaf.
+    QuickScorer's exit rule (Lucchese et al., SIGIR 2015): number a tree's
+    leaves left to right and start every row with all of them set. Each node
+    whose test sends the row right clears the leaves of its left subtree,
+    and the row's leaf is then its lowest set bit. The bits past a tree's
+    own leaves are never cleared and lie above its leaf, so wider words than
+    it needs route it alike. One feature's nodes fold into a table over its
+    bins whose entry b is the AND of the clear masks of the nodes with
+    ``threshold_bin < b``: each mask is AND-ed into entry
+    ``threshold_bin + 1``, then the entries down the bins. A tree that does
+    not split on the feature keeps all-ones columns. Bins above the table,
+    the missing bin included, clip to the last entry, where every node of
+    that feature sends the row right (V-QuickScorer's layout, Lucchese et
+    al., SIGIR 2016). The nodes of each tree must form one tree with each
+    child after its parent, as grow_tree builds them and load_model checks.
     """
-    width, n_words = max(r.width for r in routes), max(r.n_words for r in routes)
-    dtype = _WORD_KINDS[width].dtype
-    n_trees = len(routes)
-    n_columns = n_trees * n_words
-    counts = [r.features.size for r in routes]
-    tables = []
-    if sum(counts):
-        # Every tree's table, word after word, then one all-ones entry that
-        # serves each tree not splitting on a feature.
-        entries = np.concatenate([*(r.table.ravel() for r in routes),
-                                  np.full(1, np.iinfo(dtype).max, dtype)], dtype=dtype)
-        # One cell per tree and feature it splits on: its tree, the tree's
-        # words, the table's size, and where its word-0 table starts in
-        # entries; word w's table starts w * word_step entries later.
-        tree = np.repeat(np.arange(n_trees), counts)
-        tree_words = np.repeat([r.n_words for r in routes], counts)
-        features = np.concatenate([r.features for r in routes])
-        sizes = np.concatenate([r.sizes for r in routes])
-        at_word_0 = np.concatenate([r.starts for r in routes]) + np.repeat(
-            np.cumsum([0] + [r.table.size for r in routes[:-1]]), counts)
-        word_step = np.repeat([r.table.shape[1] for r in routes], counts)
-        used, row = np.unique(features, return_inverse=True)
-        longest = np.zeros(used.size, dtype=np.intp)
-        np.maximum.at(longest, row, sizes)
-        # (first, last) entry of the table of each feature and word column.
-        span = np.full((2, used.size, n_columns), entries.size - 1, dtype=np.int32)
-        for w in range(n_words):
-            has = tree_words > w
-            at = at_word_0[has] + w * word_step[has]
-            cells = row[has], tree[has] * n_words + w
-            span[0][cells] = at
-            span[1][cells] = at + sizes[has] - 1
-        for u, f in enumerate(used.tolist()):
-            at = span[0, u] + np.arange(longest[u], dtype=np.int32)[:, None]
-            tables.append((f, entries.take(np.minimum(at, span[1, u], out=at))))
+    width, n_words = map(max, zip(*(leaf_words(s.n_leaves) for s in skeletons)))
+    kind = _WORD_KINDS[width]
+    slots = n_words * width
+    word_mask = (1 << width) - 1
+    leaf_at = [0] * (len(skeletons) * slots)
+    masks = []  # each node's clear mask, word after word
+    for j, skeleton in enumerate(skeletons):
+        left, right = skeleton.left.tolist(), skeleton.right.tolist()
+        n = len(left)
+        # Leaves under each node; children come after their parents.
+        under = [0] * n
+        for i in range(n - 1, -1, -1):
+            lc, rc = left[i], right[i]
+            under[i] = (under[lc] if lc >= 0 else 1) + (under[rc] if rc >= 0 else 1)
+        # In-order leaf positions: node i's leaves start at at[i], and the
+        # span of them under its left child is what its clear mask clears.
+        at = [0] * n
+        for i in range(n):
+            start, lc, rc = at[i], left[i], right[i]
+            span = under[lc] if lc >= 0 else 1
+            if lc >= 0:
+                at[lc] = start
+            else:
+                leaf_at[j * slots + start] = ~lc
+            if rc >= 0:
+                at[rc] = start + span
+            else:
+                leaf_at[j * slots + start + span] = ~rc
+            clear = ~(((1 << span) - 1) << start)
+            masks += [(clear >> (width * w)) & word_mask for w in range(n_words)]
+
+    feature = np.concatenate([s.feature for s in skeletons])
+    row = np.concatenate([s.threshold_bin for s in skeletons]) + 1
+    column = np.repeat(np.arange(len(skeletons)) * n_words, [s.feature.size for s in skeletons])
+    # Used feature u's table is rows ends[u] - sizes[u] to ends[u] of entries.
+    used, which = np.unique(feature, return_inverse=True)
+    sizes = np.zeros(used.size, dtype=np.intp)
+    np.maximum.at(sizes, which, row + 1)
+    ends = np.cumsum(sizes)
+    entries = np.full((int(sizes.sum()), len(skeletons) * n_words), word_mask, dtype=kind.dtype)
+    np.bitwise_and.at(entries, ((ends - sizes)[which, None] + row[:, None],
+                                column[:, None] + np.arange(n_words)),
+                      np.array(masks, dtype=kind.dtype).reshape(-1, n_words))
+    tables = tuple(zip(used.tolist(), np.split(entries, ends[:-1])))
+    for _, table in tables:
+        np.bitwise_and.accumulate(table, axis=0, out=table)
     # Positions are counted in the words' own dtype where they fit (8-bit
     # words in 16 bits), in a wider one where they do not.
-    slots = n_words * width
-    n_slots = n_trees * slots
+    n_slots = len(skeletons) * slots
     start = np.arange(0, n_slots, slots,
-                      dtype=np.result_type(dtype, np.uint16, np.min_scalar_type(n_slots)))
-    leaf_of_slot = np.concatenate([_widen_slots(r, width, n_words) for r in routes])
-    return StackedRoutes(width=width, n_words=n_words, tables=tuple(tables), start=start,
-                         leaf_of_slot=leaf_of_slot + np.repeat(first, slots))
-
-
-def _widen_slots(routes: RouteTables, width: int, n_words: int) -> np.ndarray:
-    """A tree's leaf_of_slot over the slots of ``n_words`` words of ``width``
-    bits, at least as many and as wide as its own."""
-    if (routes.width, routes.n_words) == (width, n_words):
-        return routes.leaf_of_slot
-    # Leaf ids by bit position; the bits past its own are never its leaf's.
-    leaf_at = np.zeros((n_words, width), dtype=np.intp)
-    own = routes.leaf_of_slot.reshape(routes.n_words, routes.width)
-    leaf_at[:routes.n_words, :routes.width] = own[:, _WORD_KINDS[routes.width].slot_of_bit]
-    return leaf_at[:, _WORD_KINDS[width].bit_of_slot].ravel()
+                      dtype=np.result_type(kind.dtype, np.uint16, np.min_scalar_type(n_slots)))
+    # Word w's slots map through their bit positions to leaf ids.
+    leaf_of_slot = np.array(leaf_at, dtype=np.intp).reshape(-1, n_words, width)
+    leaf_of_slot = leaf_of_slot[:, :, kind.bit_of_slot]
+    return RouteTables(width=width, n_words=n_words, tables=tables, start=start,
+                       leaf_of_slot=leaf_of_slot.ravel() + np.repeat(first, slots))
 
 
 def route_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -569,11 +484,11 @@ def route_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((2, cells), dtype=np.uint64), np.empty((2, cells), dtype=np.intp)
 
 
-def route_binned(stack: StackedRoutes, binned, buffers=None) -> np.ndarray:
-    """Route each binned row through every stacked tree: a (trees, rows)
-    array of the slot position of the leaf each row reaches in each tree,
-    which ``stack.leaf_of_slot`` maps to the leaf's index (see
-    stack_routes). That leaf is the one the walk from the root reaches.
+def route_binned(routes: RouteTables, binned, buffers=None) -> np.ndarray:
+    """Route each binned row through every tree of ``routes``: a (trees,
+    rows) array of the slot position of the leaf each row reaches in each
+    tree, which ``routes.leaf_of_slot`` maps to the leaf's index. That leaf
+    is the one the walk from the root reaches.
 
     A row's leaf masks are the AND of one table row per used feature, one
     gather for all trees, and each tree's leaf is the lowest set bit of its
@@ -583,15 +498,15 @@ def route_binned(stack: StackedRoutes, binned, buffers=None) -> np.ndarray:
     until the next call.
     """
     k = binned.shape[0]
-    n_trees, n_words = stack.n_trees, stack.n_words
+    n_trees, n_words = routes.start.size, routes.n_words
     cells = k * n_trees * n_words
     words, index = buffers if buffers is not None else route_buffers(cells)
-    kind = _WORD_KINDS[stack.width]
+    kind = _WORD_KINDS[routes.width]
     spare = words[1]
     words, got = (row[:cells].reshape(k, n_trees * n_words) for row in words.view(kind.dtype))
-    if not stack.tables:  # stumps only: every mask is all ones, leaf 0
+    if not routes.tables:  # stumps only: every mask is all ones, leaf 0
         words.fill(1)
-    for i, (f, table) in enumerate(stack.tables):
+    for i, (f, table) in enumerate(routes.tables):
         table.take(binned[:, f], axis=0, mode="clip", out=got if i else words)
         if i:
             words &= got
@@ -613,8 +528,8 @@ def route_binned(stack: StackedRoutes, binned, buffers=None) -> np.ndarray:
     low &= neg
     low *= kind.de_bruijn
     low >>= kind.shift
-    slot = spare.view(stack.start.dtype)[:k * n_trees].reshape(k, n_trees)
-    np.add(low, stack.start, out=slot)
+    slot = spare.view(routes.start.dtype)[:k * n_trees].reshape(k, n_trees)
+    np.add(low, routes.start, out=slot)
     if n_words > 1:
         slot += offset
     pos = index[0, :k * n_trees].reshape(n_trees, k)

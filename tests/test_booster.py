@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtboost import booster as booster_module
-from mtboost import tree as tree_module
 from mtboost.booster import (
     TREE_CHUNK,
     BoosterModel,
@@ -41,7 +40,7 @@ from mtboost.errors import (
 )
 from mtboost.gradients import MTConfig
 from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
-from mtboost.tree import MultiOutputTree, TreeSkeleton, route_binned, stack_routes
+from mtboost.tree import MultiOutputTree, TreeSkeleton, compile_routes, leaf_words, route_binned
 
 from conftest import nodeless_skeleton, random_skeleton
 from oracles import (
@@ -313,15 +312,14 @@ class TestPredict:
             task_names=model.task_names, training_log=[],
         )
         from mtboost.data import bin_column
-        from mtboost.tree import route_binned, stack_routes
 
         x = table.features[:20]
         cols = np.column_stack(
             [bin_column(x[:, f], model.mapper.boundaries[f]) for f in range(x.shape[1])]
         )
         last = model.trees[-1]
-        stack = stack_routes([last.routes], [0])
-        contribution = last.leaf_values[stack.leaf_of_slot[route_binned(stack, cols)[0]]]
+        routes = compile_routes([last.skeleton], [0])
+        contribution = last.leaf_values[routes.leaf_of_slot[route_binned(routes, cols)[0]]]
         np.testing.assert_array_equal(predict(shorter, x) + contribution, predict(model, x))
 
     def test_predict_proba_applies_links(self, rng):
@@ -431,9 +429,16 @@ class TestPredictLayout:
         predict(models["trained"], self.rows(rng, self.TASK_BLOCK + 1), task=0)
         assert seen == [self.BLOCK, 1, self.TASK_BLOCK, 1]
 
-    def test_extracted_trees_share_the_tables(self, models):
-        full, one = models["trained"], models["extracted"]
-        assert all(a.routes is b.routes for a, b in zip(full.trees, one.trees))
+    def test_predict_compiles_nothing(self, rng, models, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(booster_module, "compile_routes",
+                            lambda *args: compiled.append(args) or compile_routes(*args))
+        x = self.rows(rng, self.BLOCK + 1)
+        for model in models.values():
+            predict(model, x)
+            for t in range(model.n_tasks):
+                predict(model, x, task=t)
+        assert compiled == []
 
     def test_save_load_save_is_identical(self, models, tmp_path):
         first, again = tmp_path / "first.txt", tmp_path / "again.txt"
@@ -489,7 +494,7 @@ class TestMixedWordKinds:
             values = rng.standard_normal((skeleton.n_leaves, 3)) * 10.0 ** rng.integers(
                 -6, 7, size=(skeleton.n_leaves, 3))
             trees.append(MultiOutputTree(skeleton, values, np.ones(skeleton.n_leaves, np.int64)))
-        assert {(t.routes.width, t.routes.n_words) for t in trees[:TREE_CHUNK]} == {
+        assert {leaf_words(t.n_leaves) for t in trees[:TREE_CHUNK]} == {
             (8, 1), (16, 1), (32, 1), (64, 1), (64, 2), (64, 3)}
         assert [len(c) for c in _chunks(trees, 5)] == [TREE_CHUNK, 7]
         model = BoosterModel(
@@ -497,6 +502,7 @@ class TestMixedWordKinds:
             mapper=mapper, base_scores=np.array([0.5, -1e-3, 1e4]),
             feature_names=table.feature_names, task_names=table.task_names, training_log=[],
         )
+        assert [(r.width, r.n_words) for _, r in model.chunks] == [(64, 3), (64, 3)]
         path = tmp_path_factory.mktemp("mixed") / "model.txt"
         save_model(model, path)
         return model, load_model(path)
@@ -518,11 +524,11 @@ class TestMixedWordKinds:
         # other places than the word kinds' cycle; the sums stay in tree order.
         model, _ = models
         monkeypatch.setattr(booster_module, "TABLE_BYTES", 1 << 13)
-        chunks = list(_chunks(model.trees, 5))
+        model = dataclasses.replace(model)  # compiles its chunks under the smaller budget
+        chunks = [chunk for chunk, _ in model.chunks]
         assert len(chunks) > 10 and sum(chunks, []) == model.trees
-        for chunk in chunks:
-            stack = stack_routes([tree.routes for tree in chunk], np.zeros(len(chunk), np.intp))
-            nbytes = sum(table.nbytes for _, table in stack.tables)
+        for chunk, routes in model.chunks:
+            nbytes = sum(table.nbytes for _, table in routes.tables)
             assert len(chunk) == 1 or nbytes <= 1 << 13
         x = np.random.default_rng(3).standard_normal((300, 5)) * 1.5
         x[::4, 2] = np.nan
@@ -683,7 +689,8 @@ class GoldenFileEdits:
         # bin table of about 10**11 entries: load_model must reject either
         # file before it compiles any tree.
         compiled = []
-        monkeypatch.setattr(tree_module, "compile_routes", compiled.append)
+        monkeypatch.setattr(booster_module, "compile_routes",
+                            lambda *args: compiled.append(args))
         lines = _golden_lines(self.golden)
         root = next(i for i, line in enumerate(lines) if line.startswith("node "))
         path = tmp_path / "bad.txt"

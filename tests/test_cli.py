@@ -525,3 +525,21 @@ def test_overflowing_metric_gives_one_error_line(tmp_path, metric, rows):
     assert code != 0
     assert err.getvalue() == f"error: LabelOverflow: task 'y_reg': {metric} overflows float64\n"
     assert "inf" not in out.getvalue()
+
+
+def test_auc_of_non_binary_labels_gives_one_error_line(tmp_path, capsys):
+    # timeseries_ratio's labels are real-valued, so AUC is undefined for them.
+    data = tmp_path / "ts.csv"
+    run(["synth", "--scenario", "timeseries_ratio", "--m", "200", "--seed", "2", "--out", data])
+    cfg = tmp_path / "ts_cfg.txt"
+    cfg.write_text("label_columns = next_value, next_ratio\n"
+                   "objectives = regression_l2, regression_l2\n"
+                   "num_iterations = 3\nmin_samples_leaf = 5\n")
+    model = tmp_path / "ts_model.txt"
+    assert run(["train", "--config", cfg, "--data", data, "--out", model]) == 0
+    capsys.readouterr()
+    code = run(["eval", "--model", model, "--data", data, "--metric", "auc"])
+    assert code != 0
+    assert capsys.readouterr().err == (
+        "error: InvalidParameter: task 'next_value': labels must be 0/1\n"
+    )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtboost.booster import BoosterParams
-from mtboost.errors import TooFewSamples
+from mtboost.errors import InvalidParameter, TooFewSamples
 from mtboost.evaluation import run_kfold
 from mtboost.gradients import MTConfig
 from mtboost.objectives import BINARY_LOGLOSS
@@ -61,6 +61,11 @@ class TestRunKfold:
         )
         with pytest.raises(TooFewSamples):
             run_kfold(small, 4, quick_params())
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_two_folds_is_an_invalid_parameter(self, table, k):
+        with pytest.raises(InvalidParameter, match="k must be >= 2"):
+            run_kfold(table, k, quick_params())
 
     def test_chronological_uses_tail(self, table):
         report = run_kfold(table, 2, quick_params(), chronological=True, max_bins=16)

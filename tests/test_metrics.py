@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtboost.errors import LabelOverflow, LengthMismatch, SingleClass, ZeroLabelInMape
-from mtboost.metrics import mape, rmse, roc_auc
+from mtboost.errors import (
+    InvalidParameter,
+    LabelOverflow,
+    LengthMismatch,
+    SingleClass,
+    ZeroLabelInMape,
+)
+from mtboost.metrics import compute_metric, mape, rmse, roc_auc
 
 from oracles import pairwise_auc
 
@@ -75,6 +81,10 @@ class TestRocAuc:
         with pytest.raises(SingleClass):
             roc_auc([1, 1], [0.1, 0.2])
 
+    def test_labels_other_than_0_1_are_an_invalid_parameter(self):
+        with pytest.raises(InvalidParameter, match="labels must be 0/1"):
+            roc_auc([1.0, 0.0, 2.5], [0.1, 0.2, 0.3])
+
     def test_matches_pairwise_enumeration(self, rng):
         for _ in range(100):
             n = int(rng.integers(4, 30))
@@ -94,3 +104,9 @@ class TestRocAuc:
         base = roc_auc(labels, scores)
         for transform in (lambda s: 3 * s + 1, np.tanh, lambda s: np.exp(s / 2)):
             assert roc_auc(labels, transform(scores)) == pytest.approx(base, abs=1e-12)
+
+
+def test_unknown_metric_is_an_invalid_parameter():
+    with pytest.raises(InvalidParameter, match="unknown metric 'gini'") as excinfo:
+        compute_metric("gini", [1.0], [1.0])
+    assert isinstance(excinfo.value, ValueError)

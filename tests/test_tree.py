@@ -17,7 +17,6 @@ from mtboost.tree import (
     grow_tree,
     route_binned,
     split_gain,
-    stack_routes,
     subtract_histograms,
 )
 
@@ -47,9 +46,9 @@ def loose_params(**kw):
 
 
 def route_one(skeleton, binned):
-    """Each row's leaf through route_binned, with the tree stacked alone."""
-    stack = stack_routes([compile_routes(skeleton)], [0])
-    return stack.leaf_of_slot.take(route_binned(stack, binned)[0])
+    """Each row's leaf through route_binned, with the tree compiled alone."""
+    routes = compile_routes([skeleton], [0])
+    return routes.leaf_of_slot.take(route_binned(routes, binned)[0])
 
 
 def capture_subtractions(monkeypatch):
@@ -571,18 +570,18 @@ class TestRouteBinned:
     @settings(max_examples=25)
     @given(data=st.data())
     def test_stacked_trees_match_node_walk(self, low, high, data):
-        # Trees routed together, of one word kind or (1 to 200 leaves) in
+        # Trees compiled together, of one word kind or (1 to 200 leaves) in
         # the words of the widest: each splits on its own features up to its
-        # own top thresholds, so the stacked tables hold all-ones columns
-        # and repeated last entries.
+        # own top thresholds, so the tables hold all-ones columns and
+        # repeated last entries.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         finite = rng.integers(2, 40, size=int(rng.integers(1, 5)))
         skeletons = [random_skeleton(rng, int(rng.integers(low, high + 1)), finite)
                      for _ in range(data.draw(st.integers(1, 5)))]
         first = np.cumsum([0] + [s.n_leaves for s in skeletons])
-        stack = stack_routes([compile_routes(s) for s in skeletons], first[:-1])
+        routes = compile_routes(skeletons, first[:-1])
         binned = np.column_stack([rng.integers(0, nb + 1, size=200) for nb in finite])
-        got = stack.leaf_of_slot[route_binned(stack, binned)]
+        got = routes.leaf_of_slot[route_binned(routes, binned)]
         assert got.shape == (len(skeletons), 200)
         for j, skeleton in enumerate(skeletons):
             assert np.array_equal(got[j] - first[j], route_binned_oracle(skeleton.nodes, binned))
@@ -594,10 +593,10 @@ class TestRouteBinned:
         finite = np.array([20, 30])
         skeletons = [random_skeleton(rng, 16, finite) for _ in range(4)] * 1025
         first = np.arange(len(skeletons)) * 16
-        stack = stack_routes([compile_routes(s) for s in skeletons], first)
-        assert stack.start[-1] > np.iinfo(np.uint16).max
+        routes = compile_routes(skeletons, first)
+        assert routes.start[-1] > np.iinfo(np.uint16).max
         binned = np.column_stack([rng.integers(0, nb + 1, size=50) for nb in finite])
-        got = stack.leaf_of_slot[route_binned(stack, binned)]
+        got = routes.leaf_of_slot[route_binned(routes, binned)]
         for j in (0, 3, 4096, 4099):
             want = route_binned_oracle(skeletons[j].nodes, binned)
             assert np.array_equal(got[j] - first[j], want)
