@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import BinMapper, Dataset, bin_column
+from .data import BinMapper, Dataset, bin_column, read_only, rebuilt_by_init
 from .errors import (
     EmptyDataset,
     FeatureCountMismatch,
@@ -136,34 +136,41 @@ class IterationLog:
     valid: tuple[float, ...] | None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BoosterModel:
-    """A trained ensemble; immutable and safe for concurrent prediction.
+    """A trained ensemble, frozen, and so safe for concurrent prediction.
 
-    ``chunks`` pairs each run of consecutive trees (_chunks) with its
-    routing tables, compiled once when the model is made (by train,
-    load_model, extract_task or dataclasses.replace) and only read after;
-    they are never saved. Give a model other trees with
-    dataclasses.replace: predict routes the trees of ``chunks``, so a
-    change to ``trees`` in place does not reach it.
+    ``trees`` and ``training_log`` are tuples, and the trees' arrays and
+    ``base_scores`` read-only. ``chunks`` holds the routing tables and
+    slot-ordered leaf values of each run of consecutive trees (_chunks),
+    compiled once when the model is made (by train, load_model,
+    extract_task or dataclasses.replace); predict reads nothing else of the
+    trees, and save_model writes the trees, so both see the same model. A pickled or copied model is rebuilt
+    through __init__, and so compiled and frozen again.
+    ``extra``, a copy of the dict given, is the one field left open: predict
+    never reads it and save_model writes it as it stands. Give a model
+    other trees or extra with dataclasses.replace.
     """
 
-    trees: list[MultiOutputTree]
+    trees: tuple[MultiOutputTree, ...]
     params: BoosterParams
     mapper: BinMapper
     base_scores: np.ndarray  # (n,)
     feature_names: tuple[str, ...]
     task_names: tuple[str, ...]
-    training_log: list[IterationLog]
+    training_log: tuple[IterationLog, ...]
     extra: dict = field(default_factory=dict)  # CLI-side metadata, round-trips
-    chunks: tuple[tuple[list[MultiOutputTree], RouteTables], ...] = field(init=False, repr=False)
+    chunks: tuple[RouteTables, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.chunks = tuple(
-            (chunk, compile_routes([tree.skeleton for tree in chunk],
-                                   np.cumsum([0] + [tree.n_leaves for tree in chunk[:-1]])))
-            for chunk in _chunks(self.trees, self.n_features)
-        )
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "training_log", tuple(self.training_log))
+        object.__setattr__(self, "base_scores", read_only(self.base_scores, np.float64))
+        object.__setattr__(self, "extra", dict(self.extra))
+        object.__setattr__(self, "chunks", tuple(
+            compile_routes(chunk) for chunk in _chunks(self.trees, self.n_features)))
+
+    __reduce__ = rebuilt_by_init
 
     @property
     def n_tasks(self) -> int:
@@ -269,9 +276,8 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
-            routes = compile_routes([tree.skeleton], [0])
-            _add_leaf_values(valid_scores, tree.leaf_values[routes.leaf_of_slot],
-                             route_binned(routes, valid.binned)[0])
+            routes = compile_routes([tree])
+            _add_leaf_values(valid_scores, routes.values, route_binned(routes, valid.binned)[0])
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 
@@ -351,19 +357,20 @@ def _add_tree_values(out, chunks, binned, tasks) -> None:
     scores, one row per task selected by ``tasks``.
 
     ``chunks`` are a model's runs of trees with their routing tables
-    (BoosterModel.chunks), so nothing is compiled here. A chunk's leaf
-    values are laid out by slot position. Rows then go in blocks
-    (_block_rows): one route_binned call gives the block's slot positions
-    in every tree, one take gathers the values of all of them behind a copy
-    of the block's scores, and one reduce over that leading axis adds them
-    to the scores in tree order, as the walk from tree to tree would.
+    (BoosterModel.chunks), so nothing is compiled or laid out here: a
+    chunk's selected columns of its slot-ordered values are taken once, a
+    view for every task and a one-column copy for one. Rows then go in
+    blocks (_block_rows): one route_binned call gives the block's slot
+    positions in every tree, one take gathers the values of all of them
+    behind a copy of the block's scores, and one reduce over that leading
+    axis adds them to the scores in tree order, as the walk from tree to
+    tree would.
     """
     k = binned.shape[0]
     n_out = out.shape[0]
-    for chunk, routes in chunks:
-        n_trees = len(chunk)
-        values = np.concatenate([tree.leaf_values[:, tasks] for tree in chunk])
-        by_slot = values[routes.leaf_of_slot]
+    for routes in chunks:
+        n_trees = routes.start.size
+        by_slot = np.ascontiguousarray(routes.values[:, tasks])
         size = max(1, min(k, _block_rows(n_trees, routes.n_words, n_out)))
         buffers = route_buffers(size * n_trees * routes.n_words)
         gathered = np.empty((n_trees + 1) * size * n_out)
@@ -446,11 +453,11 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
         trees=trees,
         params=params,
         mapper=model.mapper,
-        base_scores=model.base_scores[task : task + 1].copy(),
+        base_scores=model.base_scores[task : task + 1],
         feature_names=model.feature_names,
         task_names=(model.task_names[task],),
         training_log=log,
-        extra=dict(model.extra),
+        extra=model.extra,
     )
 
 

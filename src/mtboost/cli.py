@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,12 +32,11 @@ from .errors import (
     ConfigError,
     FeatureCountMismatch,
     FormatVersionMismatch,
-    InvalidParameter,
-    LabelOverflow,
     MtboostError,
 )
 from .gradients import MTConfig
 from .metrics import METRIC_NAMES, compute_metric
+from .objectives import transform_score
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
 
 # Config keys that differ from the field they set.
@@ -159,13 +159,12 @@ def cmd_train(args) -> int:
     if args.valid:
         valid_table = _load_table(args.valid, data_opts)
         valid_ds = apply_bins(valid_table, mapper)
-    model = bt.train(train_ds, params, valid_ds)
-    model.extra["data_options"] = {
+    model = replace(bt.train(train_ds, params, valid_ds), extra={"data_options": {
         "label_columns": list(data_opts.get("label_columns")),
         "missing_token": data_opts.get("missing_token", ""),
         "max_bins": data_opts.get("max_bins", 255),
         "log_transform_features": list(data_opts.get("log_transform_features") or ()),
-    }
+    }})
     bt.save_model(model, args.out)
     log_path = args.log if args.log else args.out + ".train_log.csv"
     _write_training_log(model, log_path, valid_ds is not None)
@@ -245,18 +244,18 @@ def cmd_eval(args) -> int:
         model, _model_features(model, labeled.features, labeled.feature_names, log_features)
     )
     use_probability = args.metric in ("rmse", "mape")
+    # Every task's metric is computed before any is printed, so a failing
+    # task prints only its error line.
     values = []
     for t, name in enumerate(model.task_names):
         pred = raw[:, t]
         if use_probability:
-            from .objectives import transform_score
-
             pred = transform_score(pred, model.params.objectives[t])
         try:
-            value = compute_metric(args.metric, labeled.labels[:, t], pred)
-        except (LabelOverflow, InvalidParameter) as exc:
+            values.append(compute_metric(args.metric, labeled.labels[:, t], pred))
+        except MtboostError as exc:
             raise type(exc)(f"task {name!r}: {exc}") from None
-        values.append(value)
+    for name, value in zip(model.task_names, values):
         print(f"{name} {args.metric} {value!r}")
     print(f"mean {args.metric} {float(np.mean(values))!r}")
     return 0

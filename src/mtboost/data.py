@@ -15,7 +15,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -342,18 +342,39 @@ def log_transform_columns(features: np.ndarray, feature_indices, feature_names) 
         features[mask, f] = np.log10(col[mask] + 1.0)
 
 
+def read_only(array, dtype=None) -> np.ndarray:
+    """A read-only view of ``array`` (converted to ``dtype`` when given). A
+    caller's array behind the view keeps its own flags."""
+    view = np.asarray(array, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+def rebuilt_by_init(self):
+    """__reduce__ of a frozen dataclass whose __post_init__ makes its arrays
+    read-only: pickle and copy rebuild it from its init fields through
+    __init__, so the copy's arrays are read-only too."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
 class BinMapper:
     """Per-feature bin boundaries fitted on a training table.
 
     ``boundaries[f]`` holds the strictly increasing upper boundaries of the
     finite bins (length = finite_bins - 1; the topmost finite bin has no upper
-    boundary and catches everything above). The missing bin sits at index
-    ``finite_bins``, so total bins per feature is ``finite_bins + 1``.
+    boundary and catches everything above), in read-only arrays. The missing
+    bin sits at index ``finite_bins``, so total bins per feature is
+    ``finite_bins + 1``.
     """
 
     boundaries: tuple[np.ndarray, ...]
     max_bins: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "boundaries", tuple(map(read_only, self.boundaries)))
+
+    __reduce__ = rebuilt_by_init
 
     @property
     def n_features(self) -> int:

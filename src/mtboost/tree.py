@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_only, rebuilt_by_init
 from .errors import EmptyLeaf, InvalidParameter
 
 MAX_DELTA_DEFAULT = 1e10
@@ -176,15 +176,15 @@ NODE_DTYPES = dict(feature=np.intp, threshold_bin=np.intp, left=np.intp, right=n
                    gain=np.float64, count=np.int64)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TreeSkeleton:
     """Split structure produced by growth, before leaf values are fitted.
 
-    One array per NODE_DTYPES field, converted on construction (a value
-    outside the dtype raises OverflowError). Rows whose bin of ``feature[i]``
-    is <= ``threshold_bin[i]`` go to child ``left[i]``, the others, missing
-    values included, to ``right[i]``. A child >= 0 is a node; a negative
-    child c is leaf ~c.
+    One read-only array per NODE_DTYPES field, converted on construction (a
+    value outside the dtype raises OverflowError). Rows whose bin of
+    ``feature[i]`` is <= ``threshold_bin[i]`` go to child ``left[i]``, the
+    others, missing values included, to ``right[i]``. A child >= 0 is a
+    node; a negative child c is leaf ~c.
     """
 
     feature: np.ndarray
@@ -197,7 +197,9 @@ class TreeSkeleton:
 
     def __post_init__(self):
         for name, dtype in NODE_DTYPES.items():
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+
+    __reduce__ = rebuilt_by_init
 
     @property
     def nodes(self) -> list:
@@ -291,19 +293,25 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
     return skeleton, leaf_id
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MultiOutputTree:
     """Finished tree: shared structure plus per-task leaf values.
 
     ``leaf_values`` holds the shrunk Newton steps, one row of n per leaf,
-    and ``leaf_counts`` the training rows of each leaf. A tree holds no
-    routing tables: compile_routes builds them from skeletons, once per
+    and ``leaf_counts`` the training rows of each leaf, both read-only. A
+    tree holds no routing tables: compile_routes builds them, once per
     chunk of a model's trees when the model is made.
     """
 
     skeleton: TreeSkeleton
     leaf_values: np.ndarray  # (L, n)
     leaf_counts: np.ndarray  # (L,)
+
+    def __post_init__(self):
+        object.__setattr__(self, "leaf_values", read_only(self.leaf_values, np.float64))
+        object.__setattr__(self, "leaf_counts", read_only(self.leaf_counts, np.int64))
+
+    __reduce__ = rebuilt_by_init
 
     @property
     def nodes(self) -> list:
@@ -346,12 +354,14 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
 class _WordKind:
     """Leaf-mask words of one width. (x * de_bruijn) >> shift differs for
     each of the width one-bit words x, so it maps a word's isolated lowest
-    set bit to a slot; bit_of_slot[slot] is that bit's position."""
+    set bit to a slot; bit_of_slot[slot] is that bit's position. low[b],
+    for b from 0 to width, is the word with bits 0 to b - 1 set."""
 
     dtype: type
     de_bruijn: np.unsignedinteger
     shift: np.unsignedinteger
     bit_of_slot: np.ndarray
+    low: np.ndarray
 
     @classmethod
     def make(cls, dtype, de_bruijn: int) -> _WordKind:
@@ -360,7 +370,8 @@ class _WordKind:
         bit_of_slot = np.empty(width, dtype=np.intp)
         slots = [((de_bruijn << p) & ((1 << width) - 1)) >> shift for p in range(width)]
         bit_of_slot[slots] = np.arange(width)
-        return cls(dtype, dtype(de_bruijn), dtype(shift), bit_of_slot)
+        low = np.array([(1 << b) - 1 for b in range(width + 1)], dtype=dtype)
+        return cls(dtype, dtype(de_bruijn), dtype(shift), bit_of_slot, low)
 
 
 _WORD_KINDS = {
@@ -389,21 +400,22 @@ class RouteTables:
     feature order; row b of a table holds every tree's words for bin b of
     that feature, and the table has a row per bin up to one past the top
     threshold of the feature's nodes. Tree j's exit slots take the positions
-    from ``start[j]`` on, and ``leaf_of_slot[p]`` is the index, in the
-    trees' concatenated leaves, of the leaf at position p.
+    from ``start[j]`` on, and ``values[p]`` holds the per-task values of the
+    leaf at position p (a position no leaf takes holds its tree's leaf 0).
+    Every array is read-only, and ``values`` is C-contiguous.
     """
 
     width: int
     n_words: int
     tables: tuple[tuple[int, np.ndarray], ...]
     start: np.ndarray
-    leaf_of_slot: np.ndarray
+    values: np.ndarray  # (slots, n)
 
 
-def compile_routes(skeletons, first) -> RouteTables:
+def compile_routes(trees) -> RouteTables:
     """Fold the nodes of one or more trees into the tables route_binned
-    routes through, in the words of the widest tree (leaf_words);
-    ``first[j]`` is the index of tree j's leaf 0 in their concatenated leaves.
+    routes through, in the words of the widest tree (leaf_words), and lay
+    their leaf values out by slot position.
 
     QuickScorer's exit rule (Lucchese et al., SIGIR 2015): number a tree's
     leaves left to right and start every row with all of them set. Each node
@@ -420,22 +432,22 @@ def compile_routes(skeletons, first) -> RouteTables:
     al., SIGIR 2016). The nodes of each tree must form one tree with each
     child after its parent, as grow_tree builds them and load_model checks.
     """
-    width, n_words = map(max, zip(*(leaf_words(s.n_leaves) for s in skeletons)))
+    width, n_words = map(max, zip(*(leaf_words(tree.n_leaves) for tree in trees)))
     kind = _WORD_KINDS[width]
     slots = n_words * width
-    word_mask = (1 << width) - 1
-    leaf_at = [0] * (len(skeletons) * slots)
-    masks = []  # each node's clear mask, word after word
-    for j, skeleton in enumerate(skeletons):
-        left, right = skeleton.left.tolist(), skeleton.right.tolist()
+    leaf_at = [0] * (len(trees) * slots)
+    # Each node's clear mask clears the span of leaves under its left child,
+    # from position start on.
+    starts, spans = [], []
+    for j, tree in enumerate(trees):
+        left, right = tree.skeleton.left.tolist(), tree.skeleton.right.tolist()
         n = len(left)
         # Leaves under each node; children come after their parents.
         under = [0] * n
         for i in range(n - 1, -1, -1):
             lc, rc = left[i], right[i]
             under[i] = (under[lc] if lc >= 0 else 1) + (under[rc] if rc >= 0 else 1)
-        # In-order leaf positions: node i's leaves start at at[i], and the
-        # span of them under its left child is what its clear mask clears.
+        # In-order leaf positions: node i's leaves start at at[i].
         at = [0] * n
         for i in range(n):
             start, lc, rc = at[i], left[i], right[i]
@@ -448,34 +460,44 @@ def compile_routes(skeletons, first) -> RouteTables:
                 at[rc] = start + span
             else:
                 leaf_at[j * slots + start + span] = ~rc
-            clear = ~(((1 << span) - 1) << start)
-            masks += [(clear >> (width * w)) & word_mask for w in range(n_words)]
+            spans.append(span)
+        starts += at
+    # Word w of a mask clears the span's bits from lo = start - width * w up
+    # to hi = lo + span, those of them that fall in the word.
+    lo = np.array(starts, dtype=np.intp)[:, None] - width * np.arange(n_words)
+    hi = lo + np.array(spans, dtype=np.intp)[:, None]
+    masks = ~(kind.low[hi.clip(0, width)] ^ kind.low[lo.clip(0, width)])
 
-    feature = np.concatenate([s.feature for s in skeletons])
-    row = np.concatenate([s.threshold_bin for s in skeletons]) + 1
-    column = np.repeat(np.arange(len(skeletons)) * n_words, [s.feature.size for s in skeletons])
+    feature = np.concatenate([tree.skeleton.feature for tree in trees])
+    row = np.concatenate([tree.skeleton.threshold_bin for tree in trees]) + 1
+    column = np.repeat(np.arange(len(trees)) * n_words,
+                       [tree.skeleton.feature.size for tree in trees])
     # Used feature u's table is rows ends[u] - sizes[u] to ends[u] of entries.
     used, which = np.unique(feature, return_inverse=True)
     sizes = np.zeros(used.size, dtype=np.intp)
     np.maximum.at(sizes, which, row + 1)
     ends = np.cumsum(sizes)
-    entries = np.full((int(sizes.sum()), len(skeletons) * n_words), word_mask, dtype=kind.dtype)
+    entries = np.full((int(sizes.sum()), len(trees) * n_words), kind.low[width],
+                      dtype=kind.dtype)
     np.bitwise_and.at(entries, ((ends - sizes)[which, None] + row[:, None],
-                                column[:, None] + np.arange(n_words)),
-                      np.array(masks, dtype=kind.dtype).reshape(-1, n_words))
+                                column[:, None] + np.arange(n_words)), masks)
     tables = tuple(zip(used.tolist(), np.split(entries, ends[:-1])))
     for _, table in tables:
         np.bitwise_and.accumulate(table, axis=0, out=table)
+        table.flags.writeable = False
     # Positions are counted in the words' own dtype where they fit (8-bit
     # words in 16 bits), in a wider one where they do not.
-    n_slots = len(skeletons) * slots
-    start = np.arange(0, n_slots, slots,
-                      dtype=np.result_type(kind.dtype, np.uint16, np.min_scalar_type(n_slots)))
-    # Word w's slots map through their bit positions to leaf ids.
-    leaf_of_slot = np.array(leaf_at, dtype=np.intp).reshape(-1, n_words, width)
-    leaf_of_slot = leaf_of_slot[:, :, kind.bit_of_slot]
+    n_slots = len(trees) * slots
+    start = read_only(np.arange(0, n_slots, slots, dtype=np.result_type(
+        kind.dtype, np.uint16, np.min_scalar_type(n_slots))))
+    # Word w's slots map through their bit positions to leaves, numbered in
+    # the trees' concatenated leaves, whose values they take.
+    leaf = np.array(leaf_at, dtype=np.intp).reshape(-1, n_words, width)
+    leaf = leaf[:, :, kind.bit_of_slot].ravel()
+    leaf += np.repeat(np.cumsum([0] + [tree.n_leaves for tree in trees[:-1]]), slots)
+    values = np.concatenate([tree.leaf_values for tree in trees])[leaf]
     return RouteTables(width=width, n_words=n_words, tables=tables, start=start,
-                       leaf_of_slot=leaf_of_slot.ravel() + np.repeat(first, slots))
+                       values=read_only(values))
 
 
 def route_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -487,8 +509,8 @@ def route_buffers(cells: int) -> tuple[np.ndarray, np.ndarray]:
 def route_binned(routes: RouteTables, binned, buffers=None) -> np.ndarray:
     """Route each binned row through every tree of ``routes``: a (trees,
     rows) array of the slot position of the leaf each row reaches in each
-    tree, which ``routes.leaf_of_slot`` maps to the leaf's index. That leaf
-    is the one the walk from the root reaches.
+    tree, whose values are ``routes.values`` at that position. That leaf is
+    the one the walk from the root reaches.
 
     A row's leaf masks are the AND of one table row per used feature, one
     gather for all trees, and each tree's leaf is the lowest set bit of its

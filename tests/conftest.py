@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from mtboost.data import BinMapper, Dataset
-from mtboost.tree import TreeSkeleton
+from mtboost.tree import MultiOutputTree, TreeSkeleton
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -37,6 +37,13 @@ def make_binned_dataset(binned, labels=None, finite_bins=None, max_bins=255):
 def nodeless_skeleton():
     """The structure of a tree without nodes: its one leaf takes every row."""
     return TreeSkeleton([], [], [], [], [], [], n_leaves=1)
+
+
+def leaf_id_tree(skeleton, first=0):
+    """A one-task tree whose leaf values are its leaf ids plus ``first``, so
+    the values a row gathers name the leaf it reaches."""
+    ids = first + np.arange(skeleton.n_leaves, dtype=np.float64)
+    return MultiOutputTree(skeleton, ids[:, None], np.ones(skeleton.n_leaves, dtype=np.int64))
 
 
 def random_skeleton(rng, n_leaves, finite_bins):

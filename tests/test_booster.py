@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import signal
 import threading
 import tracemalloc
@@ -28,8 +30,9 @@ from mtboost.booster import (
     save_model,
     train,
 )
-from mtboost.data import RawTable, apply_bins, bin_column, fit_bins
+from mtboost.data import BinMapper, Dataset, RawTable, apply_bins, bin_column, fit_bins
 from mtboost.errors import (
+    EmptyDataset,
     FeatureCountMismatch,
     FormatVersionMismatch,
     InvalidParameter,
@@ -40,7 +43,15 @@ from mtboost.errors import (
 )
 from mtboost.gradients import MTConfig
 from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
-from mtboost.tree import MultiOutputTree, TreeSkeleton, compile_routes, leaf_words, route_binned
+from mtboost.tree import (
+    NODE_DTYPES,
+    MultiOutputTree,
+    RouteTables,
+    TreeSkeleton,
+    compile_routes,
+    leaf_words,
+    route_binned,
+)
 
 from conftest import nodeless_skeleton, random_skeleton
 from oracles import (
@@ -89,6 +100,13 @@ class TestTrain:
         assert len(model.training_log) == 1
         with pytest.raises(ValueError):
             reg_params(num_iterations=0)
+
+    def test_zero_rows_raise_empty_dataset(self, rng):
+        ds = binned(regression_table(rng))
+        empty = Dataset(ds.binned[:0], ds.labels[:0], ds.mapper, ds.feature_names,
+                        ds.task_names)
+        with pytest.raises(EmptyDataset):
+            train(empty, reg_params())
 
     def test_l2_training_loss_nonincreasing(self):
         for seed in range(5):
@@ -317,9 +335,8 @@ class TestPredict:
         cols = np.column_stack(
             [bin_column(x[:, f], model.mapper.boundaries[f]) for f in range(x.shape[1])]
         )
-        last = model.trees[-1]
-        routes = compile_routes([last.skeleton], [0])
-        contribution = last.leaf_values[routes.leaf_of_slot[route_binned(routes, cols)[0]]]
+        routes = compile_routes(model.trees[-1:])
+        contribution = routes.values[route_binned(routes, cols)[0]]
         np.testing.assert_array_equal(predict(shorter, x) + contribution, predict(model, x))
 
     def test_predict_proba_applies_links(self, rng):
@@ -392,7 +409,7 @@ class TestPredictLayout:
             skeleton=nodeless_skeleton(), leaf_values=np.array([[0.25, -0.5, 0.125]]),
             leaf_counts=np.array([400]),
         )
-        model = dataclasses.replace(model, trees=model.trees[:3] + [stump] + model.trees[3:])
+        model = dataclasses.replace(model, trees=model.trees[:3] + (stump,) + model.trees[3:])
         path = tmp_path / "model.txt"
         save_model(model, path)
         return {"trained": model, "loaded": load_model(path), "extracted": extract_task(model, 1)}
@@ -502,7 +519,7 @@ class TestMixedWordKinds:
             mapper=mapper, base_scores=np.array([0.5, -1e-3, 1e4]),
             feature_names=table.feature_names, task_names=table.task_names, training_log=[],
         )
-        assert [(r.width, r.n_words) for _, r in model.chunks] == [(64, 3), (64, 3)]
+        assert [(r.width, r.n_words) for r in model.chunks] == [(64, 3), (64, 3)]
         path = tmp_path_factory.mktemp("mixed") / "model.txt"
         save_model(model, path)
         return model, load_model(path)
@@ -525,11 +542,11 @@ class TestMixedWordKinds:
         model, _ = models
         monkeypatch.setattr(booster_module, "TABLE_BYTES", 1 << 13)
         model = dataclasses.replace(model)  # compiles its chunks under the smaller budget
-        chunks = [chunk for chunk, _ in model.chunks]
-        assert len(chunks) > 10 and sum(chunks, []) == model.trees
-        for chunk, routes in model.chunks:
+        sizes = [routes.start.size for routes in model.chunks]
+        assert len(sizes) > 10 and sum(sizes) == len(model.trees)
+        for size, routes in zip(sizes, model.chunks):
             nbytes = sum(table.nbytes for _, table in routes.tables)
-            assert len(chunk) == 1 or nbytes <= 1 << 13
+            assert size == 1 or nbytes <= 1 << 13
         x = np.random.default_rng(3).standard_normal((300, 5)) * 1.5
         x[::4, 2] = np.nan
         want = scores_oracle(model, x)
@@ -958,6 +975,102 @@ class TestExtractTask:
         sub = extract_task(model, 0)
         x = table.features[:50]
         np.testing.assert_array_equal(predict(sub, x), predict(model, x))
+
+
+class TestFrozenModel:
+    """A model, its trees and their arrays cannot be edited in place, so
+    what predict reads and what save_model writes are one model."""
+
+    @pytest.fixture
+    def models(self, rng, tmp_path):
+        table = regression_table(rng, m=300, n=3)
+        table.features[rng.random(300) < 0.2, 1] = np.nan
+        model = train(binned(table), reg_params(n=3, num_iterations=6))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return {"trained": model, "loaded": load_model(path), "extracted": extract_task(model, 2)}
+
+    def test_fields_cannot_be_assigned(self, models):
+        for model in models.values():
+            tree = model.trees[0]
+            for obj, name in ((model, "trees"), (model, "base_scores"), (model, "extra"),
+                              (model, "chunks"), (tree, "leaf_values"), (tree, "skeleton"),
+                              (tree.skeleton, "feature"), (tree.skeleton, "n_leaves")):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, getattr(obj, name))
+
+    def test_arrays_cannot_be_written(self, models):
+        for model in models.values():
+            tree = model.trees[0]
+            arrays = [tree.leaf_values, tree.leaf_counts, model.base_scores,
+                      model.mapper.boundaries[0]]
+            arrays += [getattr(tree.skeleton, name) for name in NODE_DTYPES]
+            arrays += [model.chunks[0].values, model.chunks[0].start,
+                       model.chunks[0].tables[0][1]]
+            for array in arrays:
+                assert array.size
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+    def test_sequences_cannot_be_changed(self, models):
+        for model in models.values():
+            with pytest.raises(AttributeError):
+                model.trees.append(model.trees[0])
+            with pytest.raises(TypeError):
+                model.trees[0] = model.trees[-1]
+            with pytest.raises(TypeError):
+                model.training_log[0] = model.training_log[-1]
+
+    def test_copies_are_frozen_too(self, rng, models):
+        x = rng.uniform(-0.2, 1.2, size=(50, 3))
+        for name, model in models.items():
+            for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model),
+                           copy.copy(model)):
+                tree = copied.trees[0]
+                for array in (tree.leaf_values, tree.skeleton.left, copied.base_scores,
+                              copied.mapper.boundaries[0], copied.chunks[0].values):
+                    assert not array.flags.writeable, name
+                assert predict(copied, x).tobytes() == predict(model, x).tobytes(), name
+
+    def test_callers_arrays_keep_their_flags(self):
+        values, counts = np.array([[0.5, -1.0]]), np.array([7])
+        feature = np.zeros(0, dtype=np.intp)
+        tree = MultiOutputTree(TreeSkeleton(feature, feature, feature, feature, [], [], 1),
+                               values, counts)
+        cuts = np.array([0.0, 1.0])
+        model = BoosterModel(trees=[tree], params=BoosterParams(objectives=(REGRESSION_L2,) * 2),
+                             mapper=BinMapper(boundaries=(cuts,), max_bins=4),
+                             base_scores=values[0], feature_names=("a",), task_names=("y", "z"),
+                             training_log=[])
+        assert tree.leaf_values.base is values and tree.skeleton.feature.base is feature
+        assert model.mapper.boundaries[0].base is cuts
+        for array in (values, counts, feature, cuts):
+            assert array.flags.writeable
+        assert not any(a.flags.writeable for a in (tree.leaf_values, tree.leaf_counts,
+                                                   model.base_scores, model.mapper.boundaries[0]))
+
+    def test_chunks_hold_slot_ordered_values(self, models):
+        for model in models.values():
+            assert type(model.chunks) is tuple
+            for routes in model.chunks:
+                assert type(routes) is RouteTables
+                assert routes.values.flags.c_contiguous
+                assert routes.values.shape[1] == model.n_tasks
+
+    def test_replaced_model_predicts_as_its_file(self, rng, models, tmp_path):
+        x = rng.uniform(-0.2, 1.2, size=(200, 3))
+        x[::7, 1] = np.nan
+        path = tmp_path / "cut.txt"
+        for name, model in models.items():
+            for k in (0, 1, 4, len(model.trees)):
+                cut = dataclasses.replace(model, trees=model.trees[:k])
+                assert len(cut.trees) == k and sum(r.start.size for r in cut.chunks) == k
+                save_model(cut, path)
+                loaded = load_model(path)
+                assert predict(cut, x).tobytes() == predict(loaded, x).tobytes(), (name, k)
+                for t in range(model.n_tasks):
+                    got = predict(cut, x, task=t).tobytes()
+                    assert got == predict(loaded, x, task=t).tobytes(), (name, k, t)
 
 
 class TestDeterminism:

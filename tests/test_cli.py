@@ -527,6 +527,20 @@ def test_overflowing_metric_gives_one_error_line(tmp_path, metric, rows):
     assert "inf" not in out.getvalue()
 
 
+# Labels a metric is undefined for: eval prints nothing on stdout (no
+# metric line of an earlier task) and one error line naming the task.
+@pytest.mark.parametrize("metric, error", [
+    ("auc", "SingleClass: task 'y_cls': need at least one positive and one negative label"),
+    ("mape", "ZeroLabelInMape: task 'y_reg': MAPE undefined: a true label is zero"),
+])
+def test_undefined_metric_names_the_task_and_prints_no_metric(tmp_path, capsys, metric, error):
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c,y_cls,y_reg\n0.5,,1.5,1,1\n-0.5,1.0,0.0,1,0\n")
+    code = run(["eval", "--model", GOLDEN, "--data", data, "--metric", metric])
+    assert code != 0
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_auc_of_non_binary_labels_gives_one_error_line(tmp_path, capsys):
     # timeseries_ratio's labels are real-valued, so AUC is undefined for them.
     data = tmp_path / "ts.csv"

@@ -20,7 +20,7 @@ from mtboost.tree import (
     subtract_histograms,
 )
 
-from conftest import make_binned_dataset, nodeless_skeleton, random_skeleton
+from conftest import leaf_id_tree, make_binned_dataset, nodeless_skeleton, random_skeleton
 from oracles import (
     engine_tree_structure,
     enumerate_best_split,
@@ -47,8 +47,8 @@ def loose_params(**kw):
 
 def route_one(skeleton, binned):
     """Each row's leaf through route_binned, with the tree compiled alone."""
-    routes = compile_routes([skeleton], [0])
-    return routes.leaf_of_slot.take(route_binned(routes, binned)[0])
+    routes = compile_routes([leaf_id_tree(skeleton)])
+    return routes.values[route_binned(routes, binned)[0], 0].astype(np.intp)
 
 
 def capture_subtractions(monkeypatch):
@@ -579,9 +579,9 @@ class TestRouteBinned:
         skeletons = [random_skeleton(rng, int(rng.integers(low, high + 1)), finite)
                      for _ in range(data.draw(st.integers(1, 5)))]
         first = np.cumsum([0] + [s.n_leaves for s in skeletons])
-        routes = compile_routes(skeletons, first[:-1])
+        routes = compile_routes([leaf_id_tree(s, f) for s, f in zip(skeletons, first)])
         binned = np.column_stack([rng.integers(0, nb + 1, size=200) for nb in finite])
-        got = routes.leaf_of_slot[route_binned(routes, binned)]
+        got = routes.values[route_binned(routes, binned), 0]
         assert got.shape == (len(skeletons), 200)
         for j, skeleton in enumerate(skeletons):
             assert np.array_equal(got[j] - first[j], route_binned_oracle(skeleton.nodes, binned))
@@ -593,10 +593,10 @@ class TestRouteBinned:
         finite = np.array([20, 30])
         skeletons = [random_skeleton(rng, 16, finite) for _ in range(4)] * 1025
         first = np.arange(len(skeletons)) * 16
-        routes = compile_routes(skeletons, first)
+        routes = compile_routes([leaf_id_tree(s, f) for s, f in zip(skeletons, first)])
         assert routes.start[-1] > np.iinfo(np.uint16).max
         binned = np.column_stack([rng.integers(0, nb + 1, size=50) for nb in finite])
-        got = routes.leaf_of_slot[route_binned(routes, binned)]
+        got = routes.values[route_binned(routes, binned), 0]
         for j in (0, 3, 4096, 4099):
             want = route_binned_oracle(skeletons[j].nodes, binned)
             assert np.array_equal(got[j] - first[j], want)
