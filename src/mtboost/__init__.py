@@ -55,7 +55,6 @@ from .tree import (
     fit_leaf_values,
     grow_tree,
     route_binned,
-    split_gain,
     subtract_histograms,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "run_kfold",
     "save_model",
     "select_tasks",
-    "split_gain",
     "subtract_histograms",
     "train",
     "transform_score",

@@ -15,7 +15,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -366,23 +366,33 @@ class BinMapper:
     boundary and catches everything above), in read-only arrays. The missing
     bin sits at index ``finite_bins``, so total bins per feature is
     ``finite_bins + 1``.
+
+    Computed once, read-only: ``finite_bin_counts``; ``n_bins_max``, the
+    most bins of any feature, missing bin included, which is the width of
+    every histogram row; and ``splittable``, the (d, n_bins_max) mask of the
+    bins b after which a split may fall (bins <= b go left). The last finite
+    bin, the missing bin and the padding past a feature's bins are not.
     """
 
     boundaries: tuple[np.ndarray, ...]
     max_bins: int
+    finite_bin_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    n_bins_max: int = field(init=False, repr=False, compare=False)
+    splittable: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "boundaries", tuple(map(read_only, self.boundaries)))
+        boundaries = tuple(map(read_only, self.boundaries))
+        finite = np.array([len(b) + 1 for b in boundaries], dtype=np.int64)
+        n_bins_max = int(finite.max(initial=0)) + 1
+        vars(self).update(  # frozen: set past __setattr__
+            boundaries=boundaries, finite_bin_counts=read_only(finite), n_bins_max=n_bins_max,
+            splittable=read_only(np.arange(n_bins_max) < finite[:, None] - 1))
 
     __reduce__ = rebuilt_by_init
 
     @property
     def n_features(self) -> int:
         return len(self.boundaries)
-
-    @property
-    def finite_bin_counts(self) -> np.ndarray:
-        return np.array([len(b) + 1 for b in self.boundaries], dtype=np.int64)
 
     @property
     def bin_counts(self) -> np.ndarray:
@@ -393,7 +403,7 @@ class BinMapper:
         """Uninitialised (m, d) bin matrix in the one layout every reader
         expects: column-major, so each feature's bins are contiguous, in the
         narrowest unsigned dtype that holds every bin index."""
-        dtype = np.uint8 if int(self.bin_counts.max(initial=0)) <= 256 else np.uint32
+        dtype = np.uint8 if self.n_bins_max <= 256 else np.uint32
         return np.empty((m, self.n_features), dtype=dtype, order="F")
 
     def __eq__(self, other) -> bool:

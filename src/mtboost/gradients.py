@@ -133,11 +133,11 @@ def select_tasks(config: MTConfig, n_tasks: int, iteration: int, seed: int) -> f
     weights. Deterministic given (seed, iteration).
     """
     k = min(config.n_selected, n_tasks)
-    if n_tasks == 1:
-        return frozenset({0})
+    if n_tasks == 1 or config.task_select == "always_main" and k == 1:
+        return frozenset({0})  # nothing to draw
     rng = _iteration_rng(seed, iteration)
     if config.task_select == "always_main":
-        rest = rng.choice(np.arange(1, n_tasks), size=k - 1, replace=False) if k > 1 else []
+        rest = rng.choice(np.arange(1, n_tasks), size=k - 1, replace=False)
         return frozenset({0, *map(int, rest)})
     if config.task_select == "uniform_random":
         picks = rng.choice(n_tasks, size=k, replace=False)

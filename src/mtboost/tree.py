@@ -14,7 +14,8 @@ index order, features are scanned in ascending order, bins left to right,
 and ties keep the first candidate. Of the two children of a split, the one
 with fewer samples gets its histogram built directly; its sibling's is
 derived by subtracting it from the parent's, which makes
-parent = built + derived an exact identity.
+parent = built + derived an exact identity. A split neither of whose
+children can split again builds no histogram.
 """
 
 from __future__ import annotations
@@ -53,19 +54,19 @@ class GrowthParams:
             raise InvalidParameter("lambda_reg must be >= 0")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Histogram:
-    """Per-(feature, bin) sums of g_e, h_e and sample counts.
+    """Per-(feature, bin) sums of one node.
 
-    Arrays are (d, B) with B = max bins over features; rows are padded with
-    zeros past each feature's own bin count. ``finite_bins[f]`` counts the
-    non-missing bins of feature f; the missing bin sits right after them.
+    ``sums[0]``, ``sums[1]`` and ``sums[2]`` are the (d, B) sums of g_e,
+    h_e and the row count, with B the mapper's ``n_bins_max``; counts are
+    float64, which holds them exactly. Rows are padded with zeros past each
+    feature's own bins. ``splittable`` is the mapper's mask of the bins a
+    split may follow, shared by every histogram.
     """
 
-    sum_g: np.ndarray
-    sum_h: np.ndarray
-    count: np.ndarray
-    finite_bins: np.ndarray
+    sums: np.ndarray  # (3, d, B)
+    splittable: np.ndarray  # (d, B) bool, read-only
 
 
 def build_histograms(sample_indices, dataset: Dataset, g_e, h_e) -> Histogram:
@@ -77,37 +78,22 @@ def build_histograms(sample_indices, dataset: Dataset, g_e, h_e) -> Histogram:
     bit-identical.
     """
     idx = np.asarray(sample_indices, dtype=np.intp)
-    finite = dataset.mapper.finite_bin_counts
-    n_bins_max = int(finite.max()) + 1  # room for the missing bin
-    d = dataset.d
-    sum_g = np.empty((d, n_bins_max), dtype=np.float64)
-    sum_h = np.empty((d, n_bins_max), dtype=np.float64)
-    count = np.empty((d, n_bins_max), dtype=np.int64)
+    mapper = dataset.mapper
+    n_bins = mapper.n_bins_max
+    sums = np.empty((3, dataset.d, n_bins), dtype=np.float64)
     g_node = g_e[idx]
     h_node = h_e[idx]
-    for f in range(d):
+    for f in range(dataset.d):
         bins = dataset.binned[:, f][idx].astype(np.intp)
-        sum_g[f] = np.bincount(bins, weights=g_node, minlength=n_bins_max)
-        sum_h[f] = np.bincount(bins, weights=h_node, minlength=n_bins_max)
-        count[f] = np.bincount(bins, minlength=n_bins_max)
-    return Histogram(sum_g=sum_g, sum_h=sum_h, count=count, finite_bins=finite.copy())
+        sums[0, f] = np.bincount(bins, weights=g_node, minlength=n_bins)
+        sums[1, f] = np.bincount(bins, weights=h_node, minlength=n_bins)
+        sums[2, f] = np.bincount(bins, minlength=n_bins)
+    return Histogram(sums, mapper.splittable)
 
 
 def subtract_histograms(parent: Histogram, child: Histogram) -> Histogram:
     """Histogram of the sibling node: parent minus one child, elementwise."""
-    return Histogram(
-        sum_g=parent.sum_g - child.sum_g,
-        sum_h=parent.sum_h - child.sum_h,
-        count=parent.count - child.count,
-        finite_bins=parent.finite_bins,
-    )
-
-
-def split_gain(gl: float, hl: float, gr: float, hr: float,
-               lam: float, gamma_reg: float) -> float:
-    """Second-order gain of splitting a node into (left, right) parts."""
-    parent = (gl + gr) ** 2 / (hl + hr + lam)
-    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma_reg
+    return Histogram(parent.sums - child.sums, parent.splittable)
 
 
 @dataclass(frozen=True)
@@ -130,45 +116,41 @@ def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
     broken toward the lower feature index, then the lower bin index. A gain
     that is not finite never wins. Returns None when no candidate beats min_gain_to_split.
     """
-    g_tot, h_tot, c_tot = node_totals
-    if c_tot < 2 * params.min_samples_leaf:
+    if node_totals[2] < 2 * params.min_samples_leaf:
         return None
     lam = params.lambda_reg
-    # All (d, B) boundaries at once; column b is "bins <= b go left".
-    lg = np.cumsum(hist.sum_g, axis=1)
-    lh = np.cumsum(hist.sum_h, axis=1)
-    lc = np.cumsum(hist.count, axis=1)
-    rg = g_tot - lg
-    rh = h_tot - lh
-    rc = c_tot - lc
-    # The last finite bin, the missing bin and the padding cannot be boundaries.
-    boundary = np.arange(lg.shape[1]) < hist.finite_bins[:, None] - 1
-    valid = (
-        boundary
-        & (lc >= params.min_samples_leaf)
-        & (rc >= params.min_samples_leaf)
-        & (lh >= params.min_hess_leaf)
-        & (rh >= params.min_hess_leaf)
-    )
+    # sides[0] and sides[1] hold the left and right (G, H, count) of all
+    # (d, B) boundaries at once; column b is "bins <= b go left".
+    sides = np.empty((2,) + hist.sums.shape)
+    np.cumsum(hist.sums, axis=2, out=sides[0])
+    np.subtract(np.array(node_totals, dtype=np.float64)[:, None, None], sides[0], out=sides[1])
+    (lg, lh, _), (rg, rh, _) = sides
+    fits = (sides[:, 2] >= params.min_samples_leaf) & (sides[:, 1] >= params.min_hess_leaf)
+    valid = fits[0] & fits[1] & hist.splittable
+    # 0.5 * (lg^2 / (lh + lam) + rg^2 / (rh + lam) - (lg + rg)^2 / (lh + rh + lam))
+    # - gamma_reg, in place, one operation at a time in that order.
     with np.errstate(all="ignore"):
-        gains = 0.5 * (
-            lg * lg / (lh + lam)
-            + rg * rg / (rh + lam)
-            - (lg + rg) ** 2 / (lh + rh + lam)
-        ) - params.gamma_reg
-    gains[~valid | ~np.isfinite(gains)] = -np.inf
+        terms = np.square(sides[:, 0])
+        terms /= sides[:, 1] + lam
+        gains = terms[0] + terms[1]
+        parent, denom = terms
+        np.square(np.add(lg, rg, out=parent), out=parent)
+        np.add(lh, rh, out=denom)
+        denom += lam
+        parent /= denom
+        gains -= parent
+        gains *= 0.5
+        gains -= params.gamma_reg
+    valid &= np.isfinite(gains)
+    gains[~valid] = -np.inf
     # Row-major argmax: first maximum = lowest feature, then lowest bin.
     f, b = np.unravel_index(int(np.argmax(gains)), gains.shape)
     gain = float(gains[f, b])
     if not gain > params.min_gain_to_split:
         return None
-    return SplitInfo(
-        feature=int(f),
-        threshold_bin=int(b),
-        gain=gain,
-        left_sums=(float(lg[f, b]), float(lh[f, b]), int(lc[f, b])),
-        right_sums=(float(rg[f, b]), float(rh[f, b]), int(rc[f, b])),
-    )
+    (lg, lh, lc), (rg, rh, rc) = sides[:, :, f, b].tolist()
+    return SplitInfo(feature=int(f), threshold_bin=int(b), gain=gain,
+                     left_sums=(lg, lh, int(lc)), right_sums=(rg, rh, int(rc)))
 
 
 # Node fields and their dtypes: node i of a tree is entry i of each array.
@@ -231,10 +213,6 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
     numbered in creation order.
     """
     m = dataset.m
-    samples = np.arange(m, dtype=np.int64)
-    hist = build_histograms(samples, dataset, g_e, h_e)
-    totals = (float(np.sum(g_e)), float(np.sum(h_e)), m)
-
     feature, threshold_bin, gain, count = [], [], [], []
     # children[0] points to the root; node i's children go to 2 * i + 1 and 2 * i + 2.
     children = [0]
@@ -242,18 +220,24 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
     heap: list[tuple[float, int]] = []
     counter = 0
 
+    def may_split(depth, rows):
+        """Whether a node made now could ever split: the leaf budget is not
+        spent, it sits above max_depth and it holds rows for two leaves."""
+        return (len(feature) + 1 < params.max_leaves and depth < params.max_depth
+                and rows >= 2 * params.min_samples_leaf)
+
     def add_candidate(samples, hist, totals, depth, slot):
+        """Queue a new leaf; ``hist`` is None for one that is never scanned."""
         nonlocal counter
-        best = None
-        if params.max_leaves > 1 and depth < params.max_depth:
-            best = find_best_split(hist, totals, params)
-        cand = _Candidate(samples, hist, totals, depth, best, slot)
-        pending[counter] = cand
+        best = None if hist is None else find_best_split(hist, totals, params)
+        pending[counter] = _Candidate(samples, hist, totals, depth, best, slot)
         if best is not None:
             heapq.heappush(heap, (-best.gain, counter))
         counter += 1
 
-    add_candidate(samples, hist, totals, 0, 0)
+    samples = np.arange(m, dtype=np.int64)
+    hist = build_histograms(samples, dataset, g_e, h_e) if may_split(0, m) else None
+    add_candidate(samples, hist, (float(np.sum(g_e)), float(np.sum(h_e)), m), 0, 0)
 
     while len(feature) + 1 < params.max_leaves and heap:  # n nodes hold n + 1 leaves
         _, cid = heapq.heappop(heap)
@@ -269,19 +253,18 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
 
         col = dataset.binned[:, best.feature][cand.samples]
         left_mask = col <= best.threshold_bin
-        left_samples = cand.samples[left_mask]
-        right_samples = cand.samples[~left_mask]
-        # Build the smaller child's histogram; derive its sibling's.
-        build_left = len(left_samples) <= len(right_samples)
-        built = build_histograms(
-            left_samples if build_left else right_samples, dataset, g_e, h_e
-        )
-        derived = subtract_histograms(cand.hist, built)
-        left_hist, right_hist = (built, derived) if build_left else (derived, built)
-
+        sides = cand.samples[left_mask], cand.samples[~left_mask]
         depth = cand.depth + 1
-        add_candidate(left_samples, left_hist, best.left_sums, depth, 2 * node_id + 1)
-        add_candidate(right_samples, right_hist, best.right_sums, depth, 2 * node_id + 2)
+        scan = [may_split(depth, len(rows)) for rows in sides]
+        hists = [None, None]
+        if any(scan):
+            # Build the smaller child's histogram; derive its sibling's.
+            small = int(len(sides[0]) > len(sides[1]))
+            hists[small] = build_histograms(sides[small], dataset, g_e, h_e)
+            hists[1 - small] = subtract_histograms(cand.hist, hists[small])
+        for i, totals in enumerate((best.left_sums, best.right_sums)):
+            add_candidate(sides[i], hists[i] if scan[i] else None, totals, depth,
+                          2 * node_id + 1 + i)
 
     # Whatever is still pending becomes a leaf, in creation order.
     leaf_id = np.empty(m, dtype=np.intp)

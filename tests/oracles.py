@@ -135,6 +135,12 @@ def window_features_oracle(seed, m, window_sizes=(3, 7, 14, 30)):
 # ---------------------------------------------------------------------------
 
 
+def split_gain(gl, hl, gr, hr, lam, gamma_reg):
+    """Second-order gain of splitting a node into (left, right) parts."""
+    parent = (gl + gr) ** 2 / (hl + hr + lam)
+    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma_reg
+
+
 def enumerate_best_split(binned, finite_bins, g, h, *, lam, gamma_reg,
                          min_samples_leaf, min_hess_leaf, min_gain):
     """Try every (feature, boundary) pair; return (feature, bin, gain) or None.
@@ -159,15 +165,7 @@ def enumerate_best_split(binned, finite_bins, g, h, *, lam, gamma_reg,
             hr = float(np.sum(h[right]))
             if hl < min_hess_leaf or hr < min_hess_leaf:
                 continue
-            gain = (
-                0.5
-                * (
-                    gl * gl / (hl + lam)
-                    + gr * gr / (hr + lam)
-                    - (gl + gr) ** 2 / (hl + hr + lam)
-                )
-                - gamma_reg
-            )
+            gain = split_gain(gl, hl, gr, hr, lam, gamma_reg)
             if best is None or gain > best[2]:
                 best = (f, b, gain)
     if best is None or best[2] <= min_gain:
@@ -359,15 +357,7 @@ def _ref_find_split(node, binned, finite_bins, g, h, p):
             hr = float(np.sum(h[right]))
             if hl < p["min_hess_leaf"] or hr < p["min_hess_leaf"]:
                 continue
-            gain = (
-                0.5
-                * (
-                    gl * gl / (hl + p["lam"])
-                    + gr * gr / (hr + p["lam"])
-                    - (gl + gr) ** 2 / (hl + hr + p["lam"])
-                )
-                - p["gamma_reg"]
-            )
+            gain = split_gain(gl, hl, gr, hr, p["lam"], p["gamma_reg"])
             if best is None or gain > best[2]:
                 best = (f, b, gain, left, right)
     if best is None or best[2] <= p["min_gain"]:

@@ -54,6 +54,15 @@ class TestSelectTasks:
         cfg = MTConfig(task_select="always_main", n_selected=1)
         assert select_tasks(cfg, 4, 0, seed=3) == {0}
 
+    def test_no_generator_without_a_draw(self, monkeypatch):
+        def no_generator(seed, iteration):
+            raise AssertionError("a generator was built for a selection with no draw")
+
+        monkeypatch.setattr("mtboost.gradients._iteration_rng", no_generator)
+        assert select_tasks(MTConfig(), 4, 0, seed=3) == {0}
+        for policy in ("always_main", "uniform_random"):
+            assert select_tasks(MTConfig(task_select=policy, n_selected=2), 1, 5, seed=9) == {0}
+
     def test_single_task_any_policy(self):
         for policy in ("always_main", "uniform_random"):
             cfg = MTConfig(task_select=policy, n_selected=1)

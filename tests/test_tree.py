@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mtboost.tree import (
     fit_leaf_values,
     grow_tree,
     route_binned,
-    split_gain,
     subtract_histograms,
 )
 
@@ -28,6 +28,7 @@ from oracles import (
     ref_grow_tree,
     ref_tree_structure,
     route_binned_oracle,
+    split_gain,
 )
 
 
@@ -65,22 +66,42 @@ def capture_subtractions(monkeypatch):
     return captures
 
 
+def dead_split_reasons(skeleton, leaf_id, params):
+    """Why neither child of each node, in creation order, can ever split:
+    the ones of "budget" (the split made the last leaf max_leaves allows),
+    "depth" (its children sit at max_depth) and "rows" (both children hold
+    fewer than 2 * min_samples_leaf rows) that hold, none when one can."""
+    leaf_rows = np.bincount(leaf_id)
+    depth = [0] * len(skeleton.feature)
+    reasons = []
+    for i, children in enumerate(zip(skeleton.left, skeleton.right)):
+        rows = [skeleton.count[c] if c >= 0 else leaf_rows[~c] for c in children]
+        for c in children:
+            if c >= 0:
+                depth[c] = depth[i] + 1
+        reasons.append({reason for reason, holds in (
+            ("budget", i + 2 >= params.max_leaves),
+            ("depth", depth[i] + 1 >= params.max_depth),
+            ("rows", max(rows) < 2 * params.min_samples_leaf)) if holds})
+    return reasons
+
+
 class TestBuildHistograms:
     def test_single_sample(self):
         ds = make_binned_dataset([[2], [0], [1]], finite_bins=[4])
         g = np.array([1.5, -2.0, 0.5])
         h = np.array([1.0, 1.0, 1.0])
         hist = build_histograms([0], ds, g, h)
-        assert hist.sum_g[0, 2] == 1.5
-        assert hist.count[0, 2] == 1
-        assert hist.count[0].sum() == 1
+        assert hist.sums[0, 0, 2] == 1.5
+        assert hist.sums[2, 0, 2] == 1
+        assert hist.sums[2, 0].sum() == 1
 
     def test_same_bin_accumulates(self):
         ds = make_binned_dataset([[1], [1]], finite_bins=[3])
         hist = build_histograms([0, 1], ds, np.array([1.0, 2.0]), np.array([0.5, 0.25]))
-        assert hist.sum_g[0, 1] == 3.0
-        assert hist.sum_h[0, 1] == 0.75
-        assert hist.count[0, 1] == 2
+        assert hist.sums[0, 0, 1] == 3.0
+        assert hist.sums[1, 0, 1] == 0.75
+        assert hist.sums[2, 0, 1] == 2
 
     def test_totals_match_direct_sums(self, rng):
         binned = rng.integers(0, 6, size=(100, 3))
@@ -90,9 +111,40 @@ class TestBuildHistograms:
         node = np.sort(rng.choice(100, size=60, replace=False))
         hist = build_histograms(node, ds, g, h)
         for f in range(3):
-            np.testing.assert_allclose(hist.sum_g[f].sum(), g[node].sum(), rtol=1e-9)
-            np.testing.assert_allclose(hist.sum_h[f].sum(), h[node].sum(), rtol=1e-9)
-            assert hist.count[f].sum() == 60
+            np.testing.assert_allclose(hist.sums[0, f].sum(), g[node].sum(), rtol=1e-9)
+            np.testing.assert_allclose(hist.sums[1, f].sum(), h[node].sum(), rtol=1e-9)
+            assert hist.sums[2, f].sum() == 60
+
+    @pytest.mark.parametrize("finite, dtype", [([300, 3, 1], np.uint32), ([7, 2, 1], np.uint8)])
+    def test_equals_bincount_per_feature(self, rng, finite, dtype):
+        # Every feature has rows in its missing bin (index finite[f]), and
+        # 300 finite bins take the uint32 layout empty_binned picks for them.
+        m = 400
+        binned = np.column_stack([rng.integers(0, nb + 1, size=m) for nb in finite])
+        ds = make_binned_dataset(binned, finite_bins=finite)
+        assert ds.mapper.empty_binned(1).dtype == dtype
+        ds = replace(ds, binned=np.asfortranarray(binned, dtype=dtype))
+        g = rng.normal(size=m)
+        h = rng.uniform(0.5, 2.0, size=m)
+        node = np.flatnonzero(rng.random(m) < 0.6)
+        hist = build_histograms(node, ds, g, h)
+        width = max(finite) + 1
+        assert hist.sums.shape == (3, 3, width) and hist.sums.dtype == np.float64
+        assert hist.splittable is ds.mapper.splittable
+        for f in range(3):
+            bins = binned[node, f]
+            for i, weights in enumerate((g[node], h[node], None)):
+                want = np.bincount(bins, weights=weights, minlength=width).astype(np.float64)
+                assert np.array_equal(hist.sums[i, f], want)
+        assert hist.sums[2, :, :].sum(axis=1).tolist() == [len(node)] * 3
+
+    def test_splittable_marks_every_boundary_but_the_last_finite_bin(self):
+        mapper = make_binned_dataset([[0, 0]], finite_bins=[4, 1]).mapper
+        assert mapper.n_bins_max == 5
+        assert mapper.splittable.tolist() == [[True, True, True, False, False],
+                                              [False] * 5]
+        assert not mapper.splittable.flags.writeable
+        assert not mapper.finite_bin_counts.flags.writeable
 
 
 class TestSplitGain:
@@ -373,10 +425,7 @@ class TestGrowTree:
         assert captures
         for parent, left, right in captures:
             recomputed = subtract_histograms(parent, left)
-            assert np.array_equal(recomputed.sum_g, right.sum_g)
-            assert np.array_equal(recomputed.sum_h, right.sum_h)
-            assert np.array_equal(recomputed.count, right.count)
-
+            assert np.array_equal(recomputed.sums, right.sums)
 
     def test_smaller_child_built_larger_derived(self, rng, monkeypatch):
         # Skewed bins make the smaller child the left one at some splits and
@@ -390,18 +439,64 @@ class TestGrowTree:
         g = rng.normal(size=300) + np.where(binned[:, 0] == 0, 1.0, 0.0)
         h = rng.uniform(0.5, 1.5, size=300)
         captures = capture_subtractions(monkeypatch)
-        skeleton, _ = grow_tree(ds, g, h, loose_params(max_leaves=12, min_samples_leaf=3))
-        assert len(captures) == len(skeleton.nodes)
+        params = loose_params(max_leaves=12, min_samples_leaf=3)
+        skeleton, leaf_id = grow_tree(ds, g, h, params)
+        live = [i for i, dead in enumerate(dead_split_reasons(skeleton, leaf_id, params))
+                if not dead]
+        assert len(captures) == len(live) < len(skeleton.feature)
         sides = set()
-        for node, (parent, built, derived) in zip(skeleton.nodes, captures):
-            assert np.array_equal(derived.sum_g, parent.sum_g - built.sum_g)
-            assert np.array_equal(derived.sum_h, parent.sum_h - built.sum_h)
-            assert np.array_equal(derived.count, parent.count - built.count)
-            n_built = int(built.count[0].sum())
-            assert n_built <= int(derived.count[0].sum())
-            n_left = int(built.count[node.feature, : node.threshold_bin + 1].sum())
+        for i, (parent, built, derived) in zip(live, captures):
+            assert np.array_equal(derived.sums, parent.sums - built.sums)
+            assert parent.sums[2, 0].sum() == skeleton.count[i]
+            n_built = int(built.sums[2, 0].sum())
+            assert n_built <= int(derived.sums[2, 0].sum())
+            f, b = skeleton.feature[i], skeleton.threshold_bin[i]
+            n_left = int(built.sums[2, f, : b + 1].sum())
             sides.add("left" if n_left == n_built else "right")
         assert sides == {"left", "right"}
+
+    def test_no_histogram_for_a_split_whose_children_never_split(self, rng, monkeypatch):
+        # A split gets no histogram when it spends the last leaf, when its
+        # children sit at max_depth, or when both hold fewer than
+        # 2 * min_samples_leaf rows; its tree still equals the reference's.
+        built = []
+
+        def counting(sample_indices, *args):
+            built.append(len(sample_indices))
+            return build_histograms(sample_indices, *args)
+
+        captures = capture_subtractions(monkeypatch)
+        monkeypatch.setattr("mtboost.tree.build_histograms", counting)
+        seen = set()
+        for max_leaves, max_depth, min_samples_leaf in ((9, 3, 5), (20, 6, 8), (2, 8, 1),
+                                                        (1, 8, 1), (30, 8, 100)):
+            m = 240
+            finite = [8, 6, 5]
+            binned = np.column_stack([rng.integers(0, nb + 1, size=m) for nb in finite])
+            ds = make_binned_dataset(binned, finite_bins=finite)
+            g = rng.normal(size=m) + 0.8 * (binned[:, 0] < 3) - 0.5 * (binned[:, 1] > 2)
+            h = rng.uniform(0.5, 1.5, size=m)
+            params = loose_params(max_leaves=max_leaves, max_depth=max_depth,
+                                  min_samples_leaf=min_samples_leaf)
+            del built[:], captures[:]
+            skeleton, leaf_id = grow_tree(ds, g, h, params)
+            dead = dead_split_reasons(skeleton, leaf_id, params)
+            seen.update(*dead)
+            live = [i for i, reasons in enumerate(dead) if not reasons]
+            assert [int(p.sums[2, 0].sum()) for p, _, _ in captures] == [
+                skeleton.count[i] for i in live]
+            root_scanned = max_leaves > 1 and m >= 2 * min_samples_leaf
+            assert len(built) == root_scanned + len(live)
+
+            ref_root, ref_leaves = ref_grow_tree(binned, finite, g, h, dict(
+                max_leaves=max_leaves, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                min_hess_leaf=0.0, min_gain=0.0, lam=0.0, gamma_reg=0.0))
+            assert engine_tree_structure(skeleton.nodes) == ref_tree_structure(ref_root)
+            ref_leaf_id = np.empty(m, dtype=np.intp)
+            for leaf, node in enumerate(ref_leaves):
+                ref_leaf_id[node.samples] = leaf
+            assert np.array_equal(leaf_id, ref_leaf_id)
+        assert seen == {"budget", "depth", "rows"}
 
 
 class TestFitLeafValues:
