@@ -214,6 +214,14 @@ def _losses(labels, scores, objectives, which: str) -> tuple[float, ...]:
     return losses
 
 
+def _check_binary_labels(labels, objectives, what: str) -> None:
+    """Raise InvalidParameter unless every label of each binary_logloss task
+    is 0 or 1; ``what`` names the labels in the message."""
+    for t, kind in enumerate(objectives):
+        if kind == BINARY_LOGLOSS and not np.isin(labels[:, t], (0.0, 1.0)).all():
+            raise InvalidParameter(f"task {t} {what} must all be 0 or 1 for {kind}")
+
+
 def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None) -> BoosterModel:
     """Run the boosting loop and return the fitted model.
 
@@ -229,11 +237,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
     n = dataset.n
     if len(params.objectives) != n:
         raise InvalidParameter(f"{len(params.objectives)} objectives for {n} label columns")
-    for t, kind in enumerate(params.objectives):
-        if kind == BINARY_LOGLOSS:
-            col = dataset.labels[:, t]
-            if not np.isin(col, (0.0, 1.0)).all():
-                raise InvalidParameter(f"task {t} labels must all be 0 or 1 for {kind}")
+    _check_binary_labels(dataset.labels, params.objectives, "labels")
     if params.mt.n_selected > n:
         raise InvalidParameter(f"n_selected={params.mt.n_selected} exceeds task count {n}")
     if valid is not None:
@@ -241,6 +245,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
             raise MapperMismatch("validation data was binned with a different mapper")
         if valid.n != n:
             raise InvalidParameter("validation label count differs from training")
+        _check_binary_labels(valid.labels, params.objectives, "validation labels")
 
     # One layout: every per-task (m, n) array is column-major, so each task's
     # column is contiguous. A no-op for apply_bins output. The scores,

@@ -417,38 +417,53 @@ class BinMapper:
 def fit_bins(table: RawTable, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
     """Fit quantile bin boundaries per feature over the non-NaN values.
 
-    A feature with k <= max_bins distinct values gets exactly k bins, one per
-    value. Otherwise boundaries are the (j / max_bins)-quantiles for
-    j = 1..max_bins-1, linearly interpolated, deduplicated, and trimmed below
-    the feature maximum so the top bin is never empty on the fitting data.
-    A constant (or all-missing) feature yields a single finite bin.
+    Each feature costs one sort of its column. A feature with k <= max_bins
+    distinct values gets exactly k bins, one per value. Otherwise boundaries
+    are the (j / max_bins)-quantiles for j = 1..max_bins-1, read off the
+    sorted values with numpy's ``'linear'`` rule (``_sorted_quantiles``),
+    deduplicated, and trimmed below the feature maximum so the top bin is
+    never empty on the fitting data. A constant (or all-missing) feature
+    yields a single finite bin. A zero boundary is always +0.0, whichever
+    zeros the column holds.
     """
     if max_bins < 2:
         raise InvalidParameter("max_bins must be >= 2")
+    probs = np.arange(1, max_bins) / max_bins
     boundaries = []
     for f in range(table.d):
-        col = table.features[:, f]
-        vals = col[~np.isnan(col)]
-        vals.sort()
-        if vals.size == 0:
-            boundaries.append(np.empty(0, dtype=np.float64))
-            continue
-        # Distinct values: the first of each run of equal sorted values.
-        distinct = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
-        if distinct.size <= max_bins:
-            cuts = distinct[:-1]
+        vals = np.sort(table.features[:, f])
+        vals = vals[:np.searchsorted(vals, np.nan)]  # NaN sorts last
+        # run_ends[i]: vals[i] ends a run of equal values. The largest
+        # value's run is left out, so there are count + 1 distinct values.
+        run_ends = vals[1:] != vals[:-1]
+        if np.count_nonzero(run_ends) < max_bins:
+            cuts = vals[:-1][run_ends]  # every distinct value but the largest
         else:
-            probs = np.arange(1, max_bins) / max_bins
-            # Quantiles depend only on the multiset, so the sorted copy gives
-            # the same values, and np.quantile partitions sorted input fast.
             # A quantile between two infinities interpolates through
             # inf - inf = NaN. A NaN cut would break the ascending order;
-            # it fails ``cuts < distinct[-1]`` and is dropped below.
-            with np.errstate(invalid="ignore"):
-                cuts = np.unique(np.quantile(vals, probs))
-            cuts = cuts[cuts < distinct[-1]]
-        boundaries.append(np.ascontiguousarray(cuts, dtype=np.float64))
+            # it fails ``cuts < vals[-1]`` and is dropped.
+            cuts = np.unique(_sorted_quantiles(vals, probs))
+            cuts = cuts[cuts < vals[-1]]
+        # Which zero a run or a quantile ends on depends on how the sort
+        # orders equal keys; + 0.0 folds -0.0 into +0.0.
+        boundaries.append(cuts + 0.0)
     return BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)
+
+
+def _sorted_quantiles(vals: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(vals, probs)`` of ascending, NaN-free ``vals`` (at least
+    two of them) for ``probs`` in [0, 1), bit for bit but the sign of a
+    zero: numpy's ``'linear'`` rule read straight off the sorted values, with
+    neither its copy nor its partition. Since q < 1, (n - 1) * q stays below
+    n - 1, so ``lo + 1`` indexes a value."""
+    pos = (vals.size - 1) * probs
+    lo = np.floor(pos)
+    t = pos - lo
+    lo = lo.astype(np.intp)
+    a, b = vals[lo], vals[lo + 1]
+    with np.errstate(invalid="ignore"):  # inf - inf, and inf * 0
+        diff = b - a
+        return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,7 +526,8 @@ def bin_column(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     every cut in a higher cell is not; ``below[c]`` counts the cuts in cells
     under ``c``, and one comparison with the next cut adds the cut of the
     value's own cell. Rows with a second cut of their cell below them go
-    through searchsorted.
+    through searchsorted; only when some cell holds two cuts can there be
+    any, so only then does a second comparison look for them.
 
     Cuts are quantiles, so about as many rows fall above each cut. When more
     than half of the cuts share a cell with a lower cut, most rows would go
@@ -531,9 +547,10 @@ def bin_column(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         padded = np.append(cuts, np.inf)  # bins never pass len(cuts)
         bins = below.take(_cells(values))
         bins += padded.take(bins) < values
-        crowded = padded.take(bins) < values
-        if crowded.any():
-            bins[crowded] = np.searchsorted(cuts, values[crowded], side="left")
+        if len(cut_cells) < len(cuts):  # else the next cut is in a higher cell
+            crowded = padded.take(bins) < values
+            if crowded.any():
+                bins[crowded] = np.searchsorted(cuts, values[crowded], side="left")
     bins[np.isnan(values)] = len(cuts) + 1
     return bins
 

@@ -130,6 +130,26 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, reg_params(n=1, objectives=(BINARY_LOGLOSS,)))
 
+    def test_validation_classification_labels_validated(self, rng, monkeypatch):
+        table = regression_table(rng, n=2)
+        table.labels[:] = rng.integers(0, 2, table.labels.shape)
+        mapper = fit_bins(table, 32)
+        ds = apply_bins(table, mapper)
+        valid_table = regression_table(rng, m=50, n=2)
+        valid_table.labels[:] = rng.integers(0, 2, valid_table.labels.shape)
+        valid_table.labels[7, 1] = 7.0
+        params = reg_params(objectives=(REGRESSION_L2, BINARY_LOGLOSS))
+        grown = []
+        monkeypatch.setattr(booster_module, "grow_tree", lambda *args: grown.append(args))
+        with pytest.raises(InvalidParameter,
+                           match="^task 1 validation labels must all be 0 or 1 for binary_logloss$"):
+            train(ds, params, apply_bins(valid_table, mapper))
+        assert not grown  # raised before the first iteration
+        monkeypatch.undo()
+        # Task 0 is regression_l2, so 7.0 there is a fine label.
+        valid_table.labels[7] = (7.0, 1.0)
+        train(ds, params, apply_bins(valid_table, mapper))
+
     def test_early_stopping_truncates(self, rng):
         table = regression_table(rng, m=300, n=1)
         valid_rng = np.random.default_rng(999)

@@ -260,6 +260,24 @@ class TestPipeline:
         assert err.count("\n") == 1
         assert err.startswith("error: InvalidParameter: ")
 
+    def test_non_binary_validation_label_is_one_line_error(self, workdir, capsys):
+        data, valid = workdir / "data.csv", workdir / "valid.csv"
+        for path, seed in ((data, 5), (valid, 6)):
+            run(["synth", "--scenario", "noisy_tasks", "--m", "200", "--d", "3",
+                 "--seed", seed, "--out", path])
+        lines = valid.read_text().splitlines(keepends=True)
+        assert lines[0] == "x0,x1,x2,y_main,y_aux\n"
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",7.0\n"  # y_aux is binary_logloss
+        valid.write_text("".join(lines))
+        capsys.readouterr()
+        code = run(["train", "--config", workdir / "cfg.txt", "--data", data, "--valid", valid,
+                    "--out", workdir / "m.txt"])
+        assert code != 0
+        assert capsys.readouterr().err == (
+            "error: InvalidParameter: task 1 validation labels must all be 0 or 1"
+            " for binary_logloss\n")
+        assert not (workdir / "m.txt").exists()
+
     def test_log_feature_listed_twice_is_one_line_error(self, workdir, capsys):
         data = workdir / "ts.csv"
         run(["synth", "--scenario", "timeseries_ratio", "--m", "200",

@@ -16,6 +16,7 @@ from mtboost.booster import BoosterParams, load_model, predict, save_model, trai
 from mtboost.data import (
     RawTable,
     _cells,
+    _sorted_quantiles,
     apply_bins,
     bin_column,
     fit_bins,
@@ -493,6 +494,28 @@ class TestFitBins:
         with pytest.raises(ValueError):
             fit_bins(table, max_bins=1)
 
+    @pytest.mark.parametrize("negative_zeros", [6, 3, 1])
+    @pytest.mark.parametrize("max_bins", [16, 4])
+    def test_zero_cuts_are_positive(self, tmp_path, negative_zeros, max_bins):
+        # -5..5 with six zeros: 11 distinct values, so max_bins=16 cuts at
+        # each and max_bins=4 at quantiles, the median at position 7.5,
+        # between two zeros. Unfolded, all-negative zeros give -0.0 there.
+        zeros = [-0.0] * negative_zeros + [0.0] * (6 - negative_zeros)
+        col = np.array([-5.0, -4.0, -3.0, -2.0, -1.0, *zeros, 1.0, 2.0, 3.0, 4.0, 5.0])
+        table = make_table(np.column_stack([col, col[::-1]]), (np.arange(16) % 2)[:, None])
+        mapper = fit_bins(table, max_bins)
+        for cuts in mapper.boundaries:
+            assert 0.0 in cuts
+            assert not np.signbit(cuts[cuts == 0]).any()
+        params = BoosterParams(objectives=("binary_logloss",), num_iterations=2,
+                               min_samples_leaf=1)
+        save_model(train(apply_bins(table, mapper), params), tmp_path / "model.txt")
+        # A leaf whose gradients sum to exactly 0 may still hold -0.0.
+        lines = (tmp_path / "model.txt").read_text().splitlines()
+        written = [line for line in lines if " boundaries " in line]
+        assert len(written) == 2 and "0x0.0p+0" in written[0]
+        assert not any("-0x0.0p+0" in line for line in written)
+
 
 class TestApplyBins:
     def test_clamp_below_and_above(self):
@@ -615,15 +638,29 @@ def ulp_probes(values, cuts):
 class TestBinColumn:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(edge_floats, max_size=60),
-           st.lists(st.one_of(edge_floats, st.floats(1000, 1000.5)), max_size=300))
-    @example(values=[-math.inf, -1.0, 0.0, 2.0], raw_cuts=[-math.inf, 0.0, 1.0])
-    @example(values=[-0.0, 0.0, math.nan, math.inf], raw_cuts=[])
-    @example(values=[-3.0, -2.0, -1.5, -0.5, 1.5, 3.0], raw_cuts=[-2.5, -1.0, 2.5])
-    @example(values=[1.0], raw_cuts=[-1.7976931348623157e308, 1.7976931348623157e308])
-    @example(values=[0.0, -0.0, 1e-320], raw_cuts=[-0.0, 5e-324])
-    def test_matches_binary_search(self, values, raw_cuts):
+           st.lists(st.one_of(edge_floats, st.floats(1000, 1000.5)), max_size=300),
+           st.sampled_from(["as drawn", "one per cell", "two in a cell"]))
+    @example(values=[-math.inf, -1.0, 0.0, 2.0], raw_cuts=[-math.inf, 0.0, 1.0], cells="as drawn")
+    @example(values=[-0.0, 0.0, math.nan, math.inf], raw_cuts=[], cells="as drawn")
+    @example(values=[-3.0, -2.0, -1.5, -0.5, 1.5, 3.0], raw_cuts=[-2.5, -1.0, 2.5],
+             cells="as drawn")
+    @example(values=[1.0], raw_cuts=[-1.7976931348623157e308, 1.7976931348623157e308],
+             cells="as drawn")
+    @example(values=[0.0, -0.0, 1e-320], raw_cuts=[-0.0, 5e-324], cells="as drawn")
+    @example(values=[1000.75], raw_cuts=[-1.0, 1.0, 1000.5], cells="two in a cell")
+    def test_matches_binary_search(self, values, raw_cuts, cells):
         cuts = np.unique(np.array(raw_cuts, dtype=np.float64))
         cuts = cuts[~np.isnan(cuts)]  # strictly ascending, as a mapper holds them
+        # Both sides of bin_column's test for a cell holding two cuts, which
+        # alone runs the pass that looks for crowded rows.
+        if cells == "one per cell":
+            cuts = cuts[np.unique(_cells(cuts), return_index=True)[1]]
+        elif cells == "two in a cell":
+            cuts = np.union1d(cuts, [1000.0, 1000.25])
+        crowded_cell = np.unique(_cells(cuts)).size < cuts.size
+        event(f"a cell holds two cuts: {crowded_cell}")
+        if cells != "as drawn":
+            assert crowded_cell == (cells == "two in a cell")
         probes = ulp_probes(np.array(values, dtype=np.float64), cuts)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -683,4 +720,29 @@ class TestFitBinsOracle:
             warnings.simplefilter("error")
             mapper = fit_bins(make_table(features, np.zeros((col.size, 1))), max_bins)
         for f, cuts in enumerate(mapper.boundaries):
-            assert np.array_equal(cuts, fit_bins_oracle(features[:, f], max_bins))
+            # Bit for bit, but the sign of a zero cut, which fit_bins folds.
+            assert cuts.tobytes() == (fit_bins_oracle(features[:, f], max_bins) + 0.0).tobytes()
+
+
+class TestSortedQuantiles:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3).map(float), finite_floats,
+                              st.sampled_from([math.inf, -math.inf, 0.0, -0.0])),
+                    min_size=2, max_size=300),
+           st.integers(2, 1000))
+    @example(values=[float(v) for v in range(9)], max_bins=8)  # fit_bins' smallest
+    @example(values=[-math.inf] * 5 + [0.0, -0.0] * 5 + [math.inf] * 6, max_bins=4)
+    @example(values=[float(v % 7) for v in range(100_001)], max_bins=100_000)
+    @example(values=[-0.0, 0.0], max_bins=2)
+    def test_equals_np_quantile(self, values, max_bins):
+        # fit_bins' probabilities j / max_bins, j < max_bins; np.quantile
+        # would read the last value where (n - 1) * q reached n - 1, and
+        # _sorted_quantiles would index past the end.
+        vals = np.sort(np.array(values, dtype=np.float64))
+        probs = np.arange(1, max_bins) / max_bins
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sorted_quantiles(vals, probs)
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(vals, probs)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
