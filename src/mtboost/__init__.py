@@ -46,7 +46,6 @@ from .objectives import (
 )
 from .synthetic import SyntheticSpec, gen_synthetic
 from .tree import (
-    GrowthParams,
     Histogram,
     MultiOutputTree,
     SplitInfo,
@@ -68,7 +67,6 @@ __all__ = [
     "Dataset",
     "EnsembleGrad",
     "GradHess",
-    "GrowthParams",
     "Histogram",
     "IterationLog",
     "MTConfig",

@@ -39,7 +39,6 @@ from .objectives import (
 )
 from .tree import (
     MAX_DELTA_DEFAULT,
-    GrowthParams,
     MultiOutputTree,
     RouteTables,
     TreeSkeleton,
@@ -85,9 +84,10 @@ class BoosterParams:
     values. Historic configs sometimes call this knob "lambda_l1"; the CLI
     accepts that alias but the engine applies it in the denominator only.
     ``seed`` keys the task-selection stream of the multi-task config, so
-    harnesses can vary whole runs with one knob. ``growth`` is the
-    GrowthParams view of the fields that share its names, built (and so
-    checked) once, with the params.
+    harnesses can vary whole runs with one knob. grow_tree and
+    find_best_split read the tree limits and regularizers off the params
+    themselves, so this class is the only place they are declared and
+    checked.
     """
 
     objectives: tuple[str, ...]
@@ -117,8 +117,14 @@ class BoosterParams:
             raise InvalidParameter("main_task_index out of range")
         if self.max_delta_step <= 0:
             raise InvalidParameter("max_delta_step must be > 0")
-        growth = GrowthParams(**{f.name: getattr(self, f.name) for f in fields(GrowthParams)})
-        object.__setattr__(self, "growth", growth)
+        if self.max_leaves < 1:
+            raise InvalidParameter("max_leaves must be >= 1")
+        if self.max_depth < 1:
+            raise InvalidParameter("max_depth must be >= 1")
+        if self.min_samples_leaf < 1:
+            raise InvalidParameter("min_samples_leaf must be >= 1")
+        if self.lambda_reg < 0:
+            raise InvalidParameter("lambda_reg must be >= 0")
 
 
 def param_types(cls) -> dict[str, str]:
@@ -198,13 +204,6 @@ def _base_scores(labels, objectives) -> np.ndarray:
     return base
 
 
-def _add_leaf_values(scores, values, index) -> None:
-    """Add each row's row of ``values``, picked by ``index``, to its scores,
-    one task column at a time."""
-    for t, column in enumerate(values.T):
-        scores[:, t] += column.take(index)
-
-
 def _losses(labels, scores, objectives, which: str) -> tuple[float, ...]:
     """Per-task losses; raises LabelOverflow when one is not finite."""
     losses = tuple(loss(labels[:, t], scores[:, t], kind) for t, kind in enumerate(objectives))
@@ -270,19 +269,19 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         gh = grad_hess(labels, scores, params.objectives, out=(g, h))
         eg = ensemble_grad_hess(gh, params.mt, it, params.seed)
         gu = updating_grad_hess(gh, params.mt, out=g)  # the ensemble pass has read g
-        skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params.growth)
+        skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params)
         tree = fit_leaf_values(
             skeleton, leaf_id, gu.g, gu.h,
             params.lambda_reg, params.learning_rate, params.max_delta_step,
         )
         del gh, gu, eg  # free g_e and h_e before the next iteration allocates its own
         trees.append(tree)
-        _add_leaf_values(scores, tree.leaf_values, leaf_id)
+        for t, column in enumerate(tree.leaf_values.T):
+            scores[:, t] += column.take(leaf_id)
         train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
-            routes = compile_routes([tree])
-            _add_leaf_values(valid_scores, routes.values, route_binned(routes, valid.binned)[0])
+            _add_tree_values(valid_scores.T, [compile_routes([tree])], valid.binned, slice(None))
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import booster as bt
 from .data import (
+    DEFAULT_MAX_BINS,
     apply_bins,
     fit_bins,
     format_row,
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .gradients import MTConfig
 from .metrics import METRIC_NAMES, compute_metric
-from .objectives import transform_score
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
 
 # Config keys that differ from the field they set.
@@ -44,16 +44,23 @@ _RENAMED = {"lambda_reg": ("lambda", "lambda_l1")}
 _PARAM_RENAMES = {key: name for name, keys in _RENAMED.items() for key in keys}
 
 
+@dataclass(frozen=True)
+class DataOptions:
+    """How train reads and bins its CSVs, the config's data keys. A model
+    keeps them in ``extra["data_options"]``, so predict and eval read new
+    CSVs as training did."""
+
+    label_columns: tuple[str, ...] = ()
+    missing_token: str = ""
+    max_bins: int = DEFAULT_MAX_BINS
+    log_transform_features: tuple[str, ...] = ()
+
+
 def _make_schema() -> dict:
-    """key -> (type tag, target): the data options, then every field of
-    BoosterParams and MTConfig under its config key."""
-    schema = {
-        "label_columns": ("strlist", "data"),
-        "missing_token": ("str", "data"),
-        "max_bins": ("int", "data"),
-        "log_transform_features": ("strlist", "data"),
-    }
-    for target, cls in (("params", bt.BoosterParams), ("mt", MTConfig)):
+    """key -> (type tag, target): every field of DataOptions, BoosterParams
+    and MTConfig under its config key."""
+    schema = {}
+    for target, cls in (("data", DataOptions), ("params", bt.BoosterParams), ("mt", MTConfig)):
         for name, tag in bt.param_types(cls).items():
             for key in _RENAMED.get(name, (name,)):
                 schema[key] = (tag, target)
@@ -122,15 +129,13 @@ def build_params(sections: dict) -> bt.BoosterParams:
     return bt.BoosterParams(mt=MTConfig(**sections["mt"]), **sections["params"])
 
 
-def _load_table(csv_path, data_opts):
-    labels = data_opts.get("label_columns")
-    if not labels:
+def _load_table(csv_path, opts: DataOptions):
+    if not opts.label_columns:
         raise ConfigError("config must set 'label_columns'", key="label_columns")
-    table = load_csv(csv_path, labels, data_opts.get("missing_token", ""))
-    transform = data_opts.get("log_transform_features") or ()
-    if transform:
+    table = load_csv(csv_path, opts.label_columns, opts.missing_token)
+    if opts.log_transform_features:
         indices = []
-        for name in transform:
+        for name in opts.log_transform_features:
             if name not in table.feature_names:
                 raise ConfigError(f"log_transform_features: no feature named {name!r}",
                                   key="log_transform_features")
@@ -145,26 +150,22 @@ def _load_table(csv_path, data_opts):
 
 def cmd_train(args) -> int:
     sections = parse_config(args.config)
-    data_opts = sections["data"]
+    opts = DataOptions(**sections["data"])
     params = build_params(sections)
-    table = _load_table(args.data, data_opts)
+    table = _load_table(args.data, opts)
     if len(params.objectives) != table.n:
         raise ConfigError(
             f"{len(params.objectives)} objectives but {table.n} label columns",
             key="objectives",
         )
-    mapper = fit_bins(table, data_opts.get("max_bins", 255))
+    mapper = fit_bins(table, opts.max_bins)
     train_ds = apply_bins(table, mapper)
     valid_ds = None
     if args.valid:
-        valid_table = _load_table(args.valid, data_opts)
+        valid_table = _load_table(args.valid, opts)
         valid_ds = apply_bins(valid_table, mapper)
-    model = replace(bt.train(train_ds, params, valid_ds), extra={"data_options": {
-        "label_columns": list(data_opts.get("label_columns")),
-        "missing_token": data_opts.get("missing_token", ""),
-        "max_bins": data_opts.get("max_bins", 255),
-        "log_transform_features": list(data_opts.get("log_transform_features") or ()),
-    }})
+    model = replace(bt.train(train_ds, params, valid_ds),
+                    extra={"data_options": asdict(opts)})
     bt.save_model(model, args.out)
     log_path = args.log if args.log else args.out + ".train_log.csv"
     _write_training_log(model, log_path, valid_ds is not None)
@@ -189,14 +190,15 @@ def _write_training_log(model, path, has_valid: bool) -> None:
 
 def _data_options(model):
     """The missing token and the log-transformed feature indices recorded in
-    the model's ``extra.data_options`` at training time."""
+    the model's ``extra.data_options`` at training time. A key the model
+    leaves out takes its DataOptions default."""
     opts = model.extra.get("data_options", {})
     if type(opts) is not dict:
         raise FormatVersionMismatch("model extra.data_options is not a JSON object")
-    token = opts.get("missing_token", "")
+    token = opts.get("missing_token", DataOptions.missing_token)
     if type(token) is not str:
         raise FormatVersionMismatch("model extra.data_options.missing_token is not a string")
-    names = opts.get("log_transform_features", [])
+    names = opts.get("log_transform_features", list(DataOptions.log_transform_features))
     if (type(names) is not list or not all(name in model.feature_names for name in names)
             or len(set(names)) != len(names)):
         raise FormatVersionMismatch(
@@ -240,19 +242,15 @@ def cmd_eval(args) -> int:
     model = bt.load_model(args.model)
     missing_token, log_features = _data_options(model)
     labeled = load_csv(args.data, list(model.task_names), missing_token)
-    raw = bt.predict(
-        model, _model_features(model, labeled.features, labeled.feature_names, log_features)
-    )
-    use_probability = args.metric in ("rmse", "mape")
+    features = _model_features(model, labeled.features, labeled.feature_names, log_features)
+    predict = bt.predict_proba if args.metric in ("rmse", "mape") else bt.predict
+    preds = predict(model, features)
     # Every task's metric is computed before any is printed, so a failing
     # task prints only its error line.
     values = []
     for t, name in enumerate(model.task_names):
-        pred = raw[:, t]
-        if use_probability:
-            pred = transform_score(pred, model.params.objectives[t])
         try:
-            values.append(compute_metric(args.metric, labeled.labels[:, t], pred))
+            values.append(compute_metric(args.metric, labeled.labels[:, t], preds[:, t]))
         except MtboostError as exc:
             raise type(exc)(f"task {name!r}: {exc}") from None
     for name, value in zip(model.task_names, values):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from .booster import BoosterParams, predict, train
-from .data import RawTable, apply_bins, fit_bins
+from .data import DEFAULT_MAX_BINS, RawTable, apply_bins, fit_bins
 from .errors import InvalidParameter, TooFewSamples
 from .metrics import MetricReport, compute_metric
 from .objectives import BINARY_LOGLOSS
@@ -29,7 +29,7 @@ def default_metric(params: BoosterParams) -> str:
 
 def run_kfold(table: RawTable, k: int, params: BoosterParams,
               metric: str = "auto", chronological: bool = False,
-              max_bins: int = 255) -> MetricReport:
+              max_bins: int = DEFAULT_MAX_BINS) -> MetricReport:
     """Train k models on rotating folds and report the main-task metric.
 
     Fold assignment is a seeded permutation, so reports are reproducible;

@@ -76,14 +76,6 @@ class GradHess:
     g: np.ndarray  # (m, n)
     h: np.ndarray  # (m, n), nonnegative
 
-    @property
-    def m(self) -> int:
-        return self.g.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[1]
-
 
 def grad_hess(labels, raw_scores, objectives, out=None) -> GradHess:
     """Compute per-task gradients and hessians at the current raw scores.

@@ -22,36 +22,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset, read_only, rebuilt_by_init
-from .errors import EmptyLeaf, InvalidParameter
+from .errors import EmptyLeaf
+
+if TYPE_CHECKING:
+    from .booster import BoosterParams
 
 MAX_DELTA_DEFAULT = 1e10
-
-
-@dataclass(frozen=True)
-class GrowthParams:
-    """Stopping and regularization knobs for a single tree (defaults in BoosterParams)."""
-
-    max_leaves: int
-    max_depth: int
-    min_samples_leaf: int
-    min_hess_leaf: float
-    min_gain_to_split: float
-    lambda_reg: float
-    gamma_reg: float
-
-    def __post_init__(self):
-        if self.max_leaves < 1:
-            raise InvalidParameter("max_leaves must be >= 1")
-        if self.max_depth < 1:
-            raise InvalidParameter("max_depth must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise InvalidParameter("min_samples_leaf must be >= 1")
-        if self.lambda_reg < 0:
-            raise InvalidParameter("lambda_reg must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +88,16 @@ class SplitInfo:
     right_sums: tuple[float, float, int]
 
 
-def find_best_split(hist: Histogram, node_totals, params: GrowthParams):
+def find_best_split(hist: Histogram, node_totals, params: BoosterParams):
     """Scan every feature and bin boundary; return the best split or None.
 
-    ``node_totals`` is the node's (G_e, H_e, count). A boundary at bin b
-    sends bins <= b left and everything else (missing bin included) right.
-    Both children must satisfy min_samples_leaf and min_hess_leaf; ties are
-    broken toward the lower feature index, then the lower bin index. A gain
-    that is not finite never wins. Returns None when no candidate beats min_gain_to_split.
+    ``node_totals`` is the node's (G_e, H_e, count). Of ``params`` it reads
+    min_samples_leaf, min_hess_leaf, min_gain_to_split, lambda_reg and
+    gamma_reg. A boundary at bin b sends bins <= b left and everything else
+    (missing bin included) right. Both children must satisfy
+    min_samples_leaf and min_hess_leaf; ties are broken toward the lower
+    feature index, then the lower bin index. A gain that is not finite never
+    wins. Returns None when no candidate beats min_gain_to_split.
     """
     if node_totals[2] < 2 * params.min_samples_leaf:
         return None
@@ -204,11 +187,12 @@ class _Candidate:
         self.slot = slot  # the entry of grow_tree's children that will point to it
 
 
-def grow_tree(dataset: Dataset, g_e, h_e, params: GrowthParams):
+def grow_tree(dataset: Dataset, g_e, h_e, params: BoosterParams):
     """Grow the split structure best-first from the splitting gradients.
 
     Repeatedly splits the pending leaf with the largest gain until
-    max_leaves, max_depth or the gain threshold stops it. Returns the
+    max_leaves, max_depth or the gain threshold stops it; ``params`` gives
+    those limits and what find_best_split reads of it. Returns the
     skeleton and ``leaf_id``, the leaf of every training row, with leaves
     numbered in creation order.
     """
@@ -301,10 +285,6 @@ class MultiOutputTree:
         return self.skeleton.nodes
 
     @property
-    def n_tasks(self) -> int:
-        return self.leaf_values.shape[1]
-
-    @property
     def n_leaves(self) -> int:
         return self.leaf_values.shape[0]
 
@@ -316,7 +296,8 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
 
     value[leaf, t] = -learning_rate * sum(g_u[t]) / (sum(h_u[t]) + lambda),
     clamped to [-max_delta, max_delta], where the sums run over the rows
-    with ``leaf_id == leaf`` in ascending row order, like the histograms.
+    with ``leaf_id == leaf`` in ascending row order, like the histograms. A
+    zero value is +0.0, so model files never hold -0.0.
     """
     counts = np.bincount(leaf_id, minlength=skeleton.n_leaves)
     empty = np.flatnonzero(counts == 0)
@@ -330,6 +311,7 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
         sum_h[:, t] = np.bincount(leaf_id, weights=h_u[:, t], minlength=counts.size)
     values = -learning_rate * sum_g / (sum_h + lambda_reg)
     np.clip(values, -max_delta, max_delta, out=values)
+    values += 0.0
     return MultiOutputTree(skeleton=skeleton, leaf_values=values, leaf_counts=counts)
 
 

@@ -113,8 +113,6 @@ def test_criterion_1_gradient_finite_differences():
 
 
 def test_criterion_2_split_oracle_equivalence():
-    from mtboost.tree import GrowthParams
-
     with criterion(2, "find_best_split matches exhaustive enumeration on 60 datasets", 30.0):
         rng = np.random.default_rng(202)
         checked_splits = 0
@@ -136,8 +134,8 @@ def test_criterion_2_split_oracle_equivalence():
                 binned[:, -1] = binned[:, 0]
                 finite[-1] = finite[0]
                 ds = make_binned_dataset(binned, finite_bins=finite)
-            params = GrowthParams(
-                max_leaves=2, max_depth=1,
+            params = BoosterParams(
+                objectives=("regression_l2",), max_leaves=2, max_depth=1,
                 min_samples_leaf=int(rng.integers(1, 6)),
                 min_hess_leaf=float(rng.choice([0.0, 1e-3])),
                 min_gain_to_split=0.0,

@@ -88,7 +88,9 @@ def test_traced_train_predict_save(spans, rng, tmp_path):
 
     for name in ("booster.train", "booster.predict", "booster.save_model",
                  "tree.grow_tree", "tree.fit_leaf_values", "tree.route_binned",
-                 "tree.build_histograms", "tree.find_best_split"):
+                 "tree.build_histograms", "tree.find_best_split",
+                 "objectives.grad_hess", "objectives.loss", "gradients.ensemble",
+                 "gradients.updating", "data.bin_column"):
         assert totals[name]["calls"] > 0, name
     assert totals["tree.grow_tree"]["calls"] == len(model.trees) == 4
     n_leaves = sum(t.n_leaves for t in model.trees)

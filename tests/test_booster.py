@@ -195,6 +195,41 @@ class TestTrain:
         with pytest.raises(InvalidParameter):
             train(ds, reg_params(mt=MTConfig(n_selected=3)))
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("max_leaves", 0, "max_leaves must be >= 1"),
+        ("max_depth", 0, "max_depth must be >= 1"),
+        ("min_samples_leaf", 0, "min_samples_leaf must be >= 1"),
+        ("lambda_reg", -0.1, "lambda_reg must be >= 0"),
+    ])
+    def test_tree_limits_checked_by_params(self, name, bad, message):
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            reg_params(**{name: bad})
+
+    def test_validation_scores_added_in_blocks(self, rng, tmp_path, monkeypatch):
+        table = regression_table(rng, m=300)
+        mapper = fit_bins(table, 32)
+        ds = apply_bins(table, mapper)
+        valid_ds = apply_bins(regression_table(rng, m=101), mapper)
+        params = reg_params(num_iterations=5)
+        whole = train(ds, params, valid_ds)
+        save_model(whole, tmp_path / "whole.txt")
+
+        seen = []
+
+        def spy(routes, rows, *args):
+            seen.append(rows.shape[0])
+            return route_binned(routes, rows, *args)
+
+        # A row of one 8-leaf tree adding to 2 tasks takes 32 + 8 * 3 * 2
+        # bytes of block buffers (_block_rows), so 40 rows fill a block.
+        monkeypatch.setattr(booster_module, "BLOCK_BYTES", 80 * 40)
+        monkeypatch.setattr(booster_module, "route_binned", spy)
+        blocked = train(ds, params, valid_ds)
+        save_model(blocked, tmp_path / "blocked.txt")
+        assert seen == [40, 40, 21] * params.num_iterations
+        assert repr(blocked.training_log) == repr(whole.training_log)
+        assert (tmp_path / "blocked.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+
     def test_non_finite_floats_rejected(self):
         for cls, make in ((BoosterParams, reg_params), (MTConfig, MTConfig)):
             floats = [name for name, tag in param_types(cls).items() if tag == "float"]

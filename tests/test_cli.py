@@ -243,6 +243,10 @@ class TestPipeline:
         "g_target_mean = -1\n",
         "h_target_mean = -1\n",
         "h_target_mean = 0\n",
+        "max_leaves = 0\n",
+        "max_depth = 0\n",
+        "min_samples_leaf = 0\n",
+        "lambda = -0.1\n",
     ])
     def test_invalid_parameter_is_one_line_error(self, workdir, capsys, extra):
         data = workdir / "data.csv"

@@ -510,11 +510,12 @@ class TestFitBins:
         params = BoosterParams(objectives=("binary_logloss",), num_iterations=2,
                                min_samples_leaf=1)
         save_model(train(apply_bins(table, mapper), params), tmp_path / "model.txt")
-        # A leaf whose gradients sum to exactly 0 may still hold -0.0.
+        # No line holds -0.0: not the boundaries, and not a leaf whose
+        # gradients sum to exactly 0.
         lines = (tmp_path / "model.txt").read_text().splitlines()
         written = [line for line in lines if " boundaries " in line]
         assert len(written) == 2 and "0x0.0p+0" in written[0]
-        assert not any("-0x0.0p+0" in line for line in written)
+        assert not any("-0x0.0p+0" in line for line in lines)
 
 
 class TestApplyBins:

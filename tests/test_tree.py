@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtboost.booster import BoosterParams
 from mtboost.errors import EmptyLeaf
 from mtboost.tree import (
-    GrowthParams,
     TreeSkeleton,
     build_histograms,
     compile_routes,
@@ -43,7 +43,7 @@ def loose_params(**kw):
         gamma_reg=0.0,
     )
     defaults.update(kw)
-    return GrowthParams(**defaults)
+    return BoosterParams(objectives=("regression_l2",), **defaults)
 
 
 def route_one(skeleton, binned):
