@@ -39,7 +39,6 @@ from .metrics import MetricReport, mape, rmse, roc_auc
 from .objectives import (
     BINARY_LOGLOSS,
     REGRESSION_L2,
-    GradHess,
     grad_hess,
     loss,
     transform_score,
@@ -66,7 +65,6 @@ __all__ = [
     "BoosterParams",
     "Dataset",
     "EnsembleGrad",
-    "GradHess",
     "Histogram",
     "IterationLog",
     "MTConfig",

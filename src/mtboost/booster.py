@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     MapperMismatch,
     TaskIndexOutOfRange,
 )
-from .gradients import MTConfig, check_finite_fields, ensemble_grad_hess, updating_grad_hess
+from .gradients import MTConfig, check_fields, ensemble_grad_hess, param_types, updating_grad_hess
 from .objectives import (
     BINARY_LOGLOSS,
     PROB_EPS,
@@ -38,7 +38,6 @@ from .objectives import (
     validate_objectives,
 )
 from .tree import (
-    MAX_DELTA_DEFAULT,
     MultiOutputTree,
     RouteTables,
     TreeSkeleton,
@@ -65,17 +64,6 @@ TREE_CHUNK = 128
 TABLE_BYTES = 1 << 20
 BLOCK_BYTES = 1 << 21
 
-# Annotation of a parameter field -> type tag. The CLI parses config values
-# by these tags and load_model checks the params JSON against them.
-PARAM_TYPES = {
-    "int": "int",
-    "float": "float",
-    "str": "str",
-    "tuple[str, ...]": "strlist",
-    "tuple[float, ...] | None": "floatlist",
-}
-
-
 @dataclass(frozen=True)
 class BoosterParams:
     """Everything train() needs besides the data.
@@ -84,10 +72,12 @@ class BoosterParams:
     values. Historic configs sometimes call this knob "lambda_l1"; the CLI
     accepts that alias but the engine applies it in the denominator only.
     ``seed`` keys the task-selection stream of the multi-task config, so
-    harnesses can vary whole runs with one knob. grow_tree and
-    find_best_split read the tree limits and regularizers off the params
-    themselves, so this class is the only place they are declared and
-    checked.
+    harnesses can vary whole runs with one knob. grow_tree,
+    find_best_split and fit_leaf_values read the tree limits, regularizers,
+    learning rate and leaf clamp off the params themselves, so this class is
+    the only place they are declared and checked. Number fields are stored
+    as Python numbers (gradients.check_fields), so every params object that
+    can be built saves and loads.
     """
 
     objectives: tuple[str, ...]
@@ -103,12 +93,12 @@ class BoosterParams:
     early_stopping_rounds: int = 0
     seed: int = 0
     main_task_index: int = 0
-    max_delta_step: float = MAX_DELTA_DEFAULT
+    max_delta_step: float = 1e10
     mt: MTConfig = field(default_factory=MTConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", validate_objectives(self.objectives))
-        check_finite_fields(self)
+        check_fields(self)
         if self.num_iterations < 1:
             raise InvalidParameter("num_iterations must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -125,12 +115,6 @@ class BoosterParams:
             raise InvalidParameter("min_samples_leaf must be >= 1")
         if self.lambda_reg < 0:
             raise InvalidParameter("lambda_reg must be >= 0")
-
-
-def param_types(cls) -> dict[str, str]:
-    """Type tag of each field of BoosterParams or MTConfig, in field order;
-    the nested ``mt`` config is left out."""
-    return {f.name: PARAM_TYPES[f.type] for f in fields(cls) if f.name != "mt"}
 
 
 @dataclass(frozen=True)
@@ -262,19 +246,18 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
 
     trees: list[MultiOutputTree] = []
     log: list[IterationLog] = []
+    # Losses are finite (_losses), so the first iteration sets best_iter.
+    early_stopping = params.early_stopping_rounds > 0 and valid is not None
     best_loss = math.inf
     best_iter = -1
 
     for it in range(params.num_iterations):
-        gh = grad_hess(labels, scores, params.objectives, out=(g, h))
-        eg = ensemble_grad_hess(gh, params.mt, it, params.seed)
-        gu = updating_grad_hess(gh, params.mt, out=g)  # the ensemble pass has read g
+        grad_hess(labels, scores, params.objectives, out=(g, h))
+        eg = ensemble_grad_hess(g, h, params.mt, it, params.seed)
+        g_u = updating_grad_hess(g, params.mt, out=g)  # the ensemble pass has read g
         skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params)
-        tree = fit_leaf_values(
-            skeleton, leaf_id, gu.g, gu.h,
-            params.lambda_reg, params.learning_rate, params.max_delta_step,
-        )
-        del gh, gu, eg  # free g_e and h_e before the next iteration allocates its own
+        tree = fit_leaf_values(skeleton, leaf_id, g_u, h, params)
+        del eg  # free g_e and h_e before the next iteration allocates its own
         trees.append(tree)
         for t, column in enumerate(tree.leaf_values.T):
             scores[:, t] += column.take(leaf_id)
@@ -285,7 +268,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
         log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
 
-        if params.early_stopping_rounds > 0 and valid_losses is not None:
+        if early_stopping:
             monitored = valid_losses[params.main_task_index]
             if monitored < best_loss:
                 best_loss = monitored
@@ -293,7 +276,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
             elif it - best_iter >= params.early_stopping_rounds:
                 break
 
-    if params.early_stopping_rounds > 0 and valid is not None and best_iter >= 0:
+    if early_stopping:
         trees = trees[: best_iter + 1]
         log = log[: best_iter + 1]
 
@@ -394,6 +377,14 @@ def _add_tree_values(out, chunks, binned, tasks) -> None:
             np.copyto(out[:, start:start + n_rows].T, block)
 
 
+def _task_index(model: BoosterModel, task) -> int:
+    """``task`` as an int in [0, n_tasks); raises TaskIndexOutOfRange."""
+    index = int(task) if isinstance(task, (int, np.integer)) else -1
+    if not 0 <= index < model.n_tasks:
+        raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
+    return index
+
+
 def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarray:
     """Raw additive scores for each row: (k, n), or (k,) when a task is given.
 
@@ -404,8 +395,8 @@ def predict(model: BoosterModel, features, task: int | None = None) -> np.ndarra
     with the number of tasks.
     """
     binned = _bin_features(model, features)
-    if task is not None and not 0 <= task < model.n_tasks:
-        raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
+    if task is not None:
+        task = _task_index(model, task)
     tasks = slice(None) if task is None else slice(task, task + 1)
     base = model.base_scores[tasks]
     out = np.empty((len(base), binned.shape[0]))
@@ -432,8 +423,7 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
     metadata survive, and the new model compiles its own routing tables.
     Predictions equal the chosen column of the full model exactly.
     """
-    if not 0 <= task < model.n_tasks:
-        raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
+    task = _task_index(model, task)
     trees = [
         MultiOutputTree(
             skeleton=t.skeleton,

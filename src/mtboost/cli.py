@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -179,11 +179,8 @@ def _write_training_log(model, path, has_valid: bool) -> None:
     if has_valid:
         header += [f"valid_{t}" for t in names]
     lines = [",".join(header)]
-    for row in model.training_log:
-        cells = [str(row.iteration)] + [repr(v) for v in row.train]
-        if has_valid:
-            cells += [repr(v) for v in (row.valid or ())]
-        lines.append(",".join(cells))
+    lines += [format_row([row.iteration, *row.train, *(row.valid or ())])
+              for row in model.training_log]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -260,14 +257,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        scenario=args.scenario,
-        m=args.m,
-        d=args.d,
-        noise_rate=args.noise_rate,
-        subclass_prevalence=args.subclass_prevalence,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     table = gen_synthetic(spec)
     write_csv(table, args.out)
     print(f"wrote {table.m} rows ({args.scenario}) -> {args.out}")
@@ -310,12 +300,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    p.add_argument("--m", type=int, default=5000)
-    p.add_argument("--d", type=int, default=6)
-    p.add_argument("--noise-rate", type=float, default=0.15, dest="noise_rate")
-    p.add_argument("--subclass-prevalence", type=float, default=0.035,
-                   dest="subclass_prevalence")
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SyntheticSpec)[1:]:  # every field after the scenario has a default
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

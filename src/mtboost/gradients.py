@@ -21,12 +21,12 @@ results do not depend on evaluation order or thread count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidParameter, NonFiniteGradient
-from .objectives import GradHess
 
 TASK_SELECT_POLICIES = ("always_main", "uniform_random", "weighted")
 CORR_MODES = ("pearson_to_main", "constant_one")
@@ -39,14 +39,55 @@ DEAD_TASK_EPS = 1e-12
 H_E_FLOOR = 1e-6
 
 
-def check_finite_fields(params) -> None:
-    """Raise InvalidParameter when a float field of a parameter dataclass,
-    or an element of a tuple field, is NaN or infinite."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise InvalidParameter(f"{f.name} must be finite, got {v}")
+# Annotation of a parameter field -> type tag. The CLI parses config values
+# by these tags, load_model checks the params JSON against them and
+# check_fields stores each number field as the Python type its tag names.
+PARAM_TYPES = {
+    "int": "int",
+    "float": "float",
+    "str": "str",
+    "tuple[str, ...]": "strlist",
+    "tuple[float, ...] | None": "floatlist",
+}
+
+
+def param_types(cls) -> dict[str, str]:
+    """Type tag of each field of a parameter dataclass (BoosterParams,
+    MTConfig or cli.DataOptions), in field order; the nested ``mt`` config
+    is left out."""
+    return {f.name: PARAM_TYPES[f.type] for f in fields(cls) if f.name != "mt"}
+
+
+def _real(name: str, value) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}")
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidParameter(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_fields(params) -> None:
+    """Store each number field of a frozen parameter dataclass as a Python
+    number, so that it saves as JSON and loads back: an int field as
+    operator.index(value); a float field or floatlist element as itself, so
+    a Python int keeps its JSON form, or a numpy number's Python equal; an
+    empty floatlist as None. Raise InvalidParameter when a value is not a
+    number of its field's type or a float is NaN or infinite."""
+    for name, tag in param_types(type(params)).items():
+        value = getattr(params, name)
+        if tag == "int":
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+        elif tag == "float":
+            value = _real(name, value)
+        elif tag == "floatlist" and value is not None:
+            if not isinstance(value, (tuple, list, np.ndarray)):
+                raise InvalidParameter(f"{name} must be a list of numbers, got {value!r}")
+            value = tuple(_real(name, v) for v in value) or None
+        object.__setattr__(params, name, value)
 
 
 @dataclass(frozen=True)
@@ -69,9 +110,7 @@ class MTConfig:
     corr_mode: str = "pearson_to_main"
 
     def __post_init__(self):
-        if self.task_weights is not None and len(self.task_weights) == 0:
-            object.__setattr__(self, "task_weights", None)
-        check_finite_fields(self)
+        check_fields(self)
         if self.gamma_boost < 1.0:
             raise InvalidParameter("gamma_boost must be >= 1")
         if min(self.g_target_mean, self.h_target_mean) <= 0:
@@ -150,11 +189,10 @@ def select_tasks(config: MTConfig, n_tasks: int, iteration: int, seed: int) -> f
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ensemble_grad_hess(gh: GradHess, config: MTConfig, iteration: int, seed: int) -> EnsembleGrad:
-    """Collapse per-task gradients into one splitting pair per sample. Raises
-    NonFiniteGradient unless the combined values and their total over the
-    rows, which bounds every node sum, are finite."""
-    g, h = gh.g, gh.h
+def ensemble_grad_hess(g, h, config: MTConfig, iteration: int, seed: int) -> EnsembleGrad:
+    """Collapse (m, n) per-task gradients and hessians into one splitting
+    pair per sample. Raises NonFiniteGradient unless the combined values and
+    their total over the rows, which bounds every node sum, are finite."""
     n = g.shape[1]
     w = normalize_weights(g, config.g_target_mean)
     v = normalize_weights(h, config.h_target_mean)
@@ -206,14 +244,14 @@ def pearson_to_main(g: np.ndarray) -> float:
     return total / (n - 1)
 
 
-def updating_grad_hess(gh: GradHess, config: MTConfig, out=None) -> GradHess:
+def updating_grad_hess(g, config: MTConfig, out=None) -> np.ndarray:
     """Scale every task's gradient column by one shared clipped correlation.
 
-    ``constant_one`` mode returns ``gh`` itself; hessians are ``gh.h``, unmodified.
-    The scaled gradients go to ``out`` when given, which may be ``gh.g``.
+    It takes gradients only: leaf values use the hessians unmodified.
+    ``constant_one`` mode returns ``g`` itself. The scaled gradients go to
+    ``out`` when given, which may be ``g``.
     """
     if config.corr_mode == "constant_one":
-        return gh
-    corr = pearson_to_main(gh.g)
-    factor = float(np.clip(corr, 0.5, 1.0))
-    return GradHess(g=np.multiply(gh.g, factor, out=out), h=gh.h)
+        return g
+    factor = float(np.clip(pearson_to_main(g), 0.5, 1.0))
+    return np.multiply(g, factor, out=out)

@@ -10,8 +10,6 @@ cancelled later by gradient normalization, so splitting is unaffected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameter, LengthMismatch, ShapeMismatch
@@ -46,12 +44,11 @@ def transform_score(raw, kind: str):
 
     Identity for regression; a clamped sigmoid for binary log-loss.
     """
+    validate_objectives((kind,))
     raw = np.asarray(raw, dtype=np.float64)
     if kind == REGRESSION_L2:
         return raw
-    if kind == BINARY_LOGLOSS:
-        return np.clip(sigmoid(raw), PROB_EPS, 1.0 - PROB_EPS)
-    raise ValueError(f"unknown objective {kind!r}")
+    return np.clip(sigmoid(raw), PROB_EPS, 1.0 - PROB_EPS)
 
 
 def loss(labels, scores, kind: str) -> float:
@@ -69,16 +66,9 @@ def loss(labels, scores, kind: str) -> float:
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 
 
-@dataclass(eq=False)
-class GradHess:
-    """First and second derivatives of the loss, per sample per task."""
-
-    g: np.ndarray  # (m, n)
-    h: np.ndarray  # (m, n), nonnegative
-
-
-def grad_hess(labels, raw_scores, objectives, out=None) -> GradHess:
-    """Compute per-task gradients and hessians at the current raw scores.
+def grad_hess(labels, raw_scores, objectives, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-task gradients and hessians at the current raw scores, as a
+    (g, h) pair of (m, n) arrays; every hessian is nonnegative.
 
     regression_l2: g = p - y, h = 1. binary_logloss: with q = sigmoid(raw),
     g = q - y, h = q (1 - q). ``out`` is an optional (g, h) pair of arrays
@@ -102,4 +92,4 @@ def grad_hess(labels, raw_scores, objectives, out=None) -> GradHess:
             q = sigmoid(raw_scores[:, t])
             g[:, t] = q - labels[:, t]
             h[:, t] = q * (1.0 - q)
-    return GradHess(g=g, h=h)
+    return g, h

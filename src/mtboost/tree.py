@@ -32,9 +32,6 @@ from .errors import EmptyLeaf
 if TYPE_CHECKING:
     from .booster import BoosterParams
 
-MAX_DELTA_DEFAULT = 1e10
-
-
 @dataclass(frozen=True, eq=False)
 class Histogram:
     """Per-(feature, bin) sums of one node.
@@ -290,14 +287,14 @@ class MultiOutputTree:
 
 
 def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
-                    lambda_reg: float, learning_rate: float,
-                    max_delta: float = MAX_DELTA_DEFAULT) -> MultiOutputTree:
+                    params: BoosterParams) -> MultiOutputTree:
     """Compute every leaf's per-task Newton step from the updating gradients.
 
-    value[leaf, t] = -learning_rate * sum(g_u[t]) / (sum(h_u[t]) + lambda),
-    clamped to [-max_delta, max_delta], where the sums run over the rows
-    with ``leaf_id == leaf`` in ascending row order, like the histograms. A
-    zero value is +0.0, so model files never hold -0.0.
+    value[leaf, t] = -learning_rate * sum(g_u[t]) / (sum(h_u[t]) + lambda_reg),
+    clamped to [-max_delta_step, max_delta_step], with the settings read off
+    ``params``, where the sums run over the rows with ``leaf_id == leaf`` in
+    ascending row order, like the histograms. A zero value is +0.0, so model
+    files never hold -0.0.
     """
     counts = np.bincount(leaf_id, minlength=skeleton.n_leaves)
     empty = np.flatnonzero(counts == 0)
@@ -309,8 +306,8 @@ def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
     for t in range(n):
         sum_g[:, t] = np.bincount(leaf_id, weights=g_u[:, t], minlength=counts.size)
         sum_h[:, t] = np.bincount(leaf_id, weights=h_u[:, t], minlength=counts.size)
-    values = -learning_rate * sum_g / (sum_h + lambda_reg)
-    np.clip(values, -max_delta, max_delta, out=values)
+    values = -params.learning_rate * sum_g / (sum_h + params.lambda_reg)
+    np.clip(values, -params.max_delta_step, params.max_delta_step, out=values)
     values += 0.0
     return MultiOutputTree(skeleton=skeleton, leaf_values=values, leaf_counts=counts)
 

@@ -242,6 +242,58 @@ class TestTrain:
             with pytest.raises(InvalidParameter, match="task_weights must be finite"):
                 MTConfig(task_select="weighted", task_weights=weights)
 
+    @pytest.mark.parametrize("make, name, value", [
+        (reg_params, "max_leaves", 4.5),
+        (reg_params, "num_iterations", 2.5),
+        (reg_params, "seed", "3"),
+        (MTConfig, "n_selected", 1.0),
+    ])
+    def test_int_fields_reject_non_integers(self, make, name, value):
+        with pytest.raises(InvalidParameter, match=f"{name} must be an integer"):
+            make(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", "0.1"), ("lambda_reg", True), ("gamma_reg", None)])
+    def test_float_fields_reject_non_numbers(self, name, value):
+        with pytest.raises(InvalidParameter, match=f"{name} must be a number"):
+            reg_params(**{name: value})
+
+    def test_task_weights_must_be_a_list_of_numbers(self):
+        for weights in (0.5, "0.5,0.5"):
+            with pytest.raises(InvalidParameter, match="task_weights must be a list of numbers"):
+                MTConfig(task_select="weighted", task_weights=weights)
+        with pytest.raises(InvalidParameter, match="task_weights must be a number"):
+            MTConfig(task_select="weighted", task_weights=("0.5", "0.5"))
+        weights = MTConfig(task_select="weighted", task_weights=np.array([0.25, 0.75]))
+        assert weights.task_weights == (0.25, 0.75)
+        assert MTConfig(task_weights=[]).task_weights is None
+
+    def test_numpy_numbers_save_and_load_as_python_numbers(self, rng, tmp_path):
+        ds = binned(regression_table(rng))
+        mt = MTConfig(gamma_boost=np.float32(20.0), n_selected=np.int64(2),
+                      task_select="weighted", task_weights=(np.float32(0.5), np.float64(0.5)))
+        numpy_params = reg_params(seed=np.int64(3), learning_rate=np.float32(0.25),
+                                  max_leaves=np.int32(6), mt=mt)
+        plain = reg_params(seed=3, learning_rate=0.25, max_leaves=6, mt=MTConfig(
+            gamma_boost=20.0, n_selected=2, task_select="weighted", task_weights=(0.5, 0.5)))
+        assert numpy_params == plain
+        for params in (numpy_params, numpy_params.mt):
+            for name, tag in param_types(type(params)).items():
+                value = getattr(params, name)
+                if tag in ("int", "float"):
+                    assert type(value) in (int, float), name
+        paths = [tmp_path / "numpy.txt", tmp_path / "plain.txt"]
+        for params, path in zip((numpy_params, plain), paths):
+            save_model(train(ds, params), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert load_model(paths[0]).params == plain
+
+    def test_python_numbers_keep_their_json_form(self):
+        params = reg_params(learning_rate=1, lambda_reg=0.5, mt=MTConfig(gamma_boost=10))
+        text = json.dumps(dataclasses.asdict(params))
+        assert '"learning_rate": 1,' in text and '"gamma_boost": 10,' in text
+        assert '"lambda_reg": 0.5,' in text
+
     @pytest.mark.parametrize("train_labels, valid_labels, match", [
         ((1e308, 1.5e308), None, "task 1: the label mean overflows"),
         ((1e160, -1e160), None, "task 1: the training loss overflows"),
@@ -305,8 +357,8 @@ class TestLayout:
             return wrapper
 
         for name, pick in (
-            ("grad_hess", lambda a, out: (a[0], a[1], out.g, out.h)),
-            ("updating_grad_hess", lambda a, out: (out.g, out.h)),
+            ("grad_hess", lambda a, out: (a[0], a[1], *out)),
+            ("updating_grad_hess", lambda a, out: (out,)),
             ("fit_leaf_values", lambda a, out: (a[2], a[3])),
         ):
             monkeypatch.setattr(bt, name, recording(getattr(bt, name), pick))
@@ -1023,6 +1075,21 @@ class TestExtractTask:
         model = train(binned(table), reg_params())
         with pytest.raises(TaskIndexOutOfRange):
             extract_task(model, 2)
+
+    def test_task_index_is_an_integer(self, rng):
+        table = regression_table(rng)
+        model = train(binned(table), reg_params(num_iterations=2))
+        x = table.features[:10]
+        for call in (lambda task: predict(model, x, task),
+                     lambda task: predict_proba(model, x, task),
+                     lambda task: extract_task(model, task)):
+            with pytest.raises(TaskIndexOutOfRange, match=r"task 1\.5 not in \[0, 2\)"):
+                call(1.5)
+        np.testing.assert_array_equal(predict(model, x, np.int64(1)), predict(model, x, 1))
+        np.testing.assert_array_equal(predict_proba(model, x, np.int64(1)),
+                                      predict_proba(model, x, 1))
+        np.testing.assert_array_equal(predict(extract_task(model, np.int64(1)), x, 0),
+                                      predict(model, x, 1))
 
     def test_identity_on_single_task(self, rng):
         table = regression_table(rng, n=1)

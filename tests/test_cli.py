@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from mtboost.booster import load_model, predict
 from mtboost.cli import _SCHEMA, main, parse_config
+from mtboost.data import write_csv
 from mtboost.errors import ConfigError
+from mtboost.synthetic import SyntheticSpec, gen_synthetic
 
 CONFIG = """\
 # smoke-test training config
@@ -149,6 +151,16 @@ class TestPipeline:
         assert run(["synth", "--scenario", scenario, "--m", "300", "--seed", "4",
                     "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_synth_flags_set_every_spec_field(self, workdir):
+        # The flags after --scenario are built from SyntheticSpec's fields.
+        out, want = workdir / "cli.csv", workdir / "spec.csv"
+        assert run(["synth", "--scenario", "sub_tasks", "--m", "300", "--d", "5",
+                    "--noise-rate", "0.3", "--subclass-prevalence", "0.05",
+                    "--seed", "2", "--out", out]) == 0
+        write_csv(gen_synthetic(SyntheticSpec("sub_tasks", m=300, d=5, noise_rate=0.3,
+                                              subclass_prevalence=0.05, seed=2)), want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_train_byte_deterministic(self, workdir):
         data = workdir / "data.csv"

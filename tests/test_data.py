@@ -744,6 +744,7 @@ class TestSortedQuantiles:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _sorted_quantiles(vals, probs)
-        with np.errstate(invalid="ignore"):
-            want = np.quantile(vals, probs)
+        with np.errstate(invalid="ignore"):  # chunks of 1,000 keep the oracle fast
+            want = np.concatenate([np.quantile(vals, probs[i:i + 1000])
+                                   for i in range(0, probs.size, 1000)])
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()

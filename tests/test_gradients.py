@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from mtboost.gradients import (
     select_tasks,
     updating_grad_hess,
 )
-from mtboost.objectives import GradHess
 
 from oracles import ensemble_oracle, updating_oracle
 
@@ -94,20 +94,19 @@ class TestSelectTasks:
 
 
 def random_gh(rng, m=40, n=3):
-    return GradHess(g=rng.normal(size=(m, n)), h=rng.uniform(0.1, 2.0, size=(m, n)))
+    return rng.normal(size=(m, n)), rng.uniform(0.1, 2.0, size=(m, n))
 
 
 class TestEnsembleGradHess:
     def test_single_task_sign_pattern(self, rng):
-        gh = GradHess(g=rng.normal(size=(20, 1)), h=np.ones((20, 1)))
-        eg = ensemble_grad_hess(gh, MTConfig(), 0, seed=0)
-        assert np.array_equal(np.sign(eg.g_e), np.sign(gh.g[:, 0]))
+        g = rng.normal(size=(20, 1))
+        eg = ensemble_grad_hess(g, np.ones((20, 1)), MTConfig(), 0, seed=0)
+        assert np.array_equal(np.sign(eg.g_e), np.sign(g[:, 0]))
 
     def test_equal_columns_proportional(self, rng):
         col = rng.normal(size=30)
-        gh = GradHess(g=np.column_stack([col, col]), h=np.ones((30, 2)))
         cfg = MTConfig(task_select="uniform_random", n_selected=2)
-        eg = ensemble_grad_hess(gh, cfg, 0, seed=1)
+        eg = ensemble_grad_hess(np.column_stack([col, col]), np.ones((30, 2)), cfg, 0, seed=1)
         ratio = eg.g_e[col != 0] / col[col != 0]
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
@@ -119,7 +118,7 @@ class TestEnsembleGradHess:
             [[1.0, 0.5], [1.0, 0.7], [1.0, 0.9], [1.0, 1.1]], dtype=np.float64
         )
         cfg = MTConfig(gamma_boost=10.0, task_select="always_main", n_selected=1)
-        eg = ensemble_grad_hess(GradHess(g=g, h=h), cfg, 0, seed=0)
+        eg = ensemble_grad_hess(g, h, cfg, 0, seed=0)
         assert eg.chosen_tasks == {0}
         ge, he, w, v = ensemble_oracle(g, h, gamma=10.0, chosen={0})
         np.testing.assert_allclose(eg.g_e, ge, rtol=1e-12, atol=1e-15)
@@ -130,7 +129,7 @@ class TestEnsembleGradHess:
     def test_nonfinite_rejected(self):
         g = np.array([[np.nan]])
         with pytest.raises(NonFiniteGradient):
-            ensemble_grad_hess(GradHess(g=g, h=np.ones((1, 1))), MTConfig(), 0, seed=0)
+            ensemble_grad_hess(g, np.ones((1, 1)), MTConfig(), 0, seed=0)
 
     @pytest.mark.parametrize("config", [
         MTConfig(g_target_mean=1e308),  # weight 2e308 overflows
@@ -141,22 +140,21 @@ class TestEnsembleGradHess:
     def test_overflowing_weights_rejected(self, config):
         g = np.zeros((20, 2))
         g[0, 0], g[1, 1] = 10.0, -10.0  # mean |g| 0.5 per task
-        gh = GradHess(g=g, h=np.full((20, 2), 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteGradient):
-                ensemble_grad_hess(gh, config, 0, seed=0)
+                ensemble_grad_hess(g, np.full((20, 2), 0.5), config, 0, seed=0)
 
     def test_h_e_strictly_positive(self, rng):
-        gh = GradHess(g=rng.normal(size=(30, 2)), h=np.zeros((30, 2)))
-        eg = ensemble_grad_hess(gh, MTConfig(task_select="uniform_random"), 2, seed=0)
+        g, h = rng.normal(size=(30, 2)), np.zeros((30, 2))
+        eg = ensemble_grad_hess(g, h, MTConfig(task_select="uniform_random"), 2, seed=0)
         assert (eg.h_e > 0).all()
 
     def test_deterministic(self, rng):
-        gh = random_gh(rng)
+        g, h = random_gh(rng)
         cfg = MTConfig(task_select="uniform_random", n_selected=2)
-        a = ensemble_grad_hess(gh, cfg, 3, seed=5)
-        b = ensemble_grad_hess(gh, cfg, 3, seed=5)
+        a = ensemble_grad_hess(g, h, cfg, 3, seed=5)
+        b = ensemble_grad_hess(g, h, cfg, 3, seed=5)
         assert np.array_equal(a.g_e, b.g_e)
         assert np.array_equal(a.h_e, b.h_e)
         assert a.chosen_tasks == b.chosen_tasks
@@ -169,46 +167,46 @@ class TestUpdatingGradHess:
         assert float(np.clip(1.2, 0.5, 1.0)) == 1.0
 
     def test_constant_one_is_identity(self, rng):
-        gh = random_gh(rng)
-        out = updating_grad_hess(gh, MTConfig(corr_mode="constant_one"))
-        assert np.array_equal(out.g, gh.g)
-        assert np.array_equal(out.h, gh.h)
+        g, _ = random_gh(rng)
+        before = g.copy()
+        out = updating_grad_hess(g, MTConfig(corr_mode="constant_one"))
+        assert np.array_equal(out, before)
 
     def test_single_task_identity(self, rng):
-        gh = random_gh(rng, n=1)
-        out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
-        assert np.array_equal(out.g, gh.g)
+        g, _ = random_gh(rng, n=1)
+        out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"))
+        assert np.array_equal(out, g)
 
     def test_perfectly_correlated_identity(self, rng):
         col = rng.normal(size=25)
-        gh = GradHess(g=np.column_stack([col, 2 * col]), h=np.ones((25, 2)))
-        out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
-        np.testing.assert_allclose(out.g, gh.g, rtol=1e-12)
+        g = np.column_stack([col, 2 * col])
+        out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"))
+        np.testing.assert_allclose(out, g, rtol=1e-12)
 
     def test_matches_oracle(self, rng):
         for n in (2, 3, 4):
-            gh = random_gh(rng, m=30, n=n)
-            out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
-            og, oh = updating_oracle(gh.g, gh.h, "pearson_to_main")
-            np.testing.assert_allclose(out.g, og, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(out.h, oh, rtol=0)
+            g, h = random_gh(rng, m=30, n=n)
+            out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"))
+            og, oh = updating_oracle(g, h, "pearson_to_main")
+            np.testing.assert_allclose(out, og, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(h, oh, rtol=0)
 
     def test_single_shared_factor(self, rng):
-        gh = random_gh(rng, m=60, n=4)
-        out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
+        g, _ = random_gh(rng, m=60, n=4)
+        out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"))
         factors = []
         for t in range(4):
-            nonzero = gh.g[:, t] != 0
-            factors.append(out.g[nonzero, t] / gh.g[nonzero, t])
+            nonzero = g[:, t] != 0
+            factors.append(out[nonzero, t] / g[nonzero, t])
         flat = np.concatenate(factors)
         assert np.max(np.abs(flat - flat[0])) == 0.0
         assert 0.5 <= flat[0] <= 1.0
 
     def test_anticorrelated_floor(self, rng):
         col = rng.normal(size=40)
-        gh = GradHess(g=np.column_stack([col, -col]), h=np.ones((40, 2)))
-        out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
-        np.testing.assert_allclose(out.g, 0.5 * gh.g, rtol=1e-12)
+        g = np.column_stack([col, -col])
+        out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"))
+        np.testing.assert_allclose(out, 0.5 * g, rtol=1e-12)
 
     def test_correlation_survives_huge_gradients(self, rng):
         # At 1e80 each sum of squares is finite but their product is not.
@@ -221,28 +219,26 @@ class TestUpdatingGradHess:
         assert huge == pytest.approx(corr, rel=1e-12, abs=0)
 
     def test_hessian_never_modified(self, rng):
-        gh = random_gh(rng, n=3)
-        out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"))
-        assert np.array_equal(out.h, gh.h)
+        # The pass takes gradients only, so the leaf fit gets the hessians as
+        # grad_hess computed them; the oracle passes them through too.
+        assert list(inspect.signature(updating_grad_hess).parameters) == ["g", "config", "out"]
+        g, h = random_gh(rng, n=3)
+        assert np.array_equal(updating_oracle(g, h, "pearson_to_main")[1], h)
 
     def test_column_major_in_column_major_out(self, rng):
-        gh = random_gh(rng)
-        gh = GradHess(g=np.asfortranarray(gh.g), h=np.asfortranarray(gh.h))
+        g = np.asfortranarray(random_gh(rng)[0])
         for mode in ("constant_one", "pearson_to_main"):
-            out = updating_grad_hess(gh, MTConfig(corr_mode=mode))
-            assert out.g.flags.f_contiguous and out.h.flags.f_contiguous
+            out = updating_grad_hess(g, MTConfig(corr_mode=mode))
+            assert out.flags.f_contiguous
 
     def test_scales_in_place_into_out(self, rng):
-        gh = random_gh(rng, n=3)
-        expected = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main")).g
-        g = gh.g
-        out = updating_grad_hess(gh, MTConfig(corr_mode="pearson_to_main"), out=gh.g)
-        assert out.g is g and out.h is gh.h
+        g, _ = random_gh(rng, n=3)
+        expected = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"))
+        out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"), out=g)
+        assert out is g
         assert np.array_equal(g, expected)
 
     def test_results_may_share_input_memory(self, rng):
-        gh = random_gh(rng)
-        for mode in ("constant_one", "pearson_to_main"):
-            out = updating_grad_hess(gh, MTConfig(corr_mode=mode))
-            assert out.h is gh.h
-        assert updating_grad_hess(gh, MTConfig(corr_mode="constant_one")).g is gh.g
+        g, _ = random_gh(rng)
+        assert updating_grad_hess(g, MTConfig(corr_mode="constant_one")) is g
+        assert updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main")) is not g

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtboost.errors import LengthMismatch, ShapeMismatch
+from mtboost.errors import InvalidParameter, LengthMismatch, ShapeMismatch
 from mtboost.objectives import (
     BINARY_LOGLOSS,
     REGRESSION_L2,
@@ -32,6 +32,10 @@ class TestTransformScore:
     def test_regression_identity(self):
         assert transform_score(np.array([3.7]), REGRESSION_L2)[0] == 3.7
 
+    def test_unknown_objective_is_invalid_parameter(self):
+        with pytest.raises(InvalidParameter, match="unknown objective 'bogus'"):
+            transform_score(np.array([0.0]), "bogus")
+
     def test_extreme_raw_clamped(self):
         p = transform_score(np.array([1e9]), BINARY_LOGLOSS)[0]
         assert p <= 1 - 1e-15
@@ -49,6 +53,10 @@ class TestLoss:
     def test_l2_mean_of_squares(self):
         assert loss([2.0, 0.0], [1.0, 1.0], REGRESSION_L2) == 1.0
 
+    def test_unknown_objective_is_invalid_parameter(self):
+        with pytest.raises(InvalidParameter, match="unknown objective 'bogus'"):
+            loss([1.0], [1.0], "bogus")
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             loss([1.0], [1.0, 2.0], REGRESSION_L2)
@@ -61,33 +69,33 @@ class TestLoss:
 
 class TestGradHess:
     def test_l2_values(self):
-        gh = grad_hess(np.array([[1.0]]), np.array([[3.0]]), (REGRESSION_L2,))
-        assert gh.g[0, 0] == 2.0
-        assert gh.h[0, 0] == 1.0
+        g, h = grad_hess(np.array([[1.0]]), np.array([[3.0]]), (REGRESSION_L2,))
+        assert g[0, 0] == 2.0
+        assert h[0, 0] == 1.0
 
     def test_logloss_symmetry(self):
-        gh = grad_hess(
+        g, h = grad_hess(
             np.array([[1.0], [0.0]]), np.zeros((2, 1)), (BINARY_LOGLOSS,)
         )
-        assert gh.g[0, 0] == -0.5
-        assert gh.g[1, 0] == 0.5
-        assert np.allclose(gh.h, 0.25)
+        assert g[0, 0] == -0.5
+        assert g[1, 0] == 0.5
+        assert np.allclose(h, 0.25)
 
     def test_column_major_in_column_major_out(self, rng):
         labels = np.asfortranarray(rng.integers(0, 2, size=(30, 3)), dtype=np.float64)
         scores = np.asfortranarray(rng.normal(size=(30, 3)))
-        gh = grad_hess(labels, scores, (REGRESSION_L2, BINARY_LOGLOSS, REGRESSION_L2))
-        assert gh.g.flags.f_contiguous and gh.h.flags.f_contiguous
+        g, h = grad_hess(labels, scores, (REGRESSION_L2, BINARY_LOGLOSS, REGRESSION_L2))
+        assert g.flags.f_contiguous and h.flags.f_contiguous
 
     def test_writes_into_out(self, rng):
         labels = np.asfortranarray(rng.integers(0, 2, size=(30, 3)), dtype=np.float64)
         scores = np.asfortranarray(rng.normal(size=(30, 3)))
         kinds = (REGRESSION_L2, BINARY_LOGLOSS, REGRESSION_L2)
         g, h = np.full_like(labels, np.nan), np.full_like(labels, np.nan)
-        gh = grad_hess(labels, scores, kinds, out=(g, h))
-        fresh = grad_hess(labels, scores, kinds)
-        assert gh.g is g and gh.h is h
-        assert np.array_equal(g, fresh.g) and np.array_equal(h, fresh.h)
+        got_g, got_h = grad_hess(labels, scores, kinds, out=(g, h))
+        fresh_g, fresh_h = grad_hess(labels, scores, kinds)
+        assert got_g is g and got_h is h
+        assert np.array_equal(g, fresh_g) and np.array_equal(h, fresh_h)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -105,15 +113,15 @@ class TestDerivativeProperties:
                 rng.normal(scale=3)
             )
             raw = float(rng.normal(scale=3))
-            gh = grad_hess(np.array([[y]]), np.array([[raw]]), (kind,))
+            g, h = grad_hess(np.array([[y]]), np.array([[raw]]), (kind,))
             num_g = (
                 per_sample_loss(y, raw + delta, kind)
                 - per_sample_loss(y, raw - delta, kind)
             ) / (2 * delta)
-            assert abs(gh.g[0, 0] - num_g) < 1e-6
-            gp = grad_hess(np.array([[y]]), np.array([[raw + delta]]), (kind,)).g[0, 0]
-            gm = grad_hess(np.array([[y]]), np.array([[raw - delta]]), (kind,)).g[0, 0]
-            assert abs(gh.h[0, 0] - (gp - gm) / (2 * delta)) < 1e-6
+            assert abs(g[0, 0] - num_g) < 1e-6
+            gp = grad_hess(np.array([[y]]), np.array([[raw + delta]]), (kind,))[0][0, 0]
+            gm = grad_hess(np.array([[y]]), np.array([[raw - delta]]), (kind,))[0][0, 0]
+            assert abs(h[0, 0] - (gp - gm) / (2 * delta)) < 1e-6
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -121,8 +129,7 @@ class TestDerivativeProperties:
         st.floats(min_value=-30, max_value=30, allow_nan=False),
     )
     def test_logloss_gradient_bounds(self, y, raw):
-        gh = grad_hess(np.array([[float(y)]]), np.array([[raw]]), (BINARY_LOGLOSS,))
-        g = gh.g[0, 0]
+        g = grad_hess(np.array([[float(y)]]), np.array([[raw]]), (BINARY_LOGLOSS,))[0][0, 0]
         assert -1.0 < g < 1.0
         q = transform_score(np.array([raw]), BINARY_LOGLOSS)[0]
         if q != y:
@@ -135,5 +142,5 @@ class TestDerivativeProperties:
     )
     def test_hessian_nonnegative(self, y, raw):
         for kind, label in ((REGRESSION_L2, y), (BINARY_LOGLOSS, float(y > 0))):
-            gh = grad_hess(np.array([[label]]), np.array([[raw]]), (kind,))
-            assert gh.h[0, 0] >= 0.0
+            _, h = grad_hess(np.array([[label]]), np.array([[raw]]), (kind,))
+            assert h[0, 0] >= 0.0

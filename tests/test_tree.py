@@ -513,13 +513,15 @@ class TestFitLeafValues:
         skeleton = nodeless_skeleton()
         g = np.array([[2.0]])
         h = np.array([[1.0]])
-        tree = fit_leaf_values(skeleton, np.array([0]), g, h, 1.0, 0.1)
+        tree = fit_leaf_values(skeleton, np.array([0]), g, h,
+                               loose_params(lambda_reg=1.0, learning_rate=0.1))
         assert tree.leaf_values[0, 0] == pytest.approx(-0.1 * 2.0 / 2.0)
 
     def test_zero_gradients_zero_values(self, rng):
         skeleton, leaf_id = self._grow(rng)
         m = len(leaf_id)
-        tree = fit_leaf_values(skeleton, leaf_id, np.zeros((m, 2)), np.ones((m, 2)), 0.1, 0.3)
+        tree = fit_leaf_values(skeleton, leaf_id, np.zeros((m, 2)), np.ones((m, 2)),
+                               loose_params(lambda_reg=0.1, learning_rate=0.3))
         assert np.array_equal(tree.leaf_values, np.zeros_like(tree.leaf_values))
 
     def test_per_task_independence(self, rng):
@@ -527,9 +529,10 @@ class TestFitLeafValues:
         m = len(leaf_id)
         g = rng.normal(size=(m, 2))
         h = rng.uniform(0.5, 1.5, size=(m, 2))
-        both = fit_leaf_values(skeleton, leaf_id, g, h, 0.5, 0.2)
+        params = loose_params(lambda_reg=0.5, learning_rate=0.2)
+        both = fit_leaf_values(skeleton, leaf_id, g, h, params)
         for t in range(2):
-            single = fit_leaf_values(skeleton, leaf_id, g[:, [t]], h[:, [t]], 0.5, 0.2)
+            single = fit_leaf_values(skeleton, leaf_id, g[:, [t]], h[:, [t]], params)
             np.testing.assert_array_equal(both.leaf_values[:, t], single.leaf_values[:, 0])
 
     def test_matches_row_order_oracle(self, rng):
@@ -540,7 +543,8 @@ class TestFitLeafValues:
         for n_tasks in (1, 3):
             g = rng.normal(size=(300, n_tasks)) * 10.0 ** rng.integers(-8, 8, size=(300, n_tasks))
             h = rng.uniform(0.1, 3.0, size=(300, n_tasks))
-            tree = fit_leaf_values(skeleton, leaf_id, g, h, 0.3, 0.1, max_delta=1e4)
+            tree = fit_leaf_values(skeleton, leaf_id, g, h, loose_params(
+                lambda_reg=0.3, learning_rate=0.1, max_delta_step=1e4))
             values, counts = leaf_values_oracle(
                 leaf_id, skeleton.n_leaves, g, h, lam=0.3, lr=0.1, max_delta=1e4
             )
@@ -554,14 +558,15 @@ class TestFitLeafValues:
         skipped = np.where(leaf_id == 1, 0, leaf_id)  # no row in leaf 1
         m = len(leaf_id)
         with pytest.raises(EmptyLeaf, match="leaf 1 "):
-            fit_leaf_values(skeleton, skipped, np.ones((m, 2)), np.ones((m, 2)), 0.1, 0.1)
+            fit_leaf_values(skeleton, skipped, np.ones((m, 2)), np.ones((m, 2)),
+                            loose_params(lambda_reg=0.1, learning_rate=0.1))
 
     def test_empty_leaf_raises(self):
         skeleton = nodeless_skeleton()
         with pytest.raises(EmptyLeaf):
             fit_leaf_values(
                 skeleton, np.array([], dtype=np.int64),
-                np.zeros((0, 1)), np.zeros((0, 1)), 0.0, 0.1,
+                np.zeros((0, 1)), np.zeros((0, 1)), loose_params(learning_rate=0.1),
             )
 
 
