@@ -75,9 +75,9 @@ class BoosterParams:
     harnesses can vary whole runs with one knob. grow_tree,
     find_best_split and fit_leaf_values read the tree limits, regularizers,
     learning rate and leaf clamp off the params themselves, so this class is
-    the only place they are declared and checked. Number fields are stored
-    as Python numbers (gradients.check_fields), so every params object that
-    can be built saves and loads.
+    the only place they are declared and checked. gradients.check_fields
+    checks and stores every field, however it is read, so every params
+    object that can be built saves and loads.
     """
 
     objectives: tuple[str, ...]
@@ -97,8 +97,10 @@ class BoosterParams:
     mt: MTConfig = field(default_factory=MTConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "objectives", validate_objectives(self.objectives))
         check_fields(self)
+        validate_objectives(self.objectives)
+        if not isinstance(self.mt, MTConfig):
+            raise InvalidParameter(f"mt must be an MTConfig, got {self.mt!r}")
         if self.num_iterations < 1:
             raise InvalidParameter("num_iterations must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -495,42 +497,26 @@ def save_model(model: BoosterModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_JSON_TYPE_OK = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
-    "str": lambda v: type(v) is str,
-    "strlist": lambda v: type(v) is list and all(type(x) is str for x in v),
-    "floatlist": lambda v: v is None or (
-        type(v) is list and all(type(x) in (int, float) for x in v)
-    ),
-}
-
-
-def _kwargs_from_json(cls, obj, v1_types=None) -> dict:
-    """Constructor arguments of ``cls`` from its JSON snapshot: the keys must
-    be exactly its fields and those of ``v1_types``, each of its type tag."""
-    types = param_types(cls) | (v1_types or {})
-    if type(obj) is not dict or obj.keys() != types.keys():
-        raise ValueError(f"{cls.__name__} params must have exactly the keys {list(types)}")
-    for name, tag in types.items():
-        if not _JSON_TYPE_OK[tag](obj[name]):
-            raise ValueError(f"{cls.__name__} param {name!r}: {obj[name]!r} is not {tag}")
-    return {k: tuple(v) if type(v) is list else v for k, v in obj.items()}
+def _kwargs_from_json(cls, obj, more_keys=()) -> dict:
+    """Constructor arguments of ``cls`` from its JSON snapshot, whose keys
+    must be exactly its fields and ``more_keys``; ``cls`` checks the values."""
+    keys = [*param_types(cls), *more_keys]
+    if type(obj) is not dict or obj.keys() != set(keys):
+        raise ValueError(f"{cls.__name__} params must have exactly the keys {keys}")
+    return dict(obj)
 
 
 def _params_from_dict(d, v1: bool) -> BoosterParams:
-    if type(d) is not dict:
-        raise ValueError("params must be a JSON object")
-    kwargs = dict(d)
-    v1_types = {"g_target_std": "float", "h_target_std": "float", "seed": "int"} if v1 else None
-    mt = _kwargs_from_json(MTConfig, kwargs.pop("mt", None), v1_types)
-    kwargs = _kwargs_from_json(BoosterParams, kwargs)
+    v1_keys = ("g_target_std", "h_target_std", "seed") if v1 else ()
+    kwargs = _kwargs_from_json(BoosterParams, d, ("mt",))
+    mt = _kwargs_from_json(MTConfig, kwargs.pop("mt"), v1_keys)
     if v1:
-        stds = (mt.pop("g_target_std"), mt.pop("h_target_std"))
-        if not all(map(math.isfinite, stds)) or mt["seed"] < 0:
-            raise ValueError("v1 mt params need finite std targets and a seed >= 0")
-        kwargs["seed"] += mt.pop("seed")
-    return BoosterParams(mt=MTConfig(**mt), **kwargs)
+        *stds, v1_seed = (mt.pop(key) for key in v1_keys)
+        if (not all(type(s) in (int, float) and math.isfinite(s) for s in stds)
+                or type(v1_seed) is not int or v1_seed < 0):
+            raise ValueError("v1 mt params need finite std targets and an integer seed >= 0")
+    params = BoosterParams(mt=MTConfig(**mt), **kwargs)
+    return replace(params, seed=params.seed + v1_seed) if v1 else params
 
 
 def _check_tree(tree: TreeSkeleton, finite_bins) -> None:

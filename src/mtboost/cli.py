@@ -33,9 +33,10 @@ from .errors import (
     ConfigError,
     FeatureCountMismatch,
     FormatVersionMismatch,
+    InvalidParameter,
     MtboostError,
 )
-from .gradients import MTConfig
+from .gradients import MTConfig, check_fields, param_types
 from .metrics import METRIC_NAMES, compute_metric
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
 
@@ -55,13 +56,16 @@ class DataOptions:
     max_bins: int = DEFAULT_MAX_BINS
     log_transform_features: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 def _make_schema() -> dict:
     """key -> (type tag, target): every field of DataOptions, BoosterParams
     and MTConfig under its config key."""
     schema = {}
     for target, cls in (("data", DataOptions), ("params", bt.BoosterParams), ("mt", MTConfig)):
-        for name, tag in bt.param_types(cls).items():
+        for name, tag in param_types(cls).items():
             for key in _RENAMED.get(name, (name,)):
                 schema[key] = (tag, target)
     return schema
@@ -187,22 +191,20 @@ def _write_training_log(model, path, has_valid: bool) -> None:
 
 def _data_options(model):
     """The missing token and the log-transformed feature indices recorded in
-    the model's ``extra.data_options`` at training time. A key the model
-    leaves out takes its DataOptions default."""
-    opts = model.extra.get("data_options", {})
-    if type(opts) is not dict:
+    the model's ``extra.data_options`` at training time, read by DataOptions:
+    a field left out takes its default, a key that is no field is ignored."""
+    recorded = model.extra.get("data_options", {})
+    if type(recorded) is not dict:
         raise FormatVersionMismatch("model extra.data_options is not a JSON object")
-    token = opts.get("missing_token", DataOptions.missing_token)
-    if type(token) is not str:
-        raise FormatVersionMismatch("model extra.data_options.missing_token is not a string")
-    names = opts.get("log_transform_features", list(DataOptions.log_transform_features))
-    if (type(names) is not list or not all(name in model.feature_names for name in names)
-            or len(set(names)) != len(names)):
-        raise FormatVersionMismatch(
-            "model extra.data_options.log_transform_features is not a list of "
-            "distinct feature names of the model"
-        )
-    return token, [model.feature_names.index(name) for name in names]
+    try:
+        opts = DataOptions(**{k: v for k, v in recorded.items() if k in param_types(DataOptions)})
+    except InvalidParameter as exc:
+        raise FormatVersionMismatch(f"model extra.data_options: {exc}") from None
+    names = opts.log_transform_features
+    if not all(name in model.feature_names for name in names) or len(set(names)) != len(names):
+        raise FormatVersionMismatch("model extra.data_options.log_transform_features "
+                                    "must be distinct feature names of the model")
+    return opts.missing_token, [model.feature_names.index(name) for name in names]
 
 
 def _model_features(model, matrix, header, log_features):

@@ -72,10 +72,5 @@ def run_kfold(table: RawTable, k: int, params: BoosterParams,
         raw = predict(model, valid_table.features, task=main)
         fold_values.append(compute_metric(metric, valid_table.labels[:, main], raw))
 
-    mean = float(np.mean(fold_values))
-    return MetricReport(
-        metric=metric,
-        task_values=((table.task_names[main], mean),),
-        fold_values=tuple(fold_values),
-        mean=mean,
-    )
+    return MetricReport(metric=metric, fold_values=tuple(fold_values),
+                        mean=float(np.mean(fold_values)))

@@ -39,9 +39,9 @@ DEAD_TASK_EPS = 1e-12
 H_E_FLOOR = 1e-6
 
 
-# Annotation of a parameter field -> type tag. The CLI parses config values
-# by these tags, load_model checks the params JSON against them and
-# check_fields stores each number field as the Python type its tag names.
+# Annotation of a parameter field -> type tag. The CLI parses config text by
+# these tags, and check_fields checks every value against them, however it
+# was read: from Python, a config file or a model file.
 PARAM_TYPES = {
     "int": "int",
     "float": "float",
@@ -68,21 +68,26 @@ def _real(name: str, value) -> int | float:
 
 
 def check_fields(params) -> None:
-    """Store each number field of a frozen parameter dataclass as a Python
-    number, so that it saves as JSON and loads back: an int field as
-    operator.index(value); a float field or floatlist element as itself, so
-    a Python int keeps its JSON form, or a numpy number's Python equal; an
-    empty floatlist as None. Raise InvalidParameter when a value is not a
-    number of its field's type or a float is NaN or infinite."""
+    """Check each field of a frozen parameter dataclass by its type tag and
+    store it so that it saves as JSON and loads back: an int as
+    operator.index(value); a float or floatlist element as itself (a Python
+    int keeps its JSON form) or a numpy number's Python equal; a strlist as
+    a tuple; an empty floatlist as None. Raise InvalidParameter, naming the
+    field, for a value of another type (a bool is no number) or a NaN or inf."""
     for name, tag in param_types(type(params)).items():
         value = getattr(params, name)
         if tag == "int":
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+            value = operator.index(value)
         elif tag == "float":
             value = _real(name, value)
+        elif tag == "str" and not isinstance(value, str):
+            raise InvalidParameter(f"{name} must be a string, got {value!r}")
+        elif tag == "strlist":
+            if not isinstance(value, (tuple, list)) or not all(isinstance(v, str) for v in value):
+                raise InvalidParameter(f"{name} must be a list of strings, got {value!r}")
+            value = tuple(value)
         elif tag == "floatlist" and value is not None:
             if not isinstance(value, (tuple, list, np.ndarray)):
                 raise InvalidParameter(f"{name} must be a list of numbers, got {value!r}")

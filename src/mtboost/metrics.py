@@ -14,10 +14,9 @@ METRIC_NAMES = ("rmse", "mape", "auc")
 
 @dataclass(frozen=True)
 class MetricReport:
-    """One metric evaluated per task and (optionally) per fold."""
+    """One metric of the main task, per fold and its mean over the folds."""
 
     metric: str
-    task_values: tuple[tuple[str, float], ...]
     fold_values: tuple[float, ...]
     mean: float
 

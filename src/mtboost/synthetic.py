@@ -17,7 +17,7 @@ Three scenarios, each a miniature of a real multi-task situation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,6 +26,14 @@ from .data import RawTable
 from .errors import InvalidSpec
 
 SCENARIOS = ("noisy_tasks", "sub_tasks", "timeseries_ratio")
+
+# The SyntheticSpec fields each scenario does not read; a spec must leave
+# them at their defaults, so a setting that would have no effect is an error.
+_UNREAD_FIELDS = {
+    "noisy_tasks": ("subclass_prevalence",),
+    "sub_tasks": (),
+    "timeseries_ratio": ("d", "noise_rate", "subclass_prevalence"),
+}
 
 WINDOW_SIZES = (3, 7, 14, 30)
 
@@ -42,6 +50,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise InvalidSpec(f"unknown scenario {self.scenario!r}")
+        for f in fields(self):
+            if f.name in _UNREAD_FIELDS[self.scenario] and getattr(self, f.name) != f.default:
+                raise InvalidSpec(f"{self.scenario} does not use {f.name}; leave it at "
+                                  f"its default {f.default}")
         if self.m < 100:
             raise InvalidSpec("m must be >= 100")
         if not 0.0 <= self.noise_rate < 0.5:
@@ -50,7 +62,7 @@ class SyntheticSpec:
             raise InvalidSpec("noisy_tasks needs d >= 2")
         if self.scenario == "sub_tasks" and self.d < 4:
             raise InvalidSpec("sub_tasks needs d >= 4")
-        if not 0.0 < self.subclass_prevalence <= 0.2:
+        if self.scenario == "sub_tasks" and not 0.0 < self.subclass_prevalence <= 0.2:
             raise InvalidSpec("subclass_prevalence must be in (0, 0.2]")
 
 

@@ -847,8 +847,13 @@ class GoldenFileEdits:
         _set("objectives", "regression_l2"),
         _set("task_weights", [0.5, "x"], "mt"),
         _set("mt", None),
+        _set("learning_rate", 2.0),
+        _set("max_leaves", 0),
+        _set("task_select", "nope", "mt"),
+        _set("seed", True),
     ], ids=["no-seed", "no-mt-corr_mode", "extra-key", "str-float", "bool-int",
-            "str-list", "str-in-floatlist", "mt-null"])
+            "str-list", "str-in-floatlist", "mt-null", "learning-rate-2", "max-leaves-0",
+            "unknown-task-select", "bool-seed"])
     def test_corrupt_params_rejected(self, tmp_path, change):
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(_with_params(_golden_lines(self.golden), change)) + "\n")

@@ -162,6 +162,17 @@ class TestPipeline:
                                               subclass_prevalence=0.05, seed=2)), want)
         assert out.read_bytes() == want.read_bytes()
 
+    def test_synth_flag_its_scenario_does_not_read_is_one_line_error(self, workdir, capsys):
+        # timeseries_ratio reads neither d, noise_rate nor subclass_prevalence.
+        out = workdir / "ts.csv"
+        code = run(["synth", "--scenario", "timeseries_ratio", "--m", "200", "--d", "2",
+                    "--noise-rate", "0.4", "--subclass-prevalence", "0.2", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: InvalidSpec: timeseries_ratio does not use d")
+        assert not out.exists()
+
     def test_train_byte_deterministic(self, workdir):
         data = workdir / "data.csv"
         run(["synth", "--scenario", "noisy_tasks", "--m", "300", "--d", "3",
@@ -354,7 +365,11 @@ GOLDEN = Path(__file__).parent / "golden_model_v1.txt"  # features a, b, c; task
     {"log_transform_features": None},
     {"missing_token": 5},
     {"log_transform_features": ["a", "c", "a"]},
-], ids=["not-object", "unknown-name", "bare-string", "null", "int-token", "repeated-name"])
+    {"max_bins": "x"},
+    {"label_columns": "a"},
+    {"missing_token": None},
+], ids=["not-object", "unknown-name", "bare-string", "null", "int-token", "repeated-name",
+        "str-max-bins", "bare-string-labels", "null-token"])
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_corrupt_data_options_is_one_line_error(tmp_path, capsys, data_options, command):
     lines = GOLDEN.read_text().splitlines()

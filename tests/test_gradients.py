@@ -1,10 +1,13 @@
+import dataclasses
 import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from mtboost.errors import NonFiniteGradient
+from mtboost.booster import BoosterParams
+from mtboost.cli import DataOptions
+from mtboost.errors import InvalidParameter, NonFiniteGradient
 from mtboost.gradients import (
     MTConfig,
     ensemble_grad_hess,
@@ -242,3 +245,23 @@ class TestUpdatingGradHess:
         g, _ = random_gh(rng)
         assert updating_grad_hess(g, MTConfig(corr_mode="constant_one")) is g
         assert updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main")) is not g
+
+
+SETTINGS = [(cls, f) for cls in (BoosterParams, MTConfig, DataOptions)
+            for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, field", SETTINGS,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f in SETTINGS])
+def test_every_settings_field_is_checked(cls, field):
+    # Each value is of the wrong kind for its field: a bool is no number and
+    # a bare string no list.
+    wrong = [object()]
+    if field.type in ("int", "float"):
+        wrong.append(True)
+    if field.type.startswith("tuple["):
+        wrong.append("a")
+    base = {"objectives": ("regression_l2",)} if cls is BoosterParams else {}
+    for value in wrong:
+        with pytest.raises(InvalidParameter, match=f"^{field.name} "):
+            cls(**{**base, field.name: value})

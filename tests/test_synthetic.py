@@ -20,6 +20,27 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             SyntheticSpec("noisy_tasks", noise_rate=0.5)
 
+    @pytest.mark.parametrize("scenario, name, value", [
+        ("timeseries_ratio", "d", 2),
+        ("timeseries_ratio", "noise_rate", 0.4),
+        ("timeseries_ratio", "subclass_prevalence", 0.2),
+        ("noisy_tasks", "subclass_prevalence", 0.1),
+        ("noisy_tasks", "subclass_prevalence", 0.5),
+    ])
+    def test_field_the_scenario_does_not_read_must_keep_its_default(self, scenario, name,
+                                                                   value):
+        with pytest.raises(InvalidSpec, match=f"^{scenario} does not use {name};"):
+            SyntheticSpec(scenario, **{name: value})
+
+    def test_unread_fields_at_their_defaults_build(self):
+        SyntheticSpec("timeseries_ratio", d=6, noise_rate=0.15, subclass_prevalence=0.035)
+        SyntheticSpec("noisy_tasks", subclass_prevalence=0.035)
+
+    def test_subclass_prevalence_range(self):
+        for bad in (0.0, 0.25):
+            with pytest.raises(InvalidSpec, match="subclass_prevalence must be in"):
+                SyntheticSpec("sub_tasks", subclass_prevalence=bad)
+
 
 class TestNoisyTasks:
     def test_zero_noise_identical_columns(self):
