@@ -582,6 +582,14 @@ def _parse_hexline(rest: str, count: int | None = None) -> np.ndarray:
     return values
 
 
+def _finite(values, what: str):
+    """``values``, unless one is NaN or infinite: train never writes such a
+    base score, leaf value, gain or loss."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 def load_model(path) -> BoosterModel:
     """Parse a model file written by save_model; strict about the format."""
     try:
@@ -608,7 +616,8 @@ def load_model(path) -> BoosterModel:
         extra = json.loads(rd.next("extra ")[len("extra "):])
         if type(extra) is not dict:
             raise ValueError("extra must be a JSON object")
-        base_scores = _parse_hexline(rd.next("base_scores ")[len("base_scores "):])
+        base_scores = _finite(_parse_hexline(rd.next("base_scores ")[len("base_scores "):]),
+                              "base_scores")
         # Counts are checked before any of them sizes a loop or an array.
         if (min(n_tasks, n_features, num_trees, num_log_rows) < 0
                 or len(base_scores) != n_tasks or len(task_names) != n_tasks
@@ -635,14 +644,16 @@ def load_model(path) -> BoosterModel:
             _, feature, threshold, left, right, gain, count = columns
             # The int fields are parsed by numpy, as int() parses them.
             skeleton = TreeSkeleton(feature, threshold, left, right,
-                                    [float.fromhex(t) for t in gain], count, n_leaves)
+                                    _finite([float.fromhex(t) for t in gain], "node gains"),
+                                    count, n_leaves)
             _check_tree(skeleton, finite_bins)
             leaves = rd.rows(n_leaves, "leaf", (1 + v1) * (n_tasks + 1) + 1)
             if any(row[2] != "values" or v1 and row[3 + n_tasks] != "means" for row in leaves):
                 raise ValueError(f"leaf lines must hold {n_tasks} values")
             if v1:  # the v1 means are checked to parse as floats, then dropped
                 [float.fromhex(t) for row in leaves for t in row[4 + n_tasks:]]
-            values = np.array([[float.fromhex(t) for t in row[3:3 + n_tasks]] for row in leaves])
+            values = _finite(np.array([[float.fromhex(t) for t in row[3:3 + n_tasks]]
+                                       for row in leaves]), "leaf values")
             counts = np.array([row[1] for row in leaves], dtype=np.int64)
             trees.append(MultiOutputTree(skeleton, values, counts))
         log = []
@@ -653,13 +664,15 @@ def load_model(path) -> BoosterModel:
             log.append(
                 IterationLog(
                     iteration=int(head.split(" ")[1]),
-                    train=tuple(_parse_hexline(train_part, n_tasks)),
+                    train=tuple(_finite(_parse_hexline(train_part, n_tasks), "losses")),
                     valid=None if valid_part == "-" else tuple(
-                        _parse_hexline(valid_part, n_tasks)
+                        _finite(_parse_hexline(valid_part, n_tasks), "losses")
                     ),
                 )
             )
         rd.next("end")
+        if rd.pos < len(lines):
+            raise ValueError("lines follow 'end'")
     except FormatVersionMismatch:
         raise
     except (ValueError, TypeError, IndexError, OverflowError) as exc:

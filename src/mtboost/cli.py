@@ -14,13 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import booster as bt
 from .data import (
     DEFAULT_MAX_BINS,
+    RawTable,
     apply_bins,
+    column_indices,
     fit_bins,
     format_row,
     load_csv,
@@ -133,22 +136,21 @@ def build_params(sections: dict) -> bt.BoosterParams:
     return bt.BoosterParams(mt=MTConfig(**sections["mt"]), **sections["params"])
 
 
-def _load_table(csv_path, opts: DataOptions):
+def _load_table(csv_path, opts: DataOptions, feature_names=None) -> RawTable:
+    """A labeled CSV as train reads it: the label columns ``opts`` names and
+    the features ``feature_names`` names (every other column when None),
+    both by name, with ``opts``' log transform applied."""
     if not opts.label_columns:
         raise ConfigError("config must set 'label_columns'", key="label_columns")
     table = load_csv(csv_path, opts.label_columns, opts.missing_token)
+    if feature_names is not None:
+        picked = column_indices(feature_names, table.feature_names, "feature_names",
+                                FeatureCountMismatch)
+        table = RawTable(table.features[:, picked], table.labels, feature_names, table.task_names)
     if opts.log_transform_features:
-        indices = []
-        for name in opts.log_transform_features:
-            if name not in table.feature_names:
-                raise ConfigError(f"log_transform_features: no feature named {name!r}",
-                                  key="log_transform_features")
-            index = table.feature_names.index(name)
-            if index in indices:
-                raise ConfigError(f"log_transform_features: {name!r} is listed twice",
-                                  key="log_transform_features")
-            indices.append(index)
-        table = log_transform(table, indices)
+        table = log_transform(table, column_indices(
+            opts.log_transform_features, table.feature_names, "log_transform_features",
+            partial(ConfigError, key="log_transform_features")))
     return table
 
 
@@ -164,10 +166,8 @@ def cmd_train(args) -> int:
         )
     mapper = fit_bins(table, opts.max_bins)
     train_ds = apply_bins(table, mapper)
-    valid_ds = None
-    if args.valid:
-        valid_table = _load_table(args.valid, opts)
-        valid_ds = apply_bins(valid_table, mapper)
+    valid_ds = (apply_bins(_load_table(args.valid, opts, table.feature_names), mapper)
+                if args.valid else None)
     model = replace(bt.train(train_ds, params, valid_ds),
                     extra={"data_options": asdict(opts)})
     bt.save_model(model, args.out)
@@ -190,9 +190,10 @@ def _write_training_log(model, path, has_valid: bool) -> None:
 
 
 def _data_options(model):
-    """The missing token and the log-transformed feature indices recorded in
-    the model's ``extra.data_options`` at training time, read by DataOptions:
-    a field left out takes its default, a key that is no field is ignored."""
+    """The DataOptions recorded in the model's ``extra.data_options`` at
+    training time, with the model's tasks as label columns, and the indices
+    of its log-transformed features among the model's: a field left out
+    takes its default, a key that is no field is ignored."""
     recorded = model.extra.get("data_options", {})
     if type(recorded) is not dict:
         raise FormatVersionMismatch("model extra.data_options is not a JSON object")
@@ -200,29 +201,19 @@ def _data_options(model):
         opts = DataOptions(**{k: v for k, v in recorded.items() if k in param_types(DataOptions)})
     except InvalidParameter as exc:
         raise FormatVersionMismatch(f"model extra.data_options: {exc}") from None
-    names = opts.log_transform_features
-    if not all(name in model.feature_names for name in names) or len(set(names)) != len(names):
-        raise FormatVersionMismatch("model extra.data_options.log_transform_features "
-                                    "must be distinct feature names of the model")
-    return opts.missing_token, [model.feature_names.index(name) for name in names]
-
-
-def _model_features(model, matrix, header, log_features):
-    """Pick the model's feature columns (by name) out of a parsed CSV,
-    replaying the log transform recorded at training time."""
-    for name in model.feature_names:
-        if name not in header:
-            raise FeatureCountMismatch(f"input CSV lacks feature column {name!r}")
-    features = matrix[:, [header.index(name) for name in model.feature_names]]
-    log_transform_columns(features, log_features, model.feature_names)
-    return features
+    log_features = column_indices(opts.log_transform_features, model.feature_names,
+                                  "model extra.data_options.log_transform_features",
+                                  FormatVersionMismatch)
+    return replace(opts, label_columns=model.task_names), log_features
 
 
 def cmd_predict(args) -> int:
     model = bt.load_model(args.model)
-    missing_token, log_features = _data_options(model)
-    matrix, header = read_feature_matrix(args.data, missing_token)
-    features = _model_features(model, matrix, header, log_features)
+    opts, log_features = _data_options(model)
+    matrix, header = read_feature_matrix(args.data, opts.missing_token)
+    features = matrix[:, column_indices(model.feature_names, header, "feature_names",
+                                        FeatureCountMismatch)]
+    log_transform_columns(features, log_features, model.feature_names)
     if args.task is not None:
         scores = bt.predict(model, features, task=args.task)[:, None]
         names = [f"task_{args.task}"]
@@ -239,11 +230,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = bt.load_model(args.model)
-    missing_token, log_features = _data_options(model)
-    labeled = load_csv(args.data, list(model.task_names), missing_token)
-    features = _model_features(model, labeled.features, labeled.feature_names, log_features)
+    labeled = _load_table(args.data, _data_options(model)[0], model.feature_names)
     predict = bt.predict_proba if args.metric in ("rmse", "mape") else bt.predict
-    preds = predict(model, features)
+    preds = predict(model, labeled.features)
     # Every task's metric is computed before any is printed, so a failing
     # task prints only its error line.
     values = []

@@ -35,7 +35,8 @@ DEFAULT_MAX_BINS = 255
 
 @dataclass(frozen=True, eq=False)
 class RawTable:
-    """In-memory tabular dataset: float features (NaN = missing) and labels."""
+    """In-memory tabular dataset: float features (NaN = missing) and labels,
+    its feature and task names all distinct."""
 
     features: np.ndarray  # (m, d) float64
     labels: np.ndarray  # (m, n) float64, finite
@@ -53,6 +54,8 @@ class RawTable:
             raise ShapeError("features and labels disagree on row count")
         if len(self.feature_names) != d or len(self.task_names) != n:
             raise ShapeError("name lists disagree with matrix shapes")
+        names = (*self.feature_names, *self.task_names)
+        column_indices(names, names, "feature and task names", ShapeError)  # raises on a repeat
         if not np.isfinite(self.labels).all():
             raise NonNumericLabel("labels must be finite")
 
@@ -238,17 +241,33 @@ def _read_csv(path, missing_token: str, label_columns=None):
     return header, label_idx, matrix
 
 
+def column_indices(names, columns, what: str, error) -> list[int]:
+    """Index in ``columns`` of each of ``names``, in order: the one lookup
+    from column names to columns. Raises ``error(message)``, the message
+    led by ``what``, for a name listed twice, a name no column has, or a
+    name that heads two columns. Takes time linear in the names and
+    columns."""
+    index = {}
+    for j, column in enumerate(columns):
+        index[column] = -1 if column in index else j  # -1: the name heads two columns
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error(f"{what}: {name!r} is listed twice")
+        seen.add(name)
+        if name not in index:
+            raise error(f"{what}: no column named {name!r}")
+        if index[name] < 0:
+            raise error(f"{what}: {name!r} heads two columns")
+    return [index[name] for name in names]
+
+
 def _label_indices(header, label_columns) -> list[int]:
     """Header index of each of ``label_columns`` (none for ``None``). Raises
-    MissingLabelColumn for a name not in the header, and ShapeError when the
+    MissingLabelColumn as ``column_indices`` does, and ShapeError when the
     labels leave no feature column."""
-    if label_columns is None:
-        return []
-    for name in label_columns:
-        if name not in header:
-            raise MissingLabelColumn(f"label column {name!r} not in header")
-    label_idx = [header.index(name) for name in label_columns]
-    if len(set(label_idx)) == len(header):
+    label_idx = column_indices(label_columns or (), header, "label_columns", MissingLabelColumn)
+    if label_columns is not None and len(label_idx) == len(header):
         raise ShapeError("every column is a label; no features left")
     return label_idx
 
@@ -257,12 +276,13 @@ def load_csv(path, label_columns, missing_token: str = "") -> RawTable:
     """Read an RFC-4180 CSV with header into a RawTable.
 
     Columns named in ``label_columns`` become the label matrix (in the given
-    order); every other column becomes a feature, in header order. Feature
+    order); every other column becomes a feature, in header order. Each
+    name must head one column and be listed once (``column_indices``). Feature
     cells equal to ``missing_token`` or unparsable as numbers turn into NaN.
     Label cells must parse as finite numbers.
     """
     header, label_idx, matrix = _read_csv(path, missing_token, label_columns)
-    feat_idx = [j for j in range(len(header)) if j not in set(label_idx)]
+    feat_idx = sorted(set(range(len(header))) - set(label_idx))
     return RawTable(
         features=matrix[:, feat_idx],
         labels=matrix[:, label_idx],

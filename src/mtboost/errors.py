@@ -11,7 +11,8 @@ class MtboostError(Exception):
 
 
 class MissingLabelColumn(MtboostError, KeyError):
-    """A requested label column is absent from the CSV header."""
+    """A requested label column is absent from the CSV header, heads two of
+    its columns, or is requested twice."""
 
 
 class NonNumericLabel(MtboostError, ValueError):
@@ -67,7 +68,8 @@ class MapperMismatch(MtboostError, ValueError):
 
 
 class FeatureCountMismatch(MtboostError, ValueError):
-    """Prediction input does not provide the model's feature columns."""
+    """An input CSV does not give each training feature one column, or a
+    model lists a feature twice."""
 
 
 class TaskIndexOutOfRange(MtboostError, IndexError):

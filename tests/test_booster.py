@@ -871,6 +871,28 @@ class GoldenFileEdits:
         with pytest.raises(FormatVersionMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("tail", ["garbage 1\ngarbage 2\n", "copy"])
+    def test_nothing_may_follow_end(self, tmp_path, tail):
+        text = self.golden.read_text()
+        path = tmp_path / "bad.txt"
+        path.write_text(text + (text if tail == "copy" else tail))
+        with pytest.raises(FormatVersionMismatch, match="lines follow 'end'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("prefix, tok", [
+        ("base_scores ", 1), ("leaf ", 3), ("node ", -2), ("log ", 3), ("log ", 6),
+    ], ids=["base-score", "leaf-value", "gain", "train-loss", "valid-loss"])
+    def test_non_finite_value_rejected(self, tmp_path, prefix, tok, value):
+        # train() never writes one; a -inf boundary is allowed (fit_bins
+        # writes it for a column holding -inf).
+        lines = _golden_lines(self.golden)
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_token(lines, i, tok, value)) + "\n")
+        with pytest.raises(FormatVersionMismatch, match="must be finite"):
+            load_model(path)
+
     def test_node_token_sweep_loads_and_predicts_or_rejects(self, rng, tmp_path):
         lines = _golden_lines(self.golden)
         x = rng.normal(size=(40, 3))

@@ -4,6 +4,7 @@ import json
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtboost.booster import load_model, predict
-from mtboost.cli import _SCHEMA, main, parse_config
+from mtboost.booster import BoosterParams, load_model, predict
+from mtboost.cli import _PARAM_RENAMES, _SCHEMA, DataOptions, main, parse_config
 from mtboost.data import write_csv
 from mtboost.errors import ConfigError
+from mtboost.gradients import MTConfig
 from mtboost.synthetic import SyntheticSpec, gen_synthetic
 
 CONFIG = """\
@@ -78,12 +80,28 @@ class TestConfigParsing:
 
 
     def test_readme_config_table_lists_every_key(self):
+        # Each row's default must be its field's: the table copies it.
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("### Config file", 1)[1].split("###", 1)[0]
+        classes = {"data": DataOptions, "params": BoosterParams, "mt": MTConfig}
         keys = set()
         for row in table.splitlines():
-            if row.startswith("| `"):
-                keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+            if not row.startswith("| `"):
+                continue
+            names, _, default = (cell.strip() for cell in row.split("|")[1:4])
+            for key in re.findall(r"`([^`]+)`", names):
+                keys.add(key)
+                name = _PARAM_RENAMES.get(key, key)
+                field = {f.name: f for f in fields(classes[_SCHEMA[key][1]])}[name]
+                if default == "required":  # train rejects label_columns' empty default
+                    assert (name, field.default) in (("objectives", MISSING),
+                                                     ("label_columns", ())), key
+                elif default == "none":
+                    assert field.default in (None, ()), key
+                elif _SCHEMA[key][0] in ("int", "float"):
+                    assert float(default.split(" ")[0]) == field.default, key
+                else:
+                    assert default.strip("`\"'") == field.default, key
         assert keys == set(_SCHEMA)
 
 
@@ -324,6 +342,64 @@ class TestPipeline:
         )
         assert not (workdir / "m.txt").exists()
 
+    @pytest.mark.parametrize("header, labels, error", [
+        ("x0,x0,x2,y_main,y_aux", "y_main, y_aux",
+         "ShapeError: feature and task names: 'x0' heads two columns"),
+        ("x0,x1,x2,y_main,y_main", "y_main, y_aux",
+         "MissingLabelColumn: \"label_columns: 'y_main' heads two columns\""),
+        (None, "y_main, y_main",
+         "MissingLabelColumn: \"label_columns: 'y_main' is listed twice\""),
+    ], ids=["feature-in-header", "label-in-header", "label-in-config"])
+    def test_repeated_name_is_one_line_error(self, workdir, capsys, header, labels, error):
+        data = workdir / "data.csv"
+        run(["synth", "--scenario", "noisy_tasks", "--m", "300", "--d", "3",
+             "--seed", "5", "--out", data])
+        if header is not None:
+            lines = data.read_text().splitlines(keepends=True)
+            data.write_text("".join([header + "\r\n", *lines[1:]]))
+        cfg = workdir / "twice.txt"
+        cfg.write_text(CONFIG.replace("y_main, y_aux", labels))
+        capsys.readouterr()
+        code = run(["train", "--config", cfg, "--data", data, "--out", workdir / "m.txt"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (workdir / "m.txt").exists()
+
+    def test_valid_columns_are_read_by_name(self, workdir, capsys):
+        # Reordered columns and an extra one give the same model and log;
+        # a missing training feature is an error.
+        data, valid = workdir / "data.csv", workdir / "valid.csv"
+        for path, seed in ((data, 5), (valid, 6)):
+            run(["synth", "--scenario", "noisy_tasks", "--m", "300", "--d", "3",
+                 "--seed", seed, "--out", path])
+        rows = [line.split(",") for line in valid.read_text().splitlines()]
+        assert rows[0] == ["x0", "x1", "x2", "y_main", "y_aux"]
+        edits = {"reordered": [4, 2, 0, 3, 1], "extra": [1, 5, 4, 0, 3, 2],
+                 "lacking": [0, 2, 3, 4]}
+        for i, row in enumerate(rows):
+            row.append("note" if i == 0 else "1.5")
+        for name, order in edits.items():
+            (workdir / f"{name}.csv").write_text(
+                "".join(",".join(row[j] for j in order) + "\n" for row in rows))
+        cfg = workdir / "es.txt"
+        cfg.write_text(CONFIG + "early_stopping_rounds = 3\n")
+
+        def outputs(name):
+            model = workdir / f"{name}_model.txt"
+            assert run(["train", "--config", cfg, "--data", data,
+                        "--valid", workdir / f"{name}.csv", "--out", model]) == 0
+            return model.read_bytes(), Path(f"{model}.train_log.csv").read_bytes()
+
+        expected = outputs("valid")
+        assert outputs("reordered") == expected
+        assert outputs("extra") == expected
+        capsys.readouterr()
+        assert run(["train", "--config", cfg, "--data", data, "--valid", workdir / "lacking.csv",
+                    "--out", workdir / "m.txt"]) == 1
+        assert capsys.readouterr().err == (
+            "error: FeatureCountMismatch: feature_names: no column named 'x1'\n")
+        assert not (workdir / "m.txt").exists()
+
     def test_negative_log_feature_at_predict_time(self, workdir, capsys):
         data = workdir / "ts.csv"
         run(["synth", "--scenario", "timeseries_ratio", "--m", "300",
@@ -400,6 +476,37 @@ def test_predict_csv_holds_library_scores(tmp_path):
     assert [row.split(",") for row in rows[1:]] == [
         [str(i)] + [repr(float(v)) for v in scores] for i, scores in enumerate(expected)
     ]
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_model_feature_listed_twice_is_one_line_error(tmp_path, capsys, command):
+    model = tmp_path / "model.txt"
+    model.write_text(GOLDEN.read_text().replace('feature_names ["a", "b", "c"]',
+                                                'feature_names ["a", "a", "c"]'))
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c,y_cls,y_reg\n0.5,,1.5,1,2.0\n-0.5,1.0,0.0,0,1.0\n")
+    args = {"predict": ["--out", tmp_path / "p.csv"], "eval": ["--metric", "rmse"]}[command]
+    assert run([command, "--model", model, "--data", data, *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: FeatureCountMismatch: feature_names: 'a' is listed twice\n")
+
+
+def test_predict_reads_each_model_feature_from_one_column(tmp_path, capsys):
+    # A repeated column the model does not read is ignored; a repeated
+    # model feature is an error, not its first column.
+    data = tmp_path / "rows.csv"
+    data.write_text("z,c,a,b,z\n7,1.5,0.5,,8\n7,0.0,-0.5,1.0,8\n")
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", GOLDEN, "--data", data, "--out", out]) == 0
+    scores = predict(load_model(GOLDEN), np.array([[0.5, np.nan, 1.5], [-0.5, 1.0, 0.0]]))
+    assert out.read_text().splitlines()[1:] == [
+        ",".join([str(i), *map(repr, row)]) for i, row in enumerate(scores.tolist())]
+    data.write_text("a,b,c,a\n0.5,,1.5,0.5\n")
+    capsys.readouterr()
+    assert run(["predict", "--model", GOLDEN, "--data", data, "--out", tmp_path / "q.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: FeatureCountMismatch: feature_names: 'a' heads two columns\n")
+    assert not (tmp_path / "q.csv").exists()
 
 
 def test_non_utf8_csv_is_one_line_error(workdir, capsys):

@@ -70,6 +70,13 @@ class TestLoadCsv:
         assert table.task_names == ("y",)
         assert table.labels[:, 0].tolist() == [0.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("features, tasks", [
+        (("a", "a"), ("y",)), (("a", "y"), ("y",)), (("a", "b"), ("y", "y")),
+    ], ids=["feature", "feature-and-task", "task"])
+    def test_names_must_be_distinct(self, features, tasks):
+        with pytest.raises(ShapeError, match="heads two columns"):
+            RawTable(np.zeros((3, 2)), np.zeros((3, len(tasks))), features, tasks)
+
     def test_missing_token_becomes_nan(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,y\nNA,1\n2,0\n")
@@ -91,9 +98,14 @@ class TestLoadCsv:
 
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(MissingLabelColumn):
-            load_csv(p, ["y"])
+        for text, labels, detail in [
+            ("a,b\n1,2\n", ["y"], "no column named 'y'"),
+            ("a,y\n1,2\n", ["y", "y"], "'y' is listed twice"),
+            ("a,y,y\n1,2,3\n", ["y"], "'y' heads two columns"),
+        ]:
+            p.write_text(text)
+            with pytest.raises(MissingLabelColumn, match=f"label_columns: {detail}"):
+                load_csv(p, labels)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -327,6 +339,13 @@ class TestParseCells:
         p.write_text("a,y1,y2\n1,0,abc\n2,inf,0\n")
         with pytest.raises(NonNumericLabel, match="row 2, column 'y2': 'abc' is not a number"):
             load_csv(p, ["y2", "y1"])
+        # A repeated feature name comes last, on both paths.
+        p.write_text("a,a,y\n1,2,abc\n")
+        with pytest.raises(NonNumericLabel):
+            load_csv(p, ["y"])
+        p.write_text("a,a,y\n1,2,0\n")
+        assert outcomes(lambda: load_csv(p, ["y"])) == [
+            (ShapeError, "feature and task names: 'a' heads two columns")] * 2
 
     @pytest.mark.parametrize("text,token", [
         ("a,y\n1,2\n3,4\n", ""), ("a,y\r\n1,2\r\n3,4\r\n", ""), ("a,y\r1,2\r3,4\r", ""),
