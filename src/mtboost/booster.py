@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import BinMapper, Dataset, bin_column, read_only, rebuilt_by_init
+from .data import BinMapper, Dataset, bin_column, column_indices, read_only, rebuilt_by_init
 from .errors import (
     EmptyDataset,
     FeatureCountMismatch,
@@ -142,6 +142,14 @@ class BoosterModel:
     ``extra``, a copy of the dict given, is the one field left open: predict
     never reads it and save_model writes it as it stands. Give a model
     other trees or extra with dataclasses.replace.
+
+    However a model is made, construction raises InvalidParameter before
+    any table is compiled unless ``base_scores``, ``task_names``, the
+    objectives, every tree's leaf values and every log row agree on the
+    task count; ``feature_names`` name the mapper's features; feature and
+    task names are all distinct; base scores and losses are finite; and
+    every split's feature and ``threshold_bin`` are ones the mapper can
+    produce. The trees, the mapper and the params check themselves.
     """
 
     trees: tuple[MultiOutputTree, ...]
@@ -159,6 +167,29 @@ class BoosterModel:
         object.__setattr__(self, "training_log", tuple(self.training_log))
         object.__setattr__(self, "base_scores", read_only(self.base_scores, np.float64))
         object.__setattr__(self, "extra", dict(self.extra))
+        losses = [row_losses for row in self.training_log
+                  for row_losses in (row.train, row.valid) if row_losses is not None]
+        widths = {self.base_scores.shape, (len(self.params.objectives),),
+                  *(tree.leaf_values.shape[1:] for tree in self.trees),
+                  *((len(row_losses),) for row_losses in losses)}
+        if widths != {(self.n_tasks,)}:
+            raise InvalidParameter("base_scores, objectives, leaf values and losses must each "
+                                   f"hold one value for each of the {self.n_tasks} tasks")
+        if self.n_features != self.mapper.n_features:
+            raise InvalidParameter(f"feature_names must name {self.mapper.n_features} features")
+        names = (*self.feature_names, *self.task_names)
+        column_indices(names, names, "feature and task names", InvalidParameter)
+        if not np.isfinite(self.base_scores).all():
+            raise InvalidParameter("base_scores must be finite")
+        if not all(math.isfinite(value) for row in losses for value in row):
+            raise InvalidParameter("losses must be finite")
+        if self.trees:
+            feature = np.concatenate([tree.skeleton.feature for tree in self.trees])
+            threshold = np.concatenate([tree.skeleton.threshold_bin for tree in self.trees])
+            if (feature >= self.n_features).any():
+                raise InvalidParameter("a node's feature is out of range")
+            if (threshold >= self.mapper.finite_bin_counts[feature] - 1).any():
+                raise InvalidParameter("a node's threshold_bin is out of range")
         object.__setattr__(self, "chunks", tuple(
             compile_routes(chunk) for chunk in _chunks(self.trees, self.n_features)))
 
@@ -426,34 +457,17 @@ def extract_task(model: BoosterModel, task: int) -> BoosterModel:
     Predictions equal the chosen column of the full model exactly.
     """
     task = _task_index(model, task)
-    trees = [
-        MultiOutputTree(
-            skeleton=t.skeleton,
-            leaf_values=np.ascontiguousarray(t.leaf_values[:, task : task + 1]),
-            leaf_counts=t.leaf_counts,
-        )
-        for t in model.trees
-    ]
-    params = replace(
-        model.params, objectives=(model.params.objectives[task],), main_task_index=0
-    )
-    log = [
-        IterationLog(
-            iteration=row.iteration,
-            train=(row.train[task],),
-            valid=None if row.valid is None else (row.valid[task],),
-        )
-        for row in model.training_log
-    ]
-    return BoosterModel(
-        trees=trees,
-        params=params,
-        mapper=model.mapper,
-        base_scores=model.base_scores[task : task + 1],
-        feature_names=model.feature_names,
-        task_names=(model.task_names[task],),
-        training_log=log,
-        extra=model.extra,
+    pick = slice(task, task + 1)
+    return replace(
+        model,
+        trees=[replace(tree, leaf_values=np.ascontiguousarray(tree.leaf_values[:, pick]))
+               for tree in model.trees],
+        params=replace(model.params, objectives=model.params.objectives[pick], main_task_index=0),
+        base_scores=model.base_scores[pick],
+        task_names=model.task_names[pick],
+        training_log=[replace(row, train=row.train[pick],
+                              valid=None if row.valid is None else row.valid[pick])
+                      for row in model.training_log],
     )
 
 
@@ -519,32 +533,6 @@ def _params_from_dict(d, v1: bool) -> BoosterParams:
     return replace(params, seed=params.seed + v1_seed) if v1 else params
 
 
-def _check_tree(tree: TreeSkeleton, finite_bins) -> None:
-    """Raise ValueError unless the nodes form one binary tree over n_leaves
-    leaves with splits the mapper can produce: every child comes after its
-    parent, and every node but the root and every leaf has exactly one
-    parent. The leaf count is compared first, so a huge claimed count
-    costs nothing."""
-    n = tree.feature.size
-    if tree.n_leaves != n + 1:
-        raise ValueError(f"{n} nodes cannot hold {tree.n_leaves} leaves")
-    if n == 0:
-        return
-    feature, threshold = tree.feature, tree.threshold_bin
-    if feature.min() < 0 or feature.max() >= len(finite_bins):
-        raise ValueError("a node's feature is out of range")
-    if threshold.min() < 0 or (threshold >= finite_bins[feature] - 1).any():
-        raise ValueError("a node's threshold_bin is out of range")
-    children = np.array([tree.left, tree.right])
-    if ((children >= 0) & (children <= np.arange(n))).any():
-        raise ValueError("a child node does not come after its parent")
-    # Sorted, a tree's children are its leaves ~n, ..., ~0, then its nodes 1, ..., n - 1.
-    expected = np.arange(-n - 1, n - 1)
-    expected[n + 1:] += 1
-    if (np.sort(children, axis=None) != expected).any():
-        raise ValueError("node children must reference every node and leaf exactly once")
-
-
 class _Reader:
     def __init__(self, lines, path):
         self.lines = lines
@@ -582,14 +570,6 @@ def _parse_hexline(rest: str, count: int | None = None) -> np.ndarray:
     return values
 
 
-def _finite(values, what: str):
-    """``values``, unless one is NaN or infinite: train never writes such a
-    base score, leaf value, gain or loss."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} must be finite")
-    return values
-
-
 def load_model(path) -> BoosterModel:
     """Parse a model file written by save_model; strict about the format."""
     try:
@@ -616,23 +596,17 @@ def load_model(path) -> BoosterModel:
         extra = json.loads(rd.next("extra ")[len("extra "):])
         if type(extra) is not dict:
             raise ValueError("extra must be a JSON object")
-        base_scores = _finite(_parse_hexline(rd.next("base_scores ")[len("base_scores "):]),
-                              "base_scores")
+        base_scores = _parse_hexline(rd.next("base_scores ")[len("base_scores "):])
         # Counts are checked before any of them sizes a loop or an array.
-        if (min(n_tasks, n_features, num_trees, num_log_rows) < 0
-                or len(base_scores) != n_tasks or len(task_names) != n_tasks
-                or len(params.objectives) != n_tasks or len(feature_names) != n_features):
+        if (min(num_trees, num_log_rows) < 0 or len(task_names) != n_tasks
+                or len(feature_names) != n_features):
             raise FormatVersionMismatch(f"{path}: inconsistent header counts")
         max_bins = int(rd.next("mapper max_bins ").split(" ")[2])
         boundaries = []
         for f in range(n_features):
             head = f"feature {f} boundaries"
-            cuts = _parse_hexline(rd.next(head)[len(head):].strip())
-            if np.isnan(cuts).any() or not np.all(cuts[1:] > cuts[:-1]):
-                raise ValueError(f"{head} must be strictly ascending")
-            boundaries.append(cuts)
+            boundaries.append(_parse_hexline(rd.next(head)[len(head):].strip()))
         mapper = BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)
-        finite_bins = mapper.finite_bin_counts
         trees = []
         for i in range(num_trees):
             header = rd.next(f"tree {i} ").split(" ")
@@ -642,20 +616,16 @@ def load_model(path) -> BoosterModel:
             if v1 and any(flag != "1" for flag in columns.pop(5)):
                 raise ValueError("<default_right> must be 1")
             _, feature, threshold, left, right, gain, count = columns
-            # The int fields are parsed by numpy, as int() parses them.
+            # The int fields, leaf counts too, are parsed by numpy, as int() parses them.
             skeleton = TreeSkeleton(feature, threshold, left, right,
-                                    _finite([float.fromhex(t) for t in gain], "node gains"),
-                                    count, n_leaves)
-            _check_tree(skeleton, finite_bins)
+                                    [float.fromhex(t) for t in gain], count, n_leaves)
             leaves = rd.rows(n_leaves, "leaf", (1 + v1) * (n_tasks + 1) + 1)
             if any(row[2] != "values" or v1 and row[3 + n_tasks] != "means" for row in leaves):
                 raise ValueError(f"leaf lines must hold {n_tasks} values")
             if v1:  # the v1 means are checked to parse as floats, then dropped
                 [float.fromhex(t) for row in leaves for t in row[4 + n_tasks:]]
-            values = _finite(np.array([[float.fromhex(t) for t in row[3:3 + n_tasks]]
-                                       for row in leaves]), "leaf values")
-            counts = np.array([row[1] for row in leaves], dtype=np.int64)
-            trees.append(MultiOutputTree(skeleton, values, counts))
+            values = [[float.fromhex(t) for t in row[3:3 + n_tasks]] for row in leaves]
+            trees.append(MultiOutputTree(skeleton, values, [row[1] for row in leaves]))
         log = []
         for _ in range(num_log_rows):
             line = rd.next("log ")
@@ -664,26 +634,26 @@ def load_model(path) -> BoosterModel:
             log.append(
                 IterationLog(
                     iteration=int(head.split(" ")[1]),
-                    train=tuple(_finite(_parse_hexline(train_part, n_tasks), "losses")),
+                    train=tuple(_parse_hexline(train_part, n_tasks)),
                     valid=None if valid_part == "-" else tuple(
-                        _finite(_parse_hexline(valid_part, n_tasks), "losses")
+                        _parse_hexline(valid_part, n_tasks)
                     ),
                 )
             )
         rd.next("end")
         if rd.pos < len(lines):
             raise ValueError("lines follow 'end'")
+        return BoosterModel(
+            trees=trees,
+            params=params,
+            mapper=mapper,
+            base_scores=base_scores,
+            feature_names=feature_names,
+            task_names=task_names,
+            training_log=log,
+            extra=extra,
+        )
     except FormatVersionMismatch:
         raise
     except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise FormatVersionMismatch(f"{path}: corrupt model file: {exc}") from None
-    return BoosterModel(
-        trees=trees,
-        params=params,
-        mapper=mapper,
-        base_scores=base_scores,
-        feature_names=feature_names,
-        task_names=task_names,
-        training_log=log,
-        extra=extra,
-    )

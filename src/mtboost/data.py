@@ -15,7 +15,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -385,7 +385,9 @@ class BinMapper:
     finite bins (length = finite_bins - 1; the topmost finite bin has no upper
     boundary and catches everything above), in read-only arrays. The missing
     bin sits at index ``finite_bins``, so total bins per feature is
-    ``finite_bins + 1``.
+    ``finite_bins + 1``. Construction raises InvalidParameter unless
+    ``max_bins`` is at least 2 and every boundary array is 1-D, NaN-free
+    and strictly ascending, however the mapper is made.
 
     Computed once, read-only: ``finite_bin_counts``; ``n_bins_max``, the
     most bins of any feature, missing bin included, which is the width of
@@ -401,7 +403,12 @@ class BinMapper:
     splittable: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.max_bins < 2:
+            raise InvalidParameter("max_bins must be >= 2")
         boundaries = tuple(map(read_only, self.boundaries))
+        for f, cuts in enumerate(boundaries):
+            if cuts.ndim != 1 or np.isnan(cuts).any() or not (cuts[1:] > cuts[:-1]).all():
+                raise InvalidParameter(f"feature {f} boundaries must be 1-D and ascend strictly")
         finite = np.array([len(b) + 1 for b in boundaries], dtype=np.int64)
         n_bins_max = int(finite.max(initial=0)) + 1
         vars(self).update(  # frozen: set past __setattr__
@@ -446,8 +453,7 @@ def fit_bins(table: RawTable, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
     yields a single finite bin. A zero boundary is always +0.0, whichever
     zeros the column holds.
     """
-    if max_bins < 2:
-        raise InvalidParameter("max_bins must be >= 2")
+    mapper = BinMapper(boundaries=(), max_bins=max_bins)  # checks max_bins before any sort
     probs = np.arange(1, max_bins) / max_bins
     boundaries = []
     for f in range(table.d):
@@ -467,7 +473,7 @@ def fit_bins(table: RawTable, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
         # Which zero a run or a quantile ends on depends on how the sort
         # orders equal keys; + 0.0 folds -0.0 into +0.0.
         boundaries.append(cuts + 0.0)
-    return BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)
+    return replace(mapper, boundaries=tuple(boundaries))
 
 
 def _sorted_quantiles(vals: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ class MtboostError(Exception):
     """Base class for all library errors."""
 
 
-class MissingLabelColumn(MtboostError, KeyError):
+class MissingLabelColumn(MtboostError, ValueError):
     """A requested label column is absent from the CSV header, heads two of
     its columns, or is requested twice."""
 
@@ -68,8 +68,7 @@ class MapperMismatch(MtboostError, ValueError):
 
 
 class FeatureCountMismatch(MtboostError, ValueError):
-    """An input CSV does not give each training feature one column, or a
-    model lists a feature twice."""
+    """An input CSV does not give each training feature one column."""
 
 
 class TaskIndexOutOfRange(MtboostError, IndexError):
@@ -97,7 +96,9 @@ class TooFewSamples(MtboostError, ValueError):
 
 
 class InvalidParameter(MtboostError, ValueError):
-    """A training parameter, or its combination with the data, is invalid."""
+    """A training parameter, or its combination with the data, is invalid,
+    or a part of a model (bin mapper, tree, leaf values or the model
+    itself) breaks one of its invariants."""
 
 
 class ConfigError(MtboostError, ValueError):

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import Dataset, read_only, rebuilt_by_init
-from .errors import EmptyLeaf
+from .errors import EmptyLeaf, InvalidParameter
 
 if TYPE_CHECKING:
     from .booster import BoosterParams
@@ -147,6 +147,14 @@ class TreeSkeleton:
     ``feature[i]`` is <= ``threshold_bin[i]`` go to child ``left[i]``, the
     others, missing values included, to ``right[i]``. A child >= 0 is a
     node; a negative child c is leaf ~c.
+
+    Construction raises InvalidParameter unless the arrays are 1-D of one
+    length and the nodes form one binary tree over ``n_leaves`` leaves, as
+    grow_tree builds them: every child comes after its parent, every node
+    but the root and every leaf has exactly one parent, features and
+    thresholds are >= 0 and gains are finite. The leaf count is compared
+    first, so a huge claimed count costs nothing. Whether the features and
+    thresholds exist in a mapper, BoosterModel checks.
     """
 
     feature: np.ndarray
@@ -160,6 +168,23 @@ class TreeSkeleton:
     def __post_init__(self):
         for name, dtype in NODE_DTYPES.items():
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+        n = self.feature.size
+        if any(getattr(self, name).shape != (n,) for name in NODE_DTYPES):
+            raise InvalidParameter("node arrays must be 1-D and of one length")
+        if self.n_leaves != n + 1:
+            raise InvalidParameter(f"{n} nodes cannot hold {self.n_leaves} leaves")
+        if min(self.feature.min(initial=0), self.threshold_bin.min(initial=0)) < 0:
+            raise InvalidParameter("a node's feature or threshold_bin is negative")
+        if not np.isfinite(self.gain).all():
+            raise InvalidParameter("node gains must be finite")
+        children = np.array([self.left, self.right])
+        if ((children >= 0) & (children <= np.arange(n))).any():
+            raise InvalidParameter("a child node does not come after its parent")
+        # Sorted, a tree's children are its leaves ~n, ..., ~0, then its nodes 1, ..., n - 1.
+        expected = np.arange(-n - 1, n - 1)
+        expected[n + 1:] += 1
+        if (np.sort(children, axis=None) != expected).any():
+            raise InvalidParameter("node children must reference every node and leaf exactly once")
 
     __reduce__ = rebuilt_by_init
 
@@ -262,9 +287,12 @@ class MultiOutputTree:
     """Finished tree: shared structure plus per-task leaf values.
 
     ``leaf_values`` holds the shrunk Newton steps, one row of n per leaf,
-    and ``leaf_counts`` the training rows of each leaf, both read-only. A
-    tree holds no routing tables: compile_routes builds them, once per
-    chunk of a model's trees when the model is made.
+    and ``leaf_counts`` the training rows of each leaf, both read-only;
+    construction raises InvalidParameter unless each leaf of the skeleton
+    has one row and one count and every value is finite (BoosterModel
+    checks that each row holds one value per task). A tree holds no
+    routing tables: compile_routes builds them, once per chunk of a model's
+    trees when the model is made.
     """
 
     skeleton: TreeSkeleton
@@ -274,6 +302,11 @@ class MultiOutputTree:
     def __post_init__(self):
         object.__setattr__(self, "leaf_values", read_only(self.leaf_values, np.float64))
         object.__setattr__(self, "leaf_counts", read_only(self.leaf_counts, np.int64))
+        leaves = (self.skeleton.n_leaves,)
+        if self.leaf_values.shape[:1] != leaves or self.leaf_counts.shape != leaves:
+            raise InvalidParameter(f"{leaves[0]} leaves need as many rows of values and counts")
+        if not np.isfinite(self.leaf_values).all():
+            raise InvalidParameter("leaf values must be finite")
 
     __reduce__ = rebuilt_by_init
 
@@ -283,7 +316,7 @@ class MultiOutputTree:
 
     @property
     def n_leaves(self) -> int:
-        return self.leaf_values.shape[0]
+        return self.skeleton.n_leaves
 
 
 def fit_leaf_values(skeleton: TreeSkeleton, leaf_id, g_u, h_u,
@@ -391,8 +424,8 @@ def compile_routes(trees) -> RouteTables:
     not split on the feature keeps all-ones columns. Bins above the table,
     the missing bin included, clip to the last entry, where every node of
     that feature sends the row right (V-QuickScorer's layout, Lucchese et
-    al., SIGIR 2016). The nodes of each tree must form one tree with each
-    child after its parent, as grow_tree builds them and load_model checks.
+    al., SIGIR 2016). The nodes of each tree form one tree with each child
+    after its parent, as TreeSkeleton checks however a tree is made.
     """
     width, n_words = map(max, zip(*(leaf_words(tree.n_leaves) for tree in trees)))
     kind = _WORD_KINDS[width]

@@ -6,6 +6,7 @@ import pickle
 import signal
 import threading
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from mtboost.booster import (
     BoosterModel,
     BoosterParams,
     _block_rows,
-    _check_tree,
     _chunks,
     extract_task,
     load_model,
@@ -747,8 +747,10 @@ TREE_MUTATIONS = ("none", "self-loop", "back-edge", "forward-edge", "duplicate-c
 
 @st.composite
 def mutated_trees(draw):
-    """(mutation, skeleton, finite bins per feature): a valid tree grown one
-    leaf split at a time, as grow_tree does, then changed by one mutation.
+    """(mutation, node arrays, finite bins per feature): a valid tree grown
+    one leaf split at a time, as grow_tree does, then changed by one
+    mutation. The arrays are feature, threshold_bin, left, right and the
+    claimed leaf count.
     A "swap" exchanges two child entries, which keeps every reference count
     and so can only be caught by the order of nodes; a "leaf" mutation
     points a child at a leaf that may already be referenced or lie past the
@@ -794,9 +796,7 @@ def mutated_trees(draw):
         feature[i] = draw(st.sampled_from([-1, len(finite_bins)]))
     elif kind == "threshold":
         threshold_bin[i] = draw(st.sampled_from([-1, finite_bins[feature[i]] - 1]))
-    skeleton = TreeSkeleton(feature, threshold_bin, children[0::2], children[1::2],
-                            [0.0] * n, [0] * n, n_leaves)
-    return kind, skeleton, finite_bins
+    return kind, (feature, threshold_bin, children[0::2], children[1::2], n_leaves), finite_bins
 
 
 class GoldenFileEdits:
@@ -869,6 +869,15 @@ class GoldenFileEdits:
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["-3", "1"])
+    def test_max_bins_below_two_rejected(self, tmp_path, value):
+        lines = _golden_lines(self.golden)
+        i = next(i for i, line in enumerate(lines) if line.startswith("mapper max_bins "))
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(_with_token(lines, i, 2, value)) + "\n")
+        with pytest.raises(FormatVersionMismatch, match="max_bins must be >= 2"):
             load_model(path)
 
     @pytest.mark.parametrize("tail", ["garbage 1\ngarbage 2\n", "copy"])
@@ -1016,7 +1025,20 @@ class TestModelFileChecks(GoldenFileEdits):
     @settings(max_examples=500)
     @given(case=mutated_trees())
     def test_check_tree_agrees_with_node_by_node_oracle(self, case):
-        kind, skeleton, finite_bins = case
+        # The check under test is construction: the skeleton, its tree and
+        # a model over a mapper with ``finite_bins`` bins per feature.
+        kind, (feature, threshold_bin, left, right, n_leaves), finite_bins = case
+        n = len(feature)
+
+        def build():
+            skeleton = TreeSkeleton(feature, threshold_bin, left, right,
+                                    [0.0] * n, [0] * n, n_leaves)
+            tree = MultiOutputTree(skeleton, np.zeros((n_leaves, 1)), [1] * n_leaves)
+            mapper = BinMapper(tuple(np.arange(k - 1.0) for k in finite_bins), max_bins=8)
+            names = tuple(f"f{j}" for j in range(len(finite_bins)))
+            BoosterModel(trees=[tree], params=reg_params(n=1), mapper=mapper,
+                         base_scores=[0.0], feature_names=names, task_names=("y",),
+                         training_log=())
 
         def accepts(check, *args):
             try:
@@ -1025,9 +1047,10 @@ class TestModelFileChecks(GoldenFileEdits):
                 return False
             return True
 
-        accepted = accepts(_check_tree, skeleton, finite_bins)
-        assert accepted == accepts(
-            check_tree_oracle, skeleton.nodes, skeleton.n_leaves, finite_bins)
+        nodes = [types.SimpleNamespace(feature=f, threshold_bin=b, left=lc, right=rc)
+                 for f, b, lc, rc in zip(feature, threshold_bin, left, right)]
+        accepted = accepts(build)
+        assert accepted == accepts(check_tree_oracle, nodes, n_leaves, finite_bins)
         if kind == "none":
             assert accepted
 
@@ -1075,6 +1098,45 @@ class TestModelFileChecks(GoldenFileEdits):
 
 class TestModelFileChecksV2(GoldenFileEdits):
     golden = GOLDEN_V2
+
+
+def _with_tree0(model, **changes):
+    """``model`` with its first tree changed by ``changes``; a ``skeleton``
+    entry is a dict of changes to that tree's skeleton."""
+    tree = model.trees[0]
+    if "skeleton" in changes:
+        changes["skeleton"] = dataclasses.replace(tree.skeleton, **changes["skeleton"])
+    return dataclasses.replace(model, trees=[dataclasses.replace(tree, **changes),
+                                             *model.trees[1:]])
+
+
+# Each builds a broken model or model part from the v2 golden model (2
+# tasks, 3 features); the tree cases change its first tree, of 4 nodes and
+# 5 leaves.
+BROKEN_PARTS = {
+    "descending-boundaries": lambda m: BinMapper(boundaries=(np.array([1.0, 0.0]),), max_bins=4),
+    "max-bins-negative": lambda m: dataclasses.replace(m.mapper, max_bins=-3),
+    "feature-named-twice": lambda m: dataclasses.replace(m, feature_names=("a", "a", "c")),
+    "task-named-as-feature": lambda m: dataclasses.replace(m, task_names=("a", "y_reg")),
+    "nan-base-score": lambda m: dataclasses.replace(m, base_scores=[math.nan, 0.0]),
+    "nan-leaf-values": lambda m: MultiOutputTree(
+        m.trees[0].skeleton, np.full((5, 2), math.nan), m.trees[0].leaf_counts),
+    "root-is-its-own-left-child": lambda m: _with_tree0(m, skeleton={"left": [0, 3, -2, -4]}),
+    "three-base-scores": lambda m: dataclasses.replace(m, base_scores=[0.0, 0.0, 0.0]),
+    "three-task-leaves": lambda m: _with_tree0(m, leaf_values=np.zeros((5, 3))),
+    "fewer-leaf-rows": lambda m: _with_tree0(m, leaf_values=m.trees[0].leaf_values[:-1]),
+    "node-feature-7": lambda m: _with_tree0(m, skeleton={"feature": [7, 0, 2, 2]}),
+    "two-feature-names": lambda m: dataclasses.replace(m, feature_names=("a", "b")),
+}
+
+
+@pytest.mark.parametrize("build", BROKEN_PARTS.values(), ids=BROKEN_PARTS)
+def test_broken_model_part_rejected_when_made(build):
+    # Unchecked, each would build silently, or build and then make predict
+    # fail with a bare numpy error or return NaN.
+    model = load_model(GOLDEN_V2)
+    with pytest.raises(InvalidParameter):
+        build(model)
 
 
 class TestExtractTask:

@@ -346,9 +346,9 @@ class TestPipeline:
         ("x0,x0,x2,y_main,y_aux", "y_main, y_aux",
          "ShapeError: feature and task names: 'x0' heads two columns"),
         ("x0,x1,x2,y_main,y_main", "y_main, y_aux",
-         "MissingLabelColumn: \"label_columns: 'y_main' heads two columns\""),
+         "MissingLabelColumn: label_columns: 'y_main' heads two columns"),
         (None, "y_main, y_main",
-         "MissingLabelColumn: \"label_columns: 'y_main' is listed twice\""),
+         "MissingLabelColumn: label_columns: 'y_main' is listed twice"),
     ], ids=["feature-in-header", "label-in-header", "label-in-config"])
     def test_repeated_name_is_one_line_error(self, workdir, capsys, header, labels, error):
         data = workdir / "data.csv"
@@ -487,8 +487,8 @@ def test_model_feature_listed_twice_is_one_line_error(tmp_path, capsys, command)
     data.write_text("a,b,c,y_cls,y_reg\n0.5,,1.5,1,2.0\n-0.5,1.0,0.0,0,1.0\n")
     args = {"predict": ["--out", tmp_path / "p.csv"], "eval": ["--metric", "rmse"]}[command]
     assert run([command, "--model", model, "--data", data, *args]) == 1
-    assert capsys.readouterr().err == (
-        "error: FeatureCountMismatch: feature_names: 'a' is listed twice\n")
+    assert capsys.readouterr().err == (f"error: FormatVersionMismatch: {model}: corrupt model "
+                                       "file: feature and task names: 'a' heads two columns\n")
 
 
 def test_predict_reads_each_model_feature_from_one_column(tmp_path, capsys):
