@@ -28,7 +28,6 @@ from .data import (
 )
 from .evaluation import run_kfold
 from .gradients import (
-    EnsembleGrad,
     MTConfig,
     ensemble_grad_hess,
     normalize_weights,
@@ -45,9 +44,7 @@ from .objectives import (
 )
 from .synthetic import SyntheticSpec, gen_synthetic
 from .tree import (
-    Histogram,
     MultiOutputTree,
-    SplitInfo,
     build_histograms,
     find_best_split,
     fit_leaf_values,
@@ -64,15 +61,12 @@ __all__ = [
     "BoosterModel",
     "BoosterParams",
     "Dataset",
-    "EnsembleGrad",
-    "Histogram",
     "IterationLog",
     "MTConfig",
     "MetricReport",
     "MultiOutputTree",
     "REGRESSION_L2",
     "RawTable",
-    "SplitInfo",
     "SyntheticSpec",
     "apply_bins",
     "build_histograms",

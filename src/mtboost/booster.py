@@ -28,7 +28,14 @@ from .errors import (
     MapperMismatch,
     TaskIndexOutOfRange,
 )
-from .gradients import MTConfig, check_fields, ensemble_grad_hess, param_types, updating_grad_hess
+from .gradients import (
+    MTConfig,
+    check_fields,
+    ensemble_grad_hess,
+    param_types,
+    string_tuple,
+    updating_grad_hess,
+)
 from .objectives import (
     BINARY_LOGLOSS,
     PROB_EPS,
@@ -47,6 +54,7 @@ from .tree import (
     leaf_words,
     route_binned,
     route_buffers,
+    subtree_sums,
 )
 
 MODEL_FORMAT_MARKER = "mtboost-model-v2"
@@ -121,9 +129,9 @@ class BoosterParams:
 
 @dataclass(frozen=True)
 class IterationLog:
-    """Losses of one boosting iteration."""
+    """Losses of one boosting iteration; row i of a training log is
+    iteration i."""
 
-    iteration: int
     train: tuple[float, ...]
     valid: tuple[float, ...] | None
 
@@ -144,12 +152,13 @@ class BoosterModel:
     other trees or extra with dataclasses.replace.
 
     However a model is made, construction raises InvalidParameter before
-    any table is compiled unless ``base_scores``, ``task_names``, the
-    objectives, every tree's leaf values and every log row agree on the
-    task count; ``feature_names`` name the mapper's features; feature and
-    task names are all distinct; base scores and losses are finite; and
-    every split's feature and ``threshold_bin`` are ones the mapper can
-    produce. The trees, the mapper and the params check themselves.
+    any table is compiled unless the names are lists of strings (stored as
+    tuples); ``base_scores``, ``task_names``, the objectives, every tree's
+    leaf values and every log row agree on the task count;
+    ``feature_names`` name the mapper's features; feature and task names
+    are all distinct; base scores and losses are finite; and every split's
+    feature and ``threshold_bin`` are ones the mapper can produce. The
+    trees, the mapper and the params check themselves.
     """
 
     trees: tuple[MultiOutputTree, ...]
@@ -165,8 +174,11 @@ class BoosterModel:
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
         object.__setattr__(self, "training_log", tuple(self.training_log))
-        object.__setattr__(self, "base_scores", read_only(self.base_scores, np.float64))
+        object.__setattr__(self, "base_scores",
+                           read_only(self.base_scores, np.float64, "base_scores"))
         object.__setattr__(self, "extra", dict(self.extra))
+        for what in ("feature_names", "task_names"):
+            object.__setattr__(self, what, string_tuple(what, getattr(self, what)))
         losses = [row_losses for row in self.training_log
                   for row_losses in (row.train, row.valid) if row_losses is not None]
         widths = {self.base_scores.shape, (len(self.params.objectives),),
@@ -299,7 +311,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         if valid is not None:
             _add_tree_values(valid_scores.T, [compile_routes([tree])], valid.binned, slice(None))
             valid_losses = _losses(valid_labels, valid_scores, params.objectives, "validation")
-        log.append(IterationLog(iteration=it, train=train_losses, valid=valid_losses))
+        log.append(IterationLog(train=train_losses, valid=valid_losses))
 
         if early_stopping:
             monitored = valid_losses[params.main_task_index]
@@ -500,12 +512,12 @@ def save_model(model: BoosterModel, path) -> None:
         lines.append(f"tree {i} nodes {s.feature.size} leaves {tree.n_leaves}")
         lines += map("node {} {} {} {} {} {}".format, s.feature.tolist(),
                      s.threshold_bin.tolist(), s.left.tolist(), s.right.tolist(),
-                     map(float.hex, s.gain.tolist()), s.count.tolist())
+                     map(float.hex, s.gain.tolist()), subtree_sums(s, tree.leaf_counts).tolist())
         lines += map("leaf {} values {}".format, tree.leaf_counts.tolist(),
                      map(_hexline, tree.leaf_values.tolist()))
-    for row in model.training_log:
+    for i, row in enumerate(model.training_log):
         valid = "-" if row.valid is None else _hexline(row.valid)
-        lines.append(f"log {row.iteration} train {_hexline(row.train)} valid {valid}")
+        lines.append(f"log {i} train {_hexline(row.train)} valid {valid}")
     lines.append("end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -618,7 +630,7 @@ def load_model(path) -> BoosterModel:
             _, feature, threshold, left, right, gain, count = columns
             # The int fields, leaf counts too, are parsed by numpy, as int() parses them.
             skeleton = TreeSkeleton(feature, threshold, left, right,
-                                    [float.fromhex(t) for t in gain], count, n_leaves)
+                                    [float.fromhex(t) for t in gain], n_leaves)
             leaves = rd.rows(n_leaves, "leaf", (1 + v1) * (n_tasks + 1) + 1)
             if any(row[2] != "values" or v1 and row[3 + n_tasks] != "means" for row in leaves):
                 raise ValueError(f"leaf lines must hold {n_tasks} values")
@@ -626,20 +638,14 @@ def load_model(path) -> BoosterModel:
                 [float.fromhex(t) for row in leaves for t in row[4 + n_tasks:]]
             values = [[float.fromhex(t) for t in row[3:3 + n_tasks]] for row in leaves]
             trees.append(MultiOutputTree(skeleton, values, [row[1] for row in leaves]))
+            if list(map(int, count)) != subtree_sums(skeleton, trees[-1].leaf_counts).tolist():
+                raise ValueError(f"tree {i} node counts must be the sums of their leaves' counts")
         log = []
-        for _ in range(num_log_rows):
-            line = rd.next("log ")
-            head, _, tail = line.partition(" train ")
-            train_part, _, valid_part = tail.partition(" valid ")
-            log.append(
-                IterationLog(
-                    iteration=int(head.split(" ")[1]),
-                    train=tuple(_parse_hexline(train_part, n_tasks)),
-                    valid=None if valid_part == "-" else tuple(
-                        _parse_hexline(valid_part, n_tasks)
-                    ),
-                )
-            )
+        for i in range(num_log_rows):
+            line = rd.next(f"log {i} train ")  # row i is iteration i
+            train_part, _, valid_part = line.partition(" train ")[2].partition(" valid ")
+            valid = None if valid_part == "-" else tuple(_parse_hexline(valid_part, n_tasks))
+            log.append(IterationLog(tuple(_parse_hexline(train_part, n_tasks)), valid))
         rd.next("end")
         if rd.pos < len(lines):
             raise ValueError("lines follow 'end'")

@@ -183,8 +183,8 @@ def _write_training_log(model, path, has_valid: bool) -> None:
     if has_valid:
         header += [f"valid_{t}" for t in names]
     lines = [",".join(header)]
-    lines += [format_row([row.iteration, *row.train, *(row.valid or ())])
-              for row in model.training_log]
+    lines += [format_row([i, *row.train, *(row.valid or ())])
+              for i, row in enumerate(model.training_log)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -362,10 +362,16 @@ def log_transform_columns(features: np.ndarray, feature_indices, feature_names) 
         features[mask, f] = np.log10(col[mask] + 1.0)
 
 
-def read_only(array, dtype=None) -> np.ndarray:
+def read_only(array, dtype=None, name="array") -> np.ndarray:
     """A read-only view of ``array`` (converted to ``dtype`` when given). A
-    caller's array behind the view keeps its own flags."""
-    view = np.asarray(array, dtype=dtype).view()
+    caller's array behind the view keeps its own flags. A value that does
+    not convert (past int64, NaN to an int, a string that is no number, a
+    ragged list) raises InvalidParameter led by ``name``."""
+    try:
+        with np.errstate(invalid="raise"):
+            view = np.asarray(array, dtype=dtype).view()
+    except (TypeError, ValueError, OverflowError, FloatingPointError) as exc:
+        raise InvalidParameter(f"{name}: {exc}") from None
     view.flags.writeable = False
     return view
 
@@ -386,8 +392,9 @@ class BinMapper:
     boundary and catches everything above), in read-only arrays. The missing
     bin sits at index ``finite_bins``, so total bins per feature is
     ``finite_bins + 1``. Construction raises InvalidParameter unless
-    ``max_bins`` is at least 2 and every boundary array is 1-D, NaN-free
-    and strictly ascending, however the mapper is made.
+    ``max_bins`` is an integer of at least 2 and every boundary array is
+    1-D, NaN-free, strictly ascending and at most ``max_bins - 1`` long (as
+    fit_bins writes them), however the mapper is made.
 
     Computed once, read-only: ``finite_bin_counts``; ``n_bins_max``, the
     most bins of any feature, missing bin included, which is the width of
@@ -403,12 +410,17 @@ class BinMapper:
     splittable: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.max_bins, bool) or not hasattr(self.max_bins, "__index__"):
+            raise InvalidParameter(f"max_bins must be an integer, got {self.max_bins!r}")
         if self.max_bins < 2:
             raise InvalidParameter("max_bins must be >= 2")
-        boundaries = tuple(map(read_only, self.boundaries))
+        boundaries = tuple(read_only(cuts, np.float64, f"feature {f} boundaries")
+                           for f, cuts in enumerate(self.boundaries))
         for f, cuts in enumerate(boundaries):
             if cuts.ndim != 1 or np.isnan(cuts).any() or not (cuts[1:] > cuts[:-1]).all():
                 raise InvalidParameter(f"feature {f} boundaries must be 1-D and ascend strictly")
+            if cuts.size >= self.max_bins:
+                raise InvalidParameter(f"feature {f} has more finite bins than max_bins")
         finite = np.array([len(b) + 1 for b in boundaries], dtype=np.int64)
         n_bins_max = int(finite.max(initial=0)) + 1
         vars(self).update(  # frozen: set past __setattr__

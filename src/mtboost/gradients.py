@@ -58,6 +58,14 @@ def param_types(cls) -> dict[str, str]:
     return {f.name: PARAM_TYPES[f.type] for f in fields(cls) if f.name != "mt"}
 
 
+def string_tuple(name: str, value) -> tuple[str, ...]:
+    """``value``, a tuple or list of strings, as a tuple; raises
+    InvalidParameter, naming ``name``, for anything else."""
+    if not isinstance(value, (tuple, list)) or not all(isinstance(v, str) for v in value):
+        raise InvalidParameter(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def _real(name: str, value) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"{name} must be a number, got {value!r}")
@@ -85,9 +93,7 @@ def check_fields(params) -> None:
         elif tag == "str" and not isinstance(value, str):
             raise InvalidParameter(f"{name} must be a string, got {value!r}")
         elif tag == "strlist":
-            if not isinstance(value, (tuple, list)) or not all(isinstance(v, str) for v in value):
-                raise InvalidParameter(f"{name} must be a list of strings, got {value!r}")
-            value = tuple(value)
+            value = string_tuple(name, value)
         elif tag == "floatlist" and value is not None:
             if not isinstance(value, (tuple, list, np.ndarray)):
                 raise InvalidParameter(f"{name} must be a list of numbers, got {value!r}")

@@ -135,7 +135,7 @@ def find_best_split(hist: Histogram, node_totals, params: BoosterParams):
 
 # Node fields and their dtypes: node i of a tree is entry i of each array.
 NODE_DTYPES = dict(feature=np.intp, threshold_bin=np.intp, left=np.intp, right=np.intp,
-                   gain=np.float64, count=np.int64)
+                   gain=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +143,12 @@ class TreeSkeleton:
     """Split structure produced by growth, before leaf values are fitted.
 
     One read-only array per NODE_DTYPES field, converted on construction (a
-    value outside the dtype raises OverflowError). Rows whose bin of
-    ``feature[i]`` is <= ``threshold_bin[i]`` go to child ``left[i]``, the
-    others, missing values included, to ``right[i]``. A child >= 0 is a
-    node; a negative child c is leaf ~c.
+    value that does not convert raises InvalidParameter naming the field).
+    A node's training rows are not stored: subtree_sums derives them from
+    the leaves' counts. Rows whose bin of ``feature[i]`` is <=
+    ``threshold_bin[i]`` go to child ``left[i]``, the others, missing values
+    included, to ``right[i]``. A child >= 0 is a node; a negative child c
+    is leaf ~c.
 
     Construction raises InvalidParameter unless the arrays are 1-D of one
     length and the nodes form one binary tree over ``n_leaves`` leaves, as
@@ -162,12 +164,11 @@ class TreeSkeleton:
     left: np.ndarray
     right: np.ndarray
     gain: np.ndarray
-    count: np.ndarray
     n_leaves: int
 
     def __post_init__(self):
         for name, dtype in NODE_DTYPES.items():
-            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype, name))
         n = self.feature.size
         if any(getattr(self, name).shape != (n,) for name in NODE_DTYPES):
             raise InvalidParameter("node arrays must be 1-D and of one length")
@@ -195,6 +196,21 @@ class TreeSkeleton:
                                       names=list(NODE_DTYPES)))
 
 
+def subtree_sums(skeleton: TreeSkeleton, leaf_rows) -> np.ndarray:
+    """Each node's sum of ``leaf_rows``, an array of one row per leaf, over
+    the leaves under it: (nodes,) plus the shape of a row, row i for node i.
+    Every child comes after its parent, so one pass from the last node back
+    to the root sums each child before its parent. A node's training rows
+    are ``subtree_sums(skeleton, tree.leaf_counts)``."""
+    n = skeleton.feature.size
+    # Node i is entry i, and leaf ~c entry c counted from the end.
+    sums = [None] * n + list(leaf_rows[::-1])
+    for i, lc, rc in zip(range(n - 1, -1, -1), skeleton.left[::-1].tolist(),
+                         skeleton.right[::-1].tolist()):
+        sums[i] = sums[lc] + sums[rc]
+    return np.array(sums[:n], dtype=leaf_rows.dtype).reshape((n,) + leaf_rows.shape[1:])
+
+
 class _Candidate:
     """A leaf-in-waiting: its samples, histogram, totals and best split."""
 
@@ -219,7 +235,7 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: BoosterParams):
     numbered in creation order.
     """
     m = dataset.m
-    feature, threshold_bin, gain, count = [], [], [], []
+    feature, threshold_bin, gain = [], [], []
     # children[0] points to the root; node i's children go to 2 * i + 1 and 2 * i + 2.
     children = [0]
     pending: dict[int, _Candidate] = {}
@@ -253,7 +269,6 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: BoosterParams):
         feature.append(best.feature)
         threshold_bin.append(best.threshold_bin)
         gain.append(best.gain)
-        count.append(cand.totals[2])
         children += [0, 0]
         children[cand.slot] = node_id
 
@@ -277,7 +292,7 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: BoosterParams):
     for leaf, cand in enumerate(pending.values()):
         leaf_id[cand.samples] = leaf
         children[cand.slot] = ~leaf
-    skeleton = TreeSkeleton(feature, threshold_bin, children[1::2], children[2::2], gain, count,
+    skeleton = TreeSkeleton(feature, threshold_bin, children[1::2], children[2::2], gain,
                             n_leaves=len(pending))
     return skeleton, leaf_id
 
@@ -289,10 +304,11 @@ class MultiOutputTree:
     ``leaf_values`` holds the shrunk Newton steps, one row of n per leaf,
     and ``leaf_counts`` the training rows of each leaf, both read-only;
     construction raises InvalidParameter unless each leaf of the skeleton
-    has one row and one count and every value is finite (BoosterModel
-    checks that each row holds one value per task). A tree holds no
-    routing tables: compile_routes builds them, once per chunk of a model's
-    trees when the model is made.
+    has one row and one count, every value is finite and every count is at
+    least 1, with a total that fits int64, so that every node's count
+    (subtree_sums) does too (BoosterModel checks that each row holds one
+    value per task). A tree holds no routing tables: compile_routes builds
+    them, once per chunk of a model's trees when the model is made.
     """
 
     skeleton: TreeSkeleton
@@ -300,13 +316,15 @@ class MultiOutputTree:
     leaf_counts: np.ndarray  # (L,)
 
     def __post_init__(self):
-        object.__setattr__(self, "leaf_values", read_only(self.leaf_values, np.float64))
-        object.__setattr__(self, "leaf_counts", read_only(self.leaf_counts, np.int64))
+        for name, dtype in (("leaf_values", np.float64), ("leaf_counts", np.int64)):
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype, name))
         leaves = (self.skeleton.n_leaves,)
         if self.leaf_values.shape[:1] != leaves or self.leaf_counts.shape != leaves:
             raise InvalidParameter(f"{leaves[0]} leaves need as many rows of values and counts")
         if not np.isfinite(self.leaf_values).all():
             raise InvalidParameter("leaf values must be finite")
+        if self.leaf_counts.min() < 1 or sum(self.leaf_counts.tolist()) > np.iinfo(np.int64).max:
+            raise InvalidParameter("leaf counts must be >= 1 and sum to at most 2**63 - 1")
 
     __reduce__ = rebuilt_by_init
 
@@ -425,7 +443,8 @@ def compile_routes(trees) -> RouteTables:
     the missing bin included, clip to the last entry, where every node of
     that feature sends the row right (V-QuickScorer's layout, Lucchese et
     al., SIGIR 2016). The nodes of each tree form one tree with each child
-    after its parent, as TreeSkeleton checks however a tree is made.
+    after its parent, as TreeSkeleton checks however a tree is made, so
+    subtree_sums counts the leaves under each node.
     """
     width, n_words = map(max, zip(*(leaf_words(tree.n_leaves) for tree in trees)))
     kind = _WORD_KINDS[width]
@@ -436,16 +455,11 @@ def compile_routes(trees) -> RouteTables:
     starts, spans = [], []
     for j, tree in enumerate(trees):
         left, right = tree.skeleton.left.tolist(), tree.skeleton.right.tolist()
-        n = len(left)
-        # Leaves under each node; children come after their parents.
-        under = [0] * n
-        for i in range(n - 1, -1, -1):
-            lc, rc = left[i], right[i]
-            under[i] = (under[lc] if lc >= 0 else 1) + (under[rc] if rc >= 0 else 1)
+        under = subtree_sums(tree.skeleton, np.ones(tree.n_leaves, dtype=np.intp)).tolist()
         # In-order leaf positions: node i's leaves start at at[i].
-        at = [0] * n
-        for i in range(n):
-            start, lc, rc = at[i], left[i], right[i]
+        at = [0] * len(left)
+        for i, (lc, rc) in enumerate(zip(left, right)):
+            start = at[i]
             span = under[lc] if lc >= 0 else 1
             if lc >= 0:
                 at[lc] = start

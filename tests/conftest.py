@@ -9,11 +9,13 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
-def make_binned_dataset(binned, labels=None, finite_bins=None, max_bins=255):
+def make_binned_dataset(binned, labels=None, finite_bins=None, max_bins=None):
     """Wrap an integer bin matrix in a Dataset without going through CSVs.
 
     ``finite_bins[f]`` defaults to max bin + 1 per feature; the implied
     boundaries are 0, 1, ..., so bin semantics stay right-closed integers.
+    ``max_bins`` defaults to 255, or to the most finite bins of any feature
+    when that is more.
     """
     binned = np.asarray(binned)
     m, d = binned.shape
@@ -24,6 +26,8 @@ def make_binned_dataset(binned, labels=None, finite_bins=None, max_bins=255):
     boundaries = tuple(
         np.arange(int(nb) - 1, dtype=np.float64) for nb in finite_bins
     )
+    if max_bins is None:
+        max_bins = max([255, *map(int, finite_bins)])
     mapper = BinMapper(boundaries=boundaries, max_bins=max_bins)
     return Dataset(
         binned=np.asfortranarray(binned, dtype=np.uint32),
@@ -36,7 +40,7 @@ def make_binned_dataset(binned, labels=None, finite_bins=None, max_bins=255):
 
 def nodeless_skeleton():
     """The structure of a tree without nodes: its one leaf takes every row."""
-    return TreeSkeleton([], [], [], [], [], [], n_leaves=1)
+    return TreeSkeleton([], [], [], [], [], n_leaves=1)
 
 
 def leaf_id_tree(skeleton, first=0):
@@ -65,7 +69,7 @@ def random_skeleton(rng, n_leaves, finite_bins):
             children[slot] = ~leaf
     n = len(feature)
     return TreeSkeleton(feature, threshold_bin, children[0::2], children[1::2],
-                        [0.0] * n, [1] * n, n_leaves=n_leaves)
+                        [0.0] * n, n_leaves=n_leaves)
 
 
 @pytest.fixture

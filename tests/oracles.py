@@ -232,6 +232,19 @@ def route_binned_oracle(nodes, binned):
     return out
 
 
+def node_rows_oracle(nodes, binned):
+    """How many binned rows pass through each node: every row walks from
+    the root to its leaf, one node at a time, counting each node it visits."""
+    counts = [0] * len(nodes)
+    for row in binned.tolist():
+        node_id = 0 if nodes else -1
+        while node_id >= 0:
+            counts[node_id] += 1
+            node = nodes[node_id]
+            node_id = node.left if row[node.feature] <= node.threshold_bin else node.right
+    return counts
+
+
 def check_tree_oracle(nodes, n_leaves, finite_bins):
     """Raise ValueError unless the nodes (objects with feature,
     threshold_bin, left and right) form one binary tree over n_leaves leaves

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import math
 import pickle
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mtboost import booster as booster_module
@@ -829,13 +830,29 @@ class GoldenFileEdits:
         (3, "-99"),  # leaf past the last leaf
         (1, "99"),  # feature past the last feature
         (2, "99"),  # threshold_bin past the feature's last boundary
-    ], ids=["self-loop", "child-99", "leaf-99", "feature-99", "threshold-99"])
+        (-1, "161"),  # <count>, last on v1 and v2, one more than its leaves hold
+        (-1, "159"),
+    ], ids=["self-loop", "child-99", "leaf-99", "feature-99", "threshold-99", "count-161",
+            "count-159"])
     def test_corrupt_node_rejected(self, tmp_path, tok, value):
         lines = _golden_lines(self.golden)
         root = next(i for i, line in enumerate(lines) if line.startswith("node "))
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(_with_token(lines, root, tok, value)) + "\n")
         with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: _with_token(lines, 55, 1, "2"),
+        lambda lines: _with_token(lines, 54, 1, "00"),
+        lambda lines: [*lines[:55], lines[56], lines[55], *lines[57:]],
+    ], ids=["log-1-numbered-2", "log-0-numbered-00", "log-rows-swapped"])
+    def test_log_row_out_of_position_rejected(self, tmp_path, edit):
+        lines = _golden_lines(self.golden)
+        assert lines[54].startswith("log 0 ") and lines[57].startswith("log 3 ")
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(FormatVersionMismatch, match=r"expected 'log \d train ', got 'log "):
             load_model(path)
 
     @pytest.mark.parametrize("change", [
@@ -1031,8 +1048,7 @@ class TestModelFileChecks(GoldenFileEdits):
         n = len(feature)
 
         def build():
-            skeleton = TreeSkeleton(feature, threshold_bin, left, right,
-                                    [0.0] * n, [0] * n, n_leaves)
+            skeleton = TreeSkeleton(feature, threshold_bin, left, right, [0.0] * n, n_leaves)
             tree = MultiOutputTree(skeleton, np.zeros((n_leaves, 1)), [1] * n_leaves)
             mapper = BinMapper(tuple(np.arange(k - 1.0) for k in finite_bins), max_bins=8)
             names = tuple(f"f{j}" for j in range(len(finite_bins)))
@@ -1127,6 +1143,15 @@ BROKEN_PARTS = {
     "fewer-leaf-rows": lambda m: _with_tree0(m, leaf_values=m.trees[0].leaf_values[:-1]),
     "node-feature-7": lambda m: _with_tree0(m, skeleton={"feature": [7, 0, 2, 2]}),
     "two-feature-names": lambda m: dataclasses.replace(m, feature_names=("a", "b")),
+    "negative-leaf-counts": lambda m: _with_tree0(m, leaf_counts=[-5] * 5),
+    "zero-leaf-count": lambda m: _with_tree0(m, leaf_counts=[40, 24, 0, 43, 23]),
+    "leaf-counts-past-int64": lambda m: _with_tree0(m, leaf_counts=[2**62] * 5),
+    "max-bins-2": lambda m: dataclasses.replace(m.mapper, max_bins=2),
+    "max-bins-11": lambda m: dataclasses.replace(m.mapper, max_bins=11),
+    "max-bins-nan": lambda m: dataclasses.replace(m.mapper, max_bins=math.nan),
+    "max-bins-12.0": lambda m: dataclasses.replace(m.mapper, max_bins=12.0),
+    "feature-names-none": lambda m: dataclasses.replace(m, feature_names=None),
+    "task-name-not-a-string": lambda m: dataclasses.replace(m, task_names=("y_cls", 1)),
 }
 
 
@@ -1137,6 +1162,136 @@ def test_broken_model_part_rejected_when_made(build):
     model = load_model(GOLDEN_V2)
     with pytest.raises(InvalidParameter):
         build(model)
+
+
+# Each builds a model part from values that do not convert to its arrays'
+# dtypes; the error names the field.
+UNCONVERTIBLE_PARTS = {
+    "feature": lambda m: TreeSkeleton([2**70], [0], [-1], [-2], [0.0], 2),
+    "threshold_bin": lambda m: _with_tree0(m, skeleton={"threshold_bin": np.full(4, np.nan)}),
+    "left": lambda m: _with_tree0(m, skeleton={"left": [3, 2, math.nan, -4]}),
+    "right": lambda m: _with_tree0(m, skeleton={"right": None}),
+    "gain": lambda m: _with_tree0(m, skeleton={"gain": ["x"] * 4}),
+    "leaf_counts": lambda m: MultiOutputTree(nodeless_skeleton(), [[0.0]], [2**70]),
+    "leaf_values": lambda m: _with_tree0(m, leaf_values=[[0.0, 1.0]] * 4 + [[0.0]]),
+    "base_scores": lambda m: dataclasses.replace(m, base_scores=["x", 0.0]),
+    "feature 1 boundaries": lambda m: BinMapper((np.zeros(1), [1e30, "y"]), max_bins=4),
+}
+
+
+@pytest.mark.parametrize("field", UNCONVERTIBLE_PARTS)
+def test_unconvertible_model_part_is_typed(field):
+    # numpy raised a bare OverflowError, ValueError or TypeError.
+    with pytest.raises(InvalidParameter, match=f"^{field}: "):
+        UNCONVERTIBLE_PARTS[field](load_model(GOLDEN_V2))
+
+
+@functools.cache
+def _golden_v2_model():
+    return load_model(GOLDEN_V2)
+
+
+# Values drawn in place of a model part or one of its entries: small ones
+# first, which hypothesis draws most (11 and 12 sit at the golden mapper's
+# max_bins), then ones past int64, NaN, infinite or of another type.
+ODD_VALUES = (0, 2, 11, 1, 3, 12, -1, -5, 0.5, True, "1", 2**62, 2**63 - 1, 2**70, -2**70, 1e300,
+              -1e300, math.nan, math.inf, -math.inf, "x", "a", None)
+# A part is a node field or leaf row of the first tree, its leaf counts, a
+# boundary array, the base scores, a name list or max_bins.
+MODEL_PARTS = (*NODE_DTYPES, "leaf row", "leaf_counts", "boundaries", "base_scores",
+               "feature_names", "task_names", "max_bins")
+
+
+@st.composite
+def replaced_parts(draw):
+    """(part, index, value): ``part`` of the v2 golden model, row or feature
+    ``index`` for a leaf row or a boundary array, replaced by ``value``: the
+    part with one entry replaced, or a drawn scalar, list or nested list."""
+    part = draw(st.sampled_from(MODEL_PARTS))
+    index = draw(st.integers(0, 4))
+    odd = st.sampled_from(ODD_VALUES)
+    old = _part(_golden_v2_model(), part, index)
+    shape = draw(st.sampled_from(["entry", "entry", "entry", "scalar", "list", "nested"]))
+    if shape == "entry" and isinstance(old, list) and old:
+        value = list(old)
+        value[draw(st.integers(0, len(old) - 1))] = draw(odd)
+    elif shape == "list":
+        value = draw(st.lists(odd, max_size=6))
+    elif shape == "nested":
+        value = [draw(st.lists(odd, min_size=1, max_size=3))] * 2
+    else:
+        value = draw(odd)
+    return part, index, value
+
+
+def _part(model, part, index):
+    """The value of ``part`` (see replaced_parts) as Python lists."""
+    tree = model.trees[0]
+    if part in NODE_DTYPES:
+        return getattr(tree.skeleton, part).tolist()
+    if part == "leaf row":
+        return tree.leaf_values[index].tolist()
+    if part == "leaf_counts":
+        return tree.leaf_counts.tolist()
+    if part == "boundaries":
+        return model.mapper.boundaries[index % model.n_features].tolist()
+    if part == "max_bins":
+        return model.mapper.max_bins
+    value = getattr(model, part)
+    return list(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+def _replaced(model, part, index, value):
+    """``model`` with ``part`` (see replaced_parts) replaced by ``value``."""
+    if part in NODE_DTYPES:
+        return _with_tree0(model, skeleton={part: value})
+    if part == "leaf row":
+        rows = model.trees[0].leaf_values.tolist()
+        rows[index] = value
+        return _with_tree0(model, leaf_values=rows)
+    if part == "leaf_counts":
+        return _with_tree0(model, leaf_counts=value)
+    if part in ("boundaries", "max_bins"):
+        boundaries = list(model.mapper.boundaries)
+        if part == "boundaries":
+            boundaries[index % model.n_features] = value
+        max_bins = value if part == "max_bins" else model.mapper.max_bins
+        return dataclasses.replace(model, mapper=BinMapper(tuple(boundaries), max_bins))
+    return dataclasses.replace(model, **{part: value})
+
+
+@settings(max_examples=500)
+@given(case=replaced_parts())
+@example(case=("feature", 0, [2**70, 0, 2, 2]))  # numpy's bare OverflowError
+@example(case=("leaf_counts", 0, [2**70, 24, 30, 43, 23]))
+@example(case=("max_bins", 0, 2))  # more finite bins than max_bins
+@example(case=("leaf_counts", 0, [-5] * 5))  # counts no rows
+@example(case=("leaf row", 1, [1e300, -1e300]))
+def test_every_model_that_builds_is_usable(tmp_path_factory, case):
+    # Either building the model raises an MtboostError, or the model
+    # predicts finite scores, saves and loads to the same bytes, extracts
+    # each task's column, and holds the invariants its readers rely on: a
+    # leaf's count weights a mean, so it is at least 1, and bin indices fit
+    # the dtype that max_bins alone would choose.
+    try:
+        model = _replaced(_golden_v2_model(), *case)
+    except MtboostError:
+        event(f"{case[0]} rejected")
+        return
+    event(f"{case[0]} built")
+    x = np.random.default_rng(0).normal(scale=3.0, size=(30, 3))
+    x[::4, 1] = np.nan
+    x[1::5, [0, 2]] = np.nan
+    scores = predict(model, x)
+    assert scores.shape == (30, model.n_tasks) and np.isfinite(scores).all()
+    first, again = (tmp_path_factory.getbasetemp() / name for name in ("first.txt", "again.txt"))
+    save_model(model, first)
+    save_model(load_model(first), again)
+    assert first.read_bytes() == again.read_bytes()
+    for t in range(model.n_tasks):
+        assert predict(extract_task(model, t), x)[:, 0].tobytes() == scores[:, t].tobytes()
+    assert all((tree.leaf_counts >= 1).all() for tree in model.trees)
+    assert (model.mapper.finite_bin_counts <= model.mapper.max_bins).all()
 
 
 class TestExtractTask:
@@ -1246,7 +1401,7 @@ class TestFrozenModel:
     def test_callers_arrays_keep_their_flags(self):
         values, counts = np.array([[0.5, -1.0]]), np.array([7])
         feature = np.zeros(0, dtype=np.intp)
-        tree = MultiOutputTree(TreeSkeleton(feature, feature, feature, feature, [], [], 1),
+        tree = MultiOutputTree(TreeSkeleton(feature, feature, feature, feature, [], 1),
                                values, counts)
         cuts = np.array([0.0, 1.0])
         model = BoosterModel(trees=[tree], params=BoosterParams(objectives=(REGRESSION_L2,) * 2),

@@ -491,6 +491,24 @@ def test_model_feature_listed_twice_is_one_line_error(tmp_path, capsys, command)
                                        "file: feature and task names: 'a' heads two columns\n")
 
 
+@pytest.mark.parametrize("line, value, message", [
+    ("node 0 3 2 1 1 0x1.a2da3eeb85296p+7 160", "node 0 3 2 1 1 0x1.a2da3eeb85296p+7 161",
+     "corrupt model file: tree 0 node counts must be the sums of their leaves' counts"),
+    ("log 1 train", "log 2 train",
+     "expected 'log 1 train ', got 'log 2 train 0x1.3326079bb37fbp-1 0x1.7cf'"),
+], ids=["node-count", "log-row"])
+def test_derived_value_off_is_one_line_error(tmp_path, capsys, line, value, message):
+    model = tmp_path / "model.txt"
+    text = GOLDEN.read_text()
+    assert text.count(line) == 1
+    model.write_text(text.replace(line, value))
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c\n0.5,,1.5\n")
+    assert run(["predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: FormatVersionMismatch: {model}: {message}\n")
+
+
 def test_predict_reads_each_model_feature_from_one_column(tmp_path, capsys):
     # A repeated column the model does not read is ignored; a repeated
     # model feature is an error, not its first column.

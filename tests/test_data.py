@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mtboost import data
 from mtboost.booster import BoosterParams, load_model, predict, save_model, train
 from mtboost.data import (
+    BinMapper,
     RawTable,
     _cells,
     _sorted_quantiles,
@@ -28,6 +29,7 @@ from mtboost.data import (
 from mtboost.errors import (
     DimensionMismatch,
     EmptyFile,
+    InvalidParameter,
     MalformedCsv,
     MissingLabelColumn,
     MtboostError,
@@ -512,6 +514,22 @@ class TestFitBins:
         table = make_table([[1.0]], [[0.0]])
         with pytest.raises(ValueError):
             fit_bins(table, max_bins=1)
+
+    @pytest.mark.parametrize("max_bins", [2, 255, 256])
+    def test_at_most_max_bins_finite_bins(self, max_bins):
+        # fit_bins writes at most max_bins - 1 cuts on either branch: one
+        # bin per value for max_bins distinct values, quantile cuts for
+        # more. A mapper of one bin more is refused however it is made.
+        # 255 finite bins and the missing bin fit uint8 bins, 256 do not.
+        for n_values in (max_bins, 4 * max_bins):
+            values = np.arange(float(n_values))[:, None]
+            mapper = fit_bins(make_table(values, np.zeros((n_values, 1))), max_bins)
+            assert mapper.finite_bin_counts.tolist() == [max_bins]
+            assert mapper.empty_binned(1).dtype == (np.uint8 if max_bins < 256 else np.uint32)
+        BinMapper(boundaries=(np.arange(max_bins - 1.0),), max_bins=max_bins)
+        with pytest.raises(InvalidParameter, match="^feature 1 has more finite bins than max_bins"):
+            BinMapper(boundaries=(np.arange(max_bins - 1.0), np.arange(max_bins + 0.0)),
+                      max_bins=max_bins)
 
     @pytest.mark.parametrize("negative_zeros", [6, 3, 1])
     @pytest.mark.parametrize("max_bins", [16, 4])

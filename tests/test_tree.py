@@ -18,6 +18,7 @@ from mtboost.tree import (
     grow_tree,
     route_binned,
     subtract_histograms,
+    subtree_sums,
 )
 
 from conftest import leaf_id_tree, make_binned_dataset, nodeless_skeleton, random_skeleton
@@ -25,6 +26,7 @@ from oracles import (
     engine_tree_structure,
     enumerate_best_split,
     leaf_values_oracle,
+    node_rows_oracle,
     ref_grow_tree,
     ref_tree_structure,
     route_binned_oracle,
@@ -72,10 +74,11 @@ def dead_split_reasons(skeleton, leaf_id, params):
     "depth" (its children sit at max_depth) and "rows" (both children hold
     fewer than 2 * min_samples_leaf rows) that hold, none when one can."""
     leaf_rows = np.bincount(leaf_id)
+    node_rows = subtree_sums(skeleton, leaf_rows)
     depth = [0] * len(skeleton.feature)
     reasons = []
     for i, children in enumerate(zip(skeleton.left, skeleton.right)):
-        rows = [skeleton.count[c] if c >= 0 else leaf_rows[~c] for c in children]
+        rows = [node_rows[c] if c >= 0 else leaf_rows[~c] for c in children]
         for c in children:
             if c >= 0:
                 depth[c] = depth[i] + 1
@@ -444,10 +447,11 @@ class TestGrowTree:
         live = [i for i, dead in enumerate(dead_split_reasons(skeleton, leaf_id, params))
                 if not dead]
         assert len(captures) == len(live) < len(skeleton.feature)
+        node_rows = subtree_sums(skeleton, np.bincount(leaf_id))
         sides = set()
         for i, (parent, built, derived) in zip(live, captures):
             assert np.array_equal(derived.sums, parent.sums - built.sums)
-            assert parent.sums[2, 0].sum() == skeleton.count[i]
+            assert parent.sums[2, 0].sum() == node_rows[i]
             n_built = int(built.sums[2, 0].sum())
             assert n_built <= int(derived.sums[2, 0].sum())
             f, b = skeleton.feature[i], skeleton.threshold_bin[i]
@@ -483,8 +487,9 @@ class TestGrowTree:
             dead = dead_split_reasons(skeleton, leaf_id, params)
             seen.update(*dead)
             live = [i for i, reasons in enumerate(dead) if not reasons]
+            node_rows = subtree_sums(skeleton, np.bincount(leaf_id))
             assert [int(p.sums[2, 0].sum()) for p, _, _ in captures] == [
-                skeleton.count[i] for i in live]
+                node_rows[i] for i in live]
             root_scanned = max_leaves > 1 and m >= 2 * min_samples_leaf
             assert len(built) == root_scanned + len(live)
 
@@ -601,7 +606,7 @@ def routed_trees(draw, n_leaves, left_chain=False):
         if slot is not None:
             children[slot] = ~leaf
     skeleton = TreeSkeleton(feature, threshold_bin, children[0::2], children[1::2],
-                            [0.0] * len(feature), [0] * len(feature), n_leaves)
+                            [0.0] * len(feature), n_leaves)
 
     k = draw(st.sampled_from([0, 1, 2, 300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -658,7 +663,7 @@ class TestRouteBinned:
         n = 129
         i = np.arange(n)
         zeros = np.zeros(n, dtype=np.intp)
-        skeleton = TreeSkeleton(zeros, n - i, np.append(i[1:], ~n), ~i, zeros, zeros,
+        skeleton = TreeSkeleton(zeros, n - i, np.append(i[1:], ~n), ~i, zeros,
                                 n_leaves=n + 1)
         binned = np.arange(n + 3, dtype=np.uint8)[:, None]
         got = route_one(skeleton, binned)
@@ -700,3 +705,36 @@ class TestRouteBinned:
         for j in (0, 3, 4096, 4099):
             want = route_binned_oracle(skeletons[j].nodes, binned)
             assert np.array_equal(got[j] - first[j], want)
+
+
+class TestSubtreeSums:
+    @pytest.mark.parametrize("max_leaves, max_depth, min_samples_leaf", [
+        (1, 8, 1), (2, 8, 1), (9, 3, 5), (31, 8, 1), (20, 6, 8)])
+    def test_grown_node_rows_match_node_walk(self, rng, max_leaves, max_depth,
+                                             min_samples_leaf):
+        # A grown tree's node counts, summed up from its leaves' rows, are
+        # the rows whose walk from the root passes through each node.
+        m = 400
+        finite = [8, 6, 5]
+        binned = np.column_stack([rng.integers(0, nb + 1, size=m) for nb in finite])
+        ds = make_binned_dataset(binned, finite_bins=finite)
+        g = rng.normal(size=m) + 0.8 * (binned[:, 0] < 3) - 0.5 * (binned[:, 1] > 2)
+        skeleton, leaf_id = grow_tree(ds, g, np.ones(m), loose_params(
+            max_leaves=max_leaves, max_depth=max_depth, min_samples_leaf=min_samples_leaf))
+        got = subtree_sums(skeleton, np.bincount(leaf_id, minlength=skeleton.n_leaves))
+        assert got.shape == (skeleton.n_leaves - 1,)
+        assert got.tolist() == node_rows_oracle(skeleton.nodes, binned)
+        assert got[:1].tolist() == ([m] if max_leaves > 1 else [])
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_rows_of_any_width_match_node_walk(self, data):
+        # Random trees and rows; leaf rows of one value and of two.
+        skeleton, binned = data.draw(routed_trees(data.draw(st.integers(1, 40))))
+        counts = np.bincount(route_binned_oracle(skeleton.nodes, binned),
+                             minlength=skeleton.n_leaves)
+        want = node_rows_oracle(skeleton.nodes, binned)
+        assert subtree_sums(skeleton, counts).tolist() == want
+        stacked = subtree_sums(skeleton, np.column_stack([counts, 0.5 * counts]))
+        assert stacked.shape == (skeleton.n_leaves - 1, 2)
+        assert stacked.tolist() == [[w, 0.5 * w] for w in want]
