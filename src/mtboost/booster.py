@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -71,6 +72,9 @@ MODEL_FORMAT_MARKER = "mtboost-model-v2"
 TREE_CHUNK = 128
 TABLE_BYTES = 1 << 20
 BLOCK_BYTES = 1 << 21
+# An integer as save_model writes one, and a run of them joined by spaces.
+INT = "(?:0|-?[1-9][0-9]*)"
+INTS = re.compile(f"{INT}(?: {INT})*")
 
 @dataclass(frozen=True)
 class BoosterParams:
@@ -156,8 +160,11 @@ class BoosterModel:
     tuples); ``base_scores``, ``task_names``, the objectives, every tree's
     leaf values and every log row agree on the task count;
     ``feature_names`` name the mapper's features; feature and task names
-    are all distinct; base scores and losses are finite; and every split's
-    feature and ``threshold_bin`` are ones the mapper can produce. The
+    are all distinct; base scores and losses are finite; every split's
+    feature and ``threshold_bin`` are ones the mapper can produce; and, for
+    each task, |base score| plus each tree's largest |leaf value|, summed in
+    tree order as predict sums, is finite. Rounding a sum of non-negative
+    terms is monotone, so every score predict returns is finite too. The
     trees, the mapper and the params check themselves.
     """
 
@@ -202,6 +209,13 @@ class BoosterModel:
                 raise InvalidParameter("a node's feature is out of range")
             if (threshold >= self.mapper.finite_bin_counts[feature] - 1).any():
                 raise InvalidParameter("a node's threshold_bin is out of range")
+            values = np.abs(np.concatenate([tree.leaf_values for tree in self.trees]))
+            starts = np.cumsum([0, *(tree.n_leaves for tree in self.trees[:-1])])
+            peaks = np.maximum.reduceat(values, starts)  # (trees, tasks)
+            with np.errstate(over="ignore"):
+                bound = np.add.accumulate(np.vstack([np.abs(self.base_scores), peaks]))[-1]
+            if not np.isfinite(bound).all():
+                raise InvalidParameter("leaf values can sum past float64")
         object.__setattr__(self, "chunks", tuple(
             compile_routes(chunk) for chunk in _chunks(self.trees, self.n_features)))
 
@@ -298,8 +312,9 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
 
     for it in range(params.num_iterations):
         grad_hess(labels, scores, params.objectives, out=(g, h))
-        eg = ensemble_grad_hess(g, h, params.mt, it, params.seed)
-        g_u = updating_grad_hess(g, params.mt, out=g)  # the ensemble pass has read g
+        eg = ensemble_grad_hess(g, h, params.mt, it, params.seed, params.main_task_index)
+        # The ensemble pass has read g, so the updating pass may overwrite it.
+        g_u = updating_grad_hess(g, params.mt, params.main_task_index, out=g)
         skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params)
         tree = fit_leaf_values(skeleton, leaf_id, g_u, h, params)
         del eg  # free g_e and h_e before the next iteration allocates its own
@@ -562,6 +577,15 @@ class _Reader:
             )
         return line
 
+    def ints(self, template: str) -> list[int]:
+        """The integers of the next line, which must match ``template``, plain
+        words and a ``#`` for each INT, whole."""
+        line = self.next()
+        found = re.fullmatch(template.replace("#", f"({INT})"), line)
+        if found is None:
+            raise FormatVersionMismatch(f"{self.path}: expected {template!r}, got {line[:40]!r}")
+        return list(map(int, found.groups()))
+
     def rows(self, count: int, head: str, width: int) -> list[list[str]]:
         """The fields of the next ``count`` lines: ``head`` and ``width`` more."""
         if not 0 <= count <= len(self.lines) - self.pos:
@@ -598,10 +622,8 @@ def load_model(path) -> BoosterModel:
     if not v1 and marker != MODEL_FORMAT_MARKER:
         raise FormatVersionMismatch(f"{path}: not a {MODEL_FORMAT_MARKER} file")
     try:
-        n_tasks = int(rd.next("n_tasks ").split(" ")[1])
-        n_features = int(rd.next("n_features ").split(" ")[1])
-        num_trees = int(rd.next("num_trees ").split(" ")[1])
-        num_log_rows = int(rd.next("num_log_rows ").split(" ")[1])
+        [n_tasks], [n_features], [num_trees], [num_log_rows] = (
+            rd.ints(f"{key} #") for key in ("n_tasks", "n_features", "num_trees", "num_log_rows"))
         feature_names = tuple(json.loads(rd.next("feature_names ")[len("feature_names "):]))
         task_names = tuple(json.loads(rd.next("task_names ")[len("task_names "):]))
         params = _params_from_dict(json.loads(rd.next("params ")[len("params "):]), v1)
@@ -613,25 +635,29 @@ def load_model(path) -> BoosterModel:
         if (min(num_trees, num_log_rows) < 0 or len(task_names) != n_tasks
                 or len(feature_names) != n_features):
             raise FormatVersionMismatch(f"{path}: inconsistent header counts")
-        max_bins = int(rd.next("mapper max_bins ").split(" ")[2])
+        [max_bins] = rd.ints("mapper max_bins #")
         boundaries = []
         for f in range(n_features):
-            head = f"feature {f} boundaries"
-            boundaries.append(_parse_hexline(rd.next(head)[len(head):].strip()))
+            head = f"feature {f} boundaries "
+            boundaries.append(_parse_hexline(rd.next(head)[len(head):]))
         mapper = BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)
         trees = []
         for i in range(num_trees):
-            header = rd.next(f"tree {i} ").split(" ")
-            n_nodes, n_leaves = int(header[3]), int(header[5])
+            index, n_nodes, n_leaves = rd.ints("tree # nodes # leaves #")
+            if index != i:
+                raise ValueError(f"tree {index} stands where tree {i} belongs")
             nodes = rd.rows(n_nodes, "node", 6 + v1)
+            leaves = rd.rows(n_leaves, "leaf", (1 + v1) * (n_tasks + 1) + 1)
             columns = list(zip(*nodes)) if nodes else [()] * (7 + v1)
             if v1 and any(flag != "1" for flag in columns.pop(5)):
                 raise ValueError("<default_right> must be 1")
             _, feature, threshold, left, right, gain, count = columns
-            # The int fields, leaf counts too, are parsed by numpy, as int() parses them.
+            # One match checks every integer of the tree; numpy then parses them.
+            if not INTS.fullmatch(" ".join([*feature, *threshold, *left, *right, *count,
+                                            *(row[1] for row in leaves)])):
+                raise ValueError(f"tree {i} holds an integer save_model does not write")
             skeleton = TreeSkeleton(feature, threshold, left, right,
                                     [float.fromhex(t) for t in gain], n_leaves)
-            leaves = rd.rows(n_leaves, "leaf", (1 + v1) * (n_tasks + 1) + 1)
             if any(row[2] != "values" or v1 and row[3 + n_tasks] != "means" for row in leaves):
                 raise ValueError(f"leaf lines must hold {n_tasks} values")
             if v1:  # the v1 means are checked to parse as floats, then dropped

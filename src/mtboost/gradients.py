@@ -107,9 +107,7 @@ class MTConfig:
 
     ``gamma_boost`` amplifies the chosen tasks' weights (useful range 10 to
     100; higher helps when tasks conflict). Target means control the common
-    scale gradients are normalized to. ``always_main`` selection and
-    ``pearson_to_main`` damping take task 0 as the main task, whatever
-    ``BoosterParams.main_task_index`` is.
+    scale gradients are normalized to.
     """
 
     gamma_boost: float = 50.0
@@ -175,41 +173,46 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, iteration])
 
 
-def select_tasks(config: MTConfig, n_tasks: int, iteration: int, seed: int) -> frozenset[int]:
+def _other_tasks(n_tasks: int, main: int) -> np.ndarray:
+    """Every task index but ``main``, ascending; raises InvalidParameter
+    unless ``main`` is one of the ``n_tasks``."""
+    if not 0 <= main < n_tasks:
+        raise InvalidParameter(f"main task {main} not in [0, {n_tasks})")
+    return np.delete(np.arange(n_tasks), main)
+
+
+def select_tasks(config: MTConfig, n_tasks: int, iteration: int, seed: int,
+                 main: int = 0) -> frozenset[int]:
     """Pick the task indices to amplify this iteration.
 
-    ``always_main`` forces task 0 and fills the rest uniformly; the other
-    policies sample without replacement, uniformly or per the configured
-    weights. Deterministic given (seed, iteration).
+    ``always_main`` forces task ``main`` and draws the rest uniformly from
+    the others; the other policies sample without replacement, uniformly or
+    per the configured weights. Deterministic given (seed, iteration).
     """
+    rest = _other_tasks(n_tasks, main)
+    if config.task_select == "weighted" and len(config.task_weights) != n_tasks:
+        raise InvalidParameter(f"{len(config.task_weights)} task_weights for {n_tasks} tasks")
     k = min(config.n_selected, n_tasks)
     if n_tasks == 1 or config.task_select == "always_main" and k == 1:
-        return frozenset({0})  # nothing to draw
+        return frozenset({main})  # nothing to draw
     rng = _iteration_rng(seed, iteration)
     if config.task_select == "always_main":
-        rest = rng.choice(np.arange(1, n_tasks), size=k - 1, replace=False)
-        return frozenset({0, *map(int, rest)})
-    if config.task_select == "uniform_random":
-        picks = rng.choice(n_tasks, size=k, replace=False)
-        return frozenset(map(int, picks))
-    weights = np.asarray(config.task_weights, dtype=np.float64)
-    if weights.shape != (n_tasks,):
-        raise InvalidParameter(f"task_weights has length {weights.size}, expected {n_tasks}")
-    picks = rng.choice(n_tasks, size=k, replace=False, p=weights)
-    return frozenset(map(int, picks))
+        return frozenset({main, *map(int, rng.choice(rest, size=k - 1, replace=False))})
+    weights = config.task_weights if config.task_select == "weighted" else None
+    return frozenset(map(int, rng.choice(n_tasks, size=k, replace=False, p=weights)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ensemble_grad_hess(g, h, config: MTConfig, iteration: int, seed: int) -> EnsembleGrad:
+def ensemble_grad_hess(g, h, config: MTConfig, iteration: int, seed: int,
+                       main: int = 0) -> EnsembleGrad:
     """Collapse (m, n) per-task gradients and hessians into one splitting
     pair per sample. Raises NonFiniteGradient unless the combined values and
     their total over the rows, which bounds every node sum, are finite."""
     n = g.shape[1]
     w = normalize_weights(g, config.g_target_mean)
     v = normalize_weights(h, config.h_target_mean)
-    chosen = select_tasks(config, n, iteration, seed)
-    for k in chosen:
-        w[k] *= config.gamma_boost
+    chosen = select_tasks(config, n, iteration, seed, main)
+    w[list(chosen)] *= config.gamma_boost
 
     # Accumulate task by task in index order: deterministic regardless of
     # any BLAS threading.
@@ -226,8 +229,8 @@ def ensemble_grad_hess(g, h, config: MTConfig, iteration: int, seed: int) -> Ens
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def pearson_to_main(g: np.ndarray) -> float:
-    """Mean Pearson correlation of each auxiliary gradient column with task 0.
+def pearson_to_main(g: np.ndarray, main: int = 0) -> float:
+    """Mean Pearson correlation of the other columns, ascending, with column ``main``.
 
     Columns with zero variance contribute 0. With a single task the empty
     mean is defined as 1 (no damping). A product of two sums of squares that
@@ -235,14 +238,13 @@ def pearson_to_main(g: np.ndarray) -> float:
     of squares overflow give 0 or NaN without a warning; a NaN reaches every
     leaf value and so the training loss, which train() rejects.
     """
-    n = g.shape[1]
-    if n == 1:
+    others = _other_tasks(g.shape[1], main)
+    if not others.size:
         return 1.0
-    main = g[:, 0]
-    main_c = main - main.mean()
+    main_c = g[:, main] - g[:, main].mean()
     main_ss = float(np.dot(main_c, main_c))
     total = 0.0
-    for t in range(1, n):
+    for t in others:
         col = g[:, t]
         col_c = col - col.mean()
         col_ss = float(np.dot(col_c, col_c))
@@ -252,11 +254,11 @@ def pearson_to_main(g: np.ndarray) -> float:
         if not math.isfinite(scale):  # the product overflows, the sums need not
             scale = np.sqrt(main_ss) * np.sqrt(col_ss)
         total += float(np.dot(main_c, col_c)) / scale
-    return total / (n - 1)
+    return total / others.size
 
 
-def updating_grad_hess(g, config: MTConfig, out=None) -> np.ndarray:
-    """Scale every task's gradient column by one shared clipped correlation.
+def updating_grad_hess(g, config: MTConfig, main: int = 0, out=None) -> np.ndarray:
+    """Scale every gradient column by one shared, clipped pearson_to_main(g, main).
 
     It takes gradients only: leaf values use the hessians unmodified.
     ``constant_one`` mode returns ``g`` itself. The scaled gradients go to
@@ -264,5 +266,5 @@ def updating_grad_hess(g, config: MTConfig, out=None) -> np.ndarray:
     """
     if config.corr_mode == "constant_one":
         return g
-    factor = float(np.clip(pearson_to_main(g), 0.5, 1.0))
+    factor = float(np.clip(pearson_to_main(g, main), 0.5, 1.0))
     return np.multiply(g, factor, out=out)

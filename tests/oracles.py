@@ -307,15 +307,17 @@ def _pearson(a, b):
     return cov / math.sqrt(va * vb)
 
 
-def updating_oracle(g, h, corr_mode):
-    """Literal computation of the correlation-damped updating gradients."""
+def updating_oracle(g, h, corr_mode, main=0):
+    """Literal computation of the correlation-damped updating gradients: the
+    mean correlation of every other column with column ``main``."""
     if corr_mode == "constant_one":
         return g.copy(), h.copy()
     m, n = g.shape
     if n == 1:
         corr = 1.0
     else:
-        corr = sum(_pearson(list(g[:, 0]), list(g[:, t])) for t in range(1, n)) / (n - 1)
+        others = [t for t in range(n) if t != main]
+        corr = sum(_pearson(list(g[:, main]), list(g[:, t])) for t in others) / (n - 1)
     factor = min(max(corr, 0.5), 1.0)
     return g * factor, h.copy()
 

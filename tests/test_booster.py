@@ -196,6 +196,14 @@ class TestTrain:
         with pytest.raises(InvalidParameter):
             train(ds, reg_params(mt=MTConfig(n_selected=3)))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_task_weights_must_number_the_tasks(self, rng, n):
+        # One task draws nothing, yet its weights are checked as for two.
+        ds = binned(regression_table(rng, n=n))
+        mt = MTConfig(task_select="weighted", task_weights=(0.5, 0.25, 0.25))
+        with pytest.raises(InvalidParameter, match=f"^3 task_weights for {n} tasks$"):
+            train(ds, reg_params(n=n, mt=mt))
+
     @pytest.mark.parametrize("name, bad, message", [
         ("max_leaves", 0, "max_leaves must be >= 1"),
         ("max_depth", 0, "max_depth must be >= 1"),
@@ -832,13 +840,45 @@ class GoldenFileEdits:
         (2, "99"),  # threshold_bin past the feature's last boundary
         (-1, "161"),  # <count>, last on v1 and v2, one more than its leaves hold
         (-1, "159"),
+        (1, "+0"),  # integers that int() reads but save_model never writes
+        (2, "03"),
+        (1, "-0"),
+        (-1, "1_60"),
+        (1, "\u0660"),  # ARABIC-INDIC DIGIT ZERO
     ], ids=["self-loop", "child-99", "leaf-99", "feature-99", "threshold-99", "count-161",
-            "count-159"])
+            "count-159", "feature-+0", "threshold-03", "feature--0", "count-1_60",
+            "feature-arabic-0"])
     def test_corrupt_node_rejected(self, tmp_path, tok, value):
         lines = _golden_lines(self.golden)
         root = next(i for i, line in enumerate(lines) if line.startswith("node "))
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(_with_token(lines, root, tok, value)) + "\n")
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    @pytest.mark.parametrize("old, new", [
+        ("n_tasks 2", "n_tasks 2 junk"),
+        ("n_features 3", "n_features 03"),
+        ("num_trees 4", "num_trees \u0664"),  # ARABIC-INDIC DIGIT FOUR
+        ("num_log_rows ", "num_log_rows +"),
+        ("mapper max_bins 12", "mapper max_bins 1_2"),
+        ("tree 0 nodes 4 leaves 5", "tree 0 foo 4 bar 5"),
+        ("tree 1 nodes ", "tree 1 nodes +"),
+        ("tree 2 nodes 4 leaves ", "tree 2 nodes 4 leaves 0"),
+        ("tree 3 ", "tree 2 "),  # rejected at any version: tree i must be numbered i
+        ("leaf 40 ", "leaf 4_0 "),
+        ("feature 1 boundaries ", "feature 1 boundaries  "),
+    ], ids=["n_tasks-junk", "n_features-03", "num_trees-arabic-4", "num_log_rows-+",
+            "max_bins-1_2", "tree-foo-bar", "tree-nodes-+", "tree-leaves-0",
+            "tree-3-numbered-2", "leaf-count-4_0", "boundaries-two-spaces"])
+    def test_line_not_as_saved_rejected(self, tmp_path, old, new):
+        # But for the renumbered tree, each line loaded while integers were
+        # read as int() reads them and header lines by their first words.
+        lines = _golden_lines(self.golden)
+        i = next(i for i, line in enumerate(lines) if line.startswith(old))
+        lines[i] = new + lines[i][len(old):]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatVersionMismatch):
             load_model(path)
 
@@ -1152,6 +1192,7 @@ BROKEN_PARTS = {
     "max-bins-12.0": lambda m: dataclasses.replace(m.mapper, max_bins=12.0),
     "feature-names-none": lambda m: dataclasses.replace(m, feature_names=None),
     "task-name-not-a-string": lambda m: dataclasses.replace(m, task_names=("y_cls", 1)),
+    "leaf-values-sum-past-float64": lambda m: _replaced(m, "every leaf value", 0, 1e308),
 }
 
 
@@ -1251,6 +1292,10 @@ def _replaced(model, part, index, value):
         return _with_tree0(model, leaf_values=rows)
     if part == "leaf_counts":
         return _with_tree0(model, leaf_counts=value)
+    if part == "every leaf value":  # of every tree
+        return dataclasses.replace(model, trees=[
+            dataclasses.replace(tree, leaf_values=np.full_like(tree.leaf_values, value))
+            for tree in model.trees])
     if part in ("boundaries", "max_bins"):
         boundaries = list(model.mapper.boundaries)
         if part == "boundaries":
@@ -1267,6 +1312,7 @@ def _replaced(model, part, index, value):
 @example(case=("max_bins", 0, 2))  # more finite bins than max_bins
 @example(case=("leaf_counts", 0, [-5] * 5))  # counts no rows
 @example(case=("leaf row", 1, [1e300, -1e300]))
+@example(case=("every leaf value", 0, 1e308))  # each finite, their sum not
 def test_every_model_that_builds_is_usable(tmp_path_factory, case):
     # Either building the model raises an MtboostError, or the model
     # predicts finite scores, saves and loads to the same bytes, extracts

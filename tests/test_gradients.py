@@ -96,6 +96,60 @@ class TestSelectTasks:
         assert counts > 150  # heavy weight dominates
 
 
+def main_first(n_tasks, main):
+    """The task order that moves ``main`` to the front and keeps the others
+    in ascending order."""
+    return [main, *(t for t in range(n_tasks) if t != main)]
+
+
+MAINS = [(n, main) for n in (3, 4) for main in range(n)]
+
+
+@pytest.mark.parametrize("n_tasks, main", MAINS)
+class TestMainTaskIsJustAColumn:
+    """Task ``main`` plays the part task 0 plays once the tasks are put in
+    main_first order."""
+
+    def test_correlation_of_permuted_columns(self, rng, n_tasks, main):
+        perm = main_first(n_tasks, main)
+        for scale in (1.0, 1e80):
+            g = rng.normal(size=(50, n_tasks)) * scale
+            g[:, -1] += g[:, 0]  # columns that correlate
+            assert pearson_to_main(g, main) == pearson_to_main(g[:, perm], 0)
+            out = updating_grad_hess(g, MTConfig(), main)[:, perm]
+            assert out.tobytes() == updating_grad_hess(g[:, perm], MTConfig()).tobytes()
+
+    def test_selection_of_permuted_tasks(self, n_tasks, main):
+        perm = main_first(n_tasks, main)
+        for n_selected in range(1, n_tasks + 1):
+            cfg = MTConfig(task_select="always_main", n_selected=n_selected)
+            for seed, it in ((0, 0), (3, 1), (7, 19), (2**63, 5)):
+                chosen = select_tasks(cfg, n_tasks, it, seed, main)
+                assert main in chosen and len(chosen) == n_selected
+                assert chosen == {perm[t] for t in select_tasks(cfg, n_tasks, it, seed)}
+
+    def test_boosted_weights_of_permuted_tasks(self, rng, n_tasks, main):
+        perm = main_first(n_tasks, main)
+        g, h = random_gh(rng, n=n_tasks)
+        cfg = MTConfig(n_selected=2)
+        eg = ensemble_grad_hess(g, h, cfg, 4, seed=8, main=main)
+        permuted = ensemble_grad_hess(g[:, perm], h[:, perm], cfg, 4, seed=8)
+        assert np.array_equal(eg.w[perm], permuted.w)
+        assert eg.chosen_tasks == {perm[t] for t in permuted.chosen_tasks}
+
+
+@pytest.mark.parametrize("main", [-1, 3, 7])
+def test_main_outside_the_tasks_rejected(rng, main):
+    g, h = random_gh(rng, n=3)
+    message = rf"^main task {main} not in \[0, 3\)$"
+    for call in (lambda: select_tasks(MTConfig(), 3, 0, 0, main),
+                 lambda: ensemble_grad_hess(g, h, MTConfig(), 0, 0, main),
+                 lambda: pearson_to_main(g, main),
+                 lambda: updating_grad_hess(g, MTConfig(), main)):
+        with pytest.raises(InvalidParameter, match=message):
+            call()
+
+
 def random_gh(rng, m=40, n=3):
     return rng.normal(size=(m, n)), rng.uniform(0.1, 2.0, size=(m, n))
 
@@ -194,6 +248,15 @@ class TestUpdatingGradHess:
             np.testing.assert_allclose(out, og, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(h, oh, rtol=0)
 
+    def test_matches_oracle_for_every_main(self, rng):
+        for n in (2, 3, 4):
+            for main in range(n):
+                g, h = random_gh(rng, m=30, n=n)
+                out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"), main)
+                og, oh = updating_oracle(g, h, "pearson_to_main", main)
+                np.testing.assert_allclose(out, og, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(h, oh, rtol=0)
+
     def test_single_shared_factor(self, rng):
         g, _ = random_gh(rng, m=60, n=4)
         out = updating_grad_hess(g, MTConfig(corr_mode="pearson_to_main"))
@@ -224,7 +287,8 @@ class TestUpdatingGradHess:
     def test_hessian_never_modified(self, rng):
         # The pass takes gradients only, so the leaf fit gets the hessians as
         # grad_hess computed them; the oracle passes them through too.
-        assert list(inspect.signature(updating_grad_hess).parameters) == ["g", "config", "out"]
+        params = inspect.signature(updating_grad_hess).parameters
+        assert not any(name.startswith("h") for name in params)
         g, h = random_gh(rng, n=3)
         assert np.array_equal(updating_oracle(g, h, "pearson_to_main")[1], h)
 

@@ -109,6 +109,16 @@ def _weighted(tmp):
     return _model_outputs(model, x, tmp / "weighted.txt", False)
 
 
+def _main_last(tmp):
+    # The last task is main: always_main boosts it and pearson_to_main
+    # damps by the others' correlation with it.
+    model, x = _trained(71, (REGRESSION_L2, BINARY_LOGLOSS, REGRESSION_L2),
+                        mt=MTConfig(task_select="always_main", n_selected=2,
+                                    corr_mode="pearson_to_main"),
+                        main_task_index=2)
+    return _model_outputs(model, x, tmp / "main_last.txt", False)
+
+
 def _clipped(tmp):
     # max_delta_step far below the Newton steps clips most leaf values.
     model, x = _trained(41, (BINARY_LOGLOSS, BINARY_LOGLOSS), learning_rate=1.0,
@@ -183,6 +193,7 @@ PROBLEMS = {
     "early_stopped": _early_stopped,
     "mixed_uniform": _mixed_uniform,
     "weighted": _weighted,
+    "main_last": _main_last,
     "clipped": _clipped,
     "wide_trees": _wide_trees,
     "many_trees": _many_trees,
