@@ -5,6 +5,8 @@ Models serialize to versioned text with hexadecimal float literals, so a
 save/load round trip reproduces predictions bit for bit. A multi-task
 model can be sliced down to any one task: the shared structure is kept,
 only that task's leaf values survive, and the file shrinks accordingly.
+A file loads only as save_model writes it: a value spelled otherwise is
+rejected.
 """
 
 import os
@@ -25,6 +27,7 @@ from mtboost import (
     save_model,
     train,
 )
+from mtboost.errors import FormatVersionMismatch
 
 table = gen_synthetic(SyntheticSpec("noisy_tasks", m=1500, d=4, seed=5))
 dataset = apply_bins(table, fit_bins(table, 32))
@@ -48,6 +51,21 @@ with tempfile.TemporaryDirectory() as workdir:
     x = np.random.default_rng(0).uniform(0, 1, size=(500, 4))
     assert np.array_equal(predict(model, x), predict(reloaded, x))
     print("save -> load -> predict: bit-identical")
+
+    # load_model reads a file only if save_model writes its lines back from
+    # the model it reads: a base score written 1 loads as 1.0, which
+    # save_model writes 0x1.0000000000000p+0, so the file is rejected.
+    with open(full_path) as fh:
+        lines = fh.read().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("base_scores "))
+    lines[i] = " ".join(["base_scores", "1", *lines[i].split(" ")[2:]])
+    edited_path = os.path.join(workdir, "edited.txt")
+    with open(edited_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    try:
+        load_model(edited_path)
+    except FormatVersionMismatch as exc:
+        print("base score written 1:", str(exc).replace(edited_path, "edited.txt"))
 
     # Extraction keeps only one task's outputs.
     aux = extract_task(model, 1)

@@ -7,14 +7,15 @@ ensemble gradients, fit its per-task leaf values from the updating
 gradients, and add those values to every task's score column.
 
 Model files are versioned plain text. Floats are written as hexadecimal
-literals, so save/load round trips are bit exact and files are diffable.
+literals, so save/load round trips are bit exact and files are diffable. A
+file loads only if save_model would write it back byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -33,7 +34,6 @@ from .gradients import (
     MTConfig,
     check_fields,
     ensemble_grad_hess,
-    param_types,
     string_tuple,
     updating_grad_hess,
 )
@@ -72,9 +72,7 @@ MODEL_FORMAT_MARKER = "mtboost-model-v2"
 TREE_CHUNK = 128
 TABLE_BYTES = 1 << 20
 BLOCK_BYTES = 1 << 21
-# An integer as save_model writes one, and a run of them joined by spaces.
-INT = "(?:0|-?[1-9][0-9]*)"
-INTS = re.compile(f"{INT}(?: {INT})*")
+
 
 @dataclass(frozen=True)
 class BoosterParams:
@@ -507,8 +505,9 @@ def _hexline(values) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
-def save_model(model: BoosterModel, path) -> None:
-    """Write the model as versioned text with hex float literals."""
+def _model_lines(model: BoosterModel) -> list[str]:
+    """The lines of the model's file: what save_model writes, and what
+    load_model requires a file to hold."""
     lines = [MODEL_FORMAT_MARKER]
     lines.append(f"n_tasks {model.n_tasks}")
     lines.append(f"n_features {model.n_features}")
@@ -534,30 +533,54 @@ def save_model(model: BoosterModel, path) -> None:
         valid = "-" if row.valid is None else _hexline(row.valid)
         lines.append(f"log {i} train {_hexline(row.train)} valid {valid}")
     lines.append("end")
+    return lines
+
+
+def save_model(model: BoosterModel, path) -> None:
+    """Write the model as versioned text with hex float literals, one line
+    of _model_lines each. load_model reads back every file written here,
+    and a model it reads saves back byte for byte."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_model_lines(model)) + "\n")
 
 
-def _kwargs_from_json(cls, obj, more_keys=()) -> dict:
-    """Constructor arguments of ``cls`` from its JSON snapshot, whose keys
-    must be exactly its fields and ``more_keys``; ``cls`` checks the values."""
-    keys = [*param_types(cls), *more_keys]
-    if type(obj) is not dict or obj.keys() != set(keys):
-        raise ValueError(f"{cls.__name__} params must have exactly the keys {keys}")
-    return dict(obj)
+def _v1_as_v2(lines: list[str]) -> list[str]:
+    """The lines of a mtboost-model-v1 file as v2 writes them, line for line.
 
-
-def _params_from_dict(d, v1: bool) -> BoosterParams:
-    v1_keys = ("g_target_std", "h_target_std", "seed") if v1 else ()
-    kwargs = _kwargs_from_json(BoosterParams, d, ("mt",))
-    mt = _kwargs_from_json(MTConfig, kwargs.pop("mt"), v1_keys)
-    if v1:
-        *stds, v1_seed = (mt.pop(key) for key in v1_keys)
-        if (not all(type(s) in (int, float) and math.isfinite(s) for s in stds)
-                or type(v1_seed) is not int or v1_seed < 0):
-            raise ValueError("v1 mt params need finite std targets and an integer seed >= 0")
-    params = BoosterParams(mt=MTConfig(**mt), **kwargs)
-    return replace(params, seed=params.seed + v1_seed) if v1 else params
+    v1 params also held ``mt.g_target_std`` and ``mt.h_target_std``, finite
+    numbers nothing used, and ``mt.seed``, an int >= 0 that v1 training
+    added to ``seed``; each v1 node line held ``<default_right>``, always 1,
+    before its gain; each v1 leaf line ended in ``means <hex>{n_tasks}``.
+    Raises ValueError unless these are as v1 wrote them (the params JSON
+    and the means spelled as json.dumps and float.hex spell them); they are
+    then dropped, with mt.seed added to seed. Every other line is left as
+    it is, for the v2 rule to check."""
+    out = [MODEL_FORMAT_MARKER]
+    for line in lines[1:]:
+        fields = line.split(" ")
+        if fields[0] == "params":
+            params = json.loads(line[len("params "):])
+            mt = params["mt"] = dict(params["mt"])
+            as_saved = "params " + json.dumps(params) == line
+            *stds, seed = (mt.pop(key) for key in ("g_target_std", "h_target_std", "seed"))
+            if not (as_saved and type(seed) is type(params["seed"]) is int and seed >= 0
+                    and all(type(s) in (int, float) and math.isfinite(s) for s in stds)):
+                raise ValueError("v1 params must be as saved, with finite std targets "
+                                 "and integer seeds, mt.seed >= 0")
+            params["seed"] += seed
+            line = "params " + json.dumps(params)
+        elif fields[0] == "node":
+            if len(fields) != 8 or fields[5] != "1":
+                raise ValueError("a v1 node line has 7 fields, <default_right> 1 the fifth")
+            line = " ".join(fields[:5] + fields[6:])
+        elif fields[0] == "leaf":
+            k = (len(fields) - 4) // 2  # the values, and as many means
+            if (fields[3 + k:4 + k] != ["means"] or len(fields) != 4 + 2 * k
+                    or any(float.fromhex(t).hex() != t for t in fields[4 + k:])):
+                raise ValueError("a v1 leaf line ends in 'means' and one hex float per value")
+            line = " ".join(fields[:3 + k])
+        out.append(line)
+    return out
 
 
 class _Reader:
@@ -566,25 +589,21 @@ class _Reader:
         self.path = path
         self.pos = 0
 
-    def next(self, expect_prefix: str | None = None) -> str:
+    def next(self, expect_prefix: str = "") -> str:
+        """The next line, which must start with ``expect_prefix``."""
         if self.pos >= len(self.lines):
             raise FormatVersionMismatch(f"{self.path}: truncated model file")
         line = self.lines[self.pos]
         self.pos += 1
-        if expect_prefix is not None and not line.startswith(expect_prefix):
+        if not line.startswith(expect_prefix):
             raise FormatVersionMismatch(
                 f"{self.path}: expected {expect_prefix!r}, got {line[:40]!r}"
             )
         return line
 
-    def ints(self, template: str) -> list[int]:
-        """The integers of the next line, which must match ``template``, plain
-        words and a ``#`` for each INT, whole."""
-        line = self.next()
-        found = re.fullmatch(template.replace("#", f"({INT})"), line)
-        if found is None:
-            raise FormatVersionMismatch(f"{self.path}: expected {template!r}, got {line[:40]!r}")
-        return list(map(int, found.groups()))
+    def rest(self, prefix: str) -> str:
+        """The next line after ``prefix``, which it must start with."""
+        return self.next(prefix)[len(prefix):]
 
     def rows(self, count: int, head: str, width: int) -> list[list[str]]:
         """The fields of the next ``count`` lines: ``head`` and ``width`` more."""
@@ -597,85 +616,70 @@ class _Reader:
         return rows
 
 
-def _parse_hexline(rest: str, count: int | None = None) -> np.ndarray:
-    values = np.array(
-        [float.fromhex(tok) for tok in rest.split(" ")] if rest else [], dtype=np.float64
-    )
-    if count is not None and len(values) != count:
-        raise ValueError(f"expected {count} values, got {len(values)}")
-    return values
+def _parse_hexline(rest: str) -> np.ndarray:
+    return np.array([float.fromhex(tok) for tok in rest.split(" ")] if rest else [],
+                    dtype=np.float64)
 
 
 def load_model(path) -> BoosterModel:
-    """Parse a model file written by save_model; strict about the format."""
+    """Read a model file that save_model wrote.
+
+    The lines are parsed leniently (int, float.fromhex, json.loads) into a
+    model, which checks itself as it is built. The file is then accepted
+    only if its lines are the ones save_model writes of that model
+    (_model_lines): one rule covers the spelling of every integer, float
+    and JSON value, the prefixes, the ``tree <i>`` numbers and the node
+    counts. A mtboost-model-v1 file is first turned into the v2 lines it
+    stands for (_v1_as_v2), which then meet the same rule. Anything else
+    raises FormatVersionMismatch, naming the first line that differs."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise FormatVersionMismatch(f"{path}: not UTF-8 text ({exc.reason})") from None
-    rd = _Reader(lines, path)
-    # A v1 file also holds the mt params g_target_std, h_target_std and seed
-    # (added to seed), a node column <default_right> that must be 1 and "means
-    # <hex>{n_tasks}" ending each leaf line: all checked as v1 did, then dropped.
-    marker = rd.next()
-    v1 = marker == "mtboost-model-v1"
-    if not v1 and marker != MODEL_FORMAT_MARKER:
-        raise FormatVersionMismatch(f"{path}: not a {MODEL_FORMAT_MARKER} file")
     try:
-        [n_tasks], [n_features], [num_trees], [num_log_rows] = (
-            rd.ints(f"{key} #") for key in ("n_tasks", "n_features", "num_trees", "num_log_rows"))
-        feature_names = tuple(json.loads(rd.next("feature_names ")[len("feature_names "):]))
-        task_names = tuple(json.loads(rd.next("task_names ")[len("task_names "):]))
-        params = _params_from_dict(json.loads(rd.next("params ")[len("params "):]), v1)
-        extra = json.loads(rd.next("extra ")[len("extra "):])
-        if type(extra) is not dict:
-            raise ValueError("extra must be a JSON object")
-        base_scores = _parse_hexline(rd.next("base_scores ")[len("base_scores "):])
+        if lines[:1] == ["mtboost-model-v1"]:
+            lines = _v1_as_v2(lines)
+        rd = _Reader(lines, path)
+        if rd.next() != MODEL_FORMAT_MARKER:
+            raise FormatVersionMismatch(f"{path}: not a {MODEL_FORMAT_MARKER} file")
+        n_tasks, n_features, num_trees, num_log_rows = (
+            int(rd.rest(f"{key} ")) for key in ("n_tasks", "n_features", "num_trees",
+                                                "num_log_rows"))
+        feature_names = json.loads(rd.rest("feature_names "))
+        task_names = json.loads(rd.rest("task_names "))
+        params = dict(json.loads(rd.rest("params ")))
+        params = BoosterParams(mt=MTConfig(**params.pop("mt", {})), **params)
+        extra = json.loads(rd.rest("extra "))
+        base_scores = _parse_hexline(rd.rest("base_scores "))
         # Counts are checked before any of them sizes a loop or an array.
         if (min(num_trees, num_log_rows) < 0 or len(task_names) != n_tasks
                 or len(feature_names) != n_features):
             raise FormatVersionMismatch(f"{path}: inconsistent header counts")
-        [max_bins] = rd.ints("mapper max_bins #")
-        boundaries = []
-        for f in range(n_features):
-            head = f"feature {f} boundaries "
-            boundaries.append(_parse_hexline(rd.next(head)[len(head):]))
-        mapper = BinMapper(boundaries=tuple(boundaries), max_bins=max_bins)
+        max_bins = int(rd.rest("mapper max_bins "))
+        mapper = BinMapper(tuple(_parse_hexline(rd.rest(f"feature {f} boundaries "))
+                                 for f in range(n_features)), max_bins)
         trees = []
-        for i in range(num_trees):
-            index, n_nodes, n_leaves = rd.ints("tree # nodes # leaves #")
-            if index != i:
-                raise ValueError(f"tree {index} stands where tree {i} belongs")
-            nodes = rd.rows(n_nodes, "node", 6 + v1)
-            leaves = rd.rows(n_leaves, "leaf", (1 + v1) * (n_tasks + 1) + 1)
-            columns = list(zip(*nodes)) if nodes else [()] * (7 + v1)
-            if v1 and any(flag != "1" for flag in columns.pop(5)):
-                raise ValueError("<default_right> must be 1")
-            _, feature, threshold, left, right, gain, count = columns
-            # One match checks every integer of the tree; numpy then parses them.
-            if not INTS.fullmatch(" ".join([*feature, *threshold, *left, *right, *count,
-                                            *(row[1] for row in leaves)])):
-                raise ValueError(f"tree {i} holds an integer save_model does not write")
+        for _ in range(num_trees):
+            _, _, _, n_nodes, _, n_leaves = rd.next("tree ").split(" ")
+            nodes = rd.rows(int(n_nodes), "node", 6)
+            leaves = rd.rows(int(n_leaves), "leaf", n_tasks + 2)
+            # The counts (last column) are derived, and checked as saved below.
+            _, feature, threshold, left, right, gain, _ = list(zip(*nodes)) or [()] * 7
             skeleton = TreeSkeleton(feature, threshold, left, right,
-                                    [float.fromhex(t) for t in gain], n_leaves)
-            if any(row[2] != "values" or v1 and row[3 + n_tasks] != "means" for row in leaves):
-                raise ValueError(f"leaf lines must hold {n_tasks} values")
-            if v1:  # the v1 means are checked to parse as floats, then dropped
-                [float.fromhex(t) for row in leaves for t in row[4 + n_tasks:]]
-            values = [[float.fromhex(t) for t in row[3:3 + n_tasks]] for row in leaves]
+                                    [float.fromhex(t) for t in gain], int(n_leaves))
+            values = [[float.fromhex(t) for t in row[3:]] for row in leaves]
             trees.append(MultiOutputTree(skeleton, values, [row[1] for row in leaves]))
-            if list(map(int, count)) != subtree_sums(skeleton, trees[-1].leaf_counts).tolist():
-                raise ValueError(f"tree {i} node counts must be the sums of their leaves' counts")
         log = []
         for i in range(num_log_rows):
             line = rd.next(f"log {i} train ")  # row i is iteration i
             train_part, _, valid_part = line.partition(" train ")[2].partition(" valid ")
-            valid = None if valid_part == "-" else tuple(_parse_hexline(valid_part, n_tasks))
-            log.append(IterationLog(tuple(_parse_hexline(train_part, n_tasks)), valid))
+            valid = None if valid_part == "-" else tuple(_parse_hexline(valid_part))
+            log.append(IterationLog(tuple(_parse_hexline(train_part)), valid))
         rd.next("end")
         if rd.pos < len(lines):
             raise ValueError("lines follow 'end'")
-        return BoosterModel(
+        model = BoosterModel(
             trees=trees,
             params=params,
             mapper=mapper,
@@ -687,5 +691,12 @@ def load_model(path) -> BoosterModel:
         )
     except FormatVersionMismatch:
         raise
-    except (ValueError, TypeError, IndexError, OverflowError) as exc:
+    except (ValueError, TypeError, LookupError, OverflowError) as exc:
         raise FormatVersionMismatch(f"{path}: corrupt model file: {exc}") from None
+    for number, (want, got) in enumerate(zip(_model_lines(model), lines), 1):
+        if want != got:
+            at = len(os.path.commonprefix([want, got]))
+            raise FormatVersionMismatch(
+                f"{path}: line {number} is not as save_model writes it, from character "
+                f"{at + 1}: expected {want[at:at + 40]!r}, got {got[at:at + 40]!r}")
+    return model

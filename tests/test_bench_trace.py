@@ -84,9 +84,10 @@ def test_traced_train_predict_save(spans, rng, tmp_path):
         model = booster.train(train_ds, params, valid_ds)
         booster.predict(model, rows)
         booster.save_model(model, tmp_path / "model.txt")
+        booster.load_model(tmp_path / "model.txt")
     totals = tracer.totals(tracer.roots("op")[0])
 
-    for name in ("booster.train", "booster.predict", "booster.save_model",
+    for name in ("booster.train", "booster.predict", "booster.save_model", "booster.load_model",
                  "tree.grow_tree", "tree.fit_leaf_values", "tree.route_binned",
                  "tree.build_histograms", "tree.find_best_split",
                  "objectives.grad_hess", "objectives.loss", "gradients.ensemble",
@@ -103,5 +104,8 @@ def test_traced_train_predict_save(spans, rng, tmp_path):
     predict_calls = routed["calls"] - len(model.trees)
     assert predict_calls == 1
     assert routed["work"] == len(model.trees) * valid_ds.m + predict_calls * len(rows)
+    # load_model checks a file against the lines save_model writes without
+    # calling save_model, so the save spans count the one save alone.
+    assert totals["booster.load_model"]["calls"] == totals["booster.save_model"]["calls"] == 1
     assert totals["booster.save_model"]["work"] == (tmp_path / "model.txt").stat().st_size
     assert booster.grow_tree is tree.grow_tree  # the phase restored the originals

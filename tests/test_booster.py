@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import pickle
+import re
 import signal
 import threading
 import tracemalloc
@@ -25,7 +26,6 @@ from mtboost.booster import (
     _chunks,
     extract_task,
     load_model,
-    param_types,
     predict,
     predict_proba,
     save_model,
@@ -42,7 +42,7 @@ from mtboost.errors import (
     MtboostError,
     TaskIndexOutOfRange,
 )
-from mtboost.gradients import MTConfig
+from mtboost.gradients import MTConfig, param_types
 from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
 from mtboost.tree import (
     NODE_DTYPES,
@@ -731,6 +731,33 @@ def _golden_lines(golden=GOLDEN):
     return golden.read_text().splitlines()
 
 
+# Each hex float, decimal number or JSON string of the v2 golden file, as
+# (line number, start, end); and ways to spell one otherwise, given a set
+# of ten non-ASCII digits by its zero.
+GOLDEN_V2_TOKENS = [
+    (i, found.start(), found.end())
+    for i, line in enumerate(_golden_lines(GOLDEN_V2))
+    for found in re.finditer(r'-?0x[0-9a-f]\.[0-9a-f]+p[-+][0-9]+|-?[0-9]+(?:\.[0-9]+)?|"[^"]*"',
+                             line)
+]
+RESPELLINGS = {
+    "sign": lambda tok, digits: "+" + tok,
+    "leading zero": lambda tok, digits: re.sub("[0-9]", r"0\g<0>", tok, count=1),
+    "underscore": lambda tok, digits: re.sub("([0-9])([0-9])", r"\1_\2", tok, count=1),
+    "non-ASCII digits": lambda tok, digits: tok.translate(
+        {ord("0") + d: ord(digits) + d for d in range(10)}),
+    "upper case": lambda tok, digits: tok if tok[0] == '"' else tok.upper(),
+    "shortened": lambda tok, digits: re.sub(r"0+(?=p)|\.0$|(?<=e)\+", "", tok),
+    "decimal": lambda tok, digits: (repr(float.fromhex(tok)) if "0x" in tok
+                                    else tok + ".0" if tok[-1] != '"' else tok),
+    "JSON escapes": lambda tok, digits: "".join(
+        c if c == '"' else f"\\u{ord(c):04x}" for c in tok) if tok[0] == '"' else tok,
+    "space before": lambda tok, digits: " " + tok,
+    "space after": lambda tok, digits: tok + " ",
+    "tab before": lambda tok, digits: "\t" + tok,
+}
+
+
 def _with_token(lines, line_no, tok, value):
     parts = lines[line_no].split(" ")
     parts[tok] = value
@@ -868,12 +895,26 @@ class GoldenFileEdits:
         ("tree 3 ", "tree 2 "),  # rejected at any version: tree i must be numbered i
         ("leaf 40 ", "leaf 4_0 "),
         ("feature 1 boundaries ", "feature 1 boundaries  "),
+        # Floats and JSON that float.fromhex and json.loads read but
+        # save_model never writes.
+        ("base_scores 0x1.3358185ac918cp-4", "base_scores 1"),
+        ("leaf 40 values 0x1.1fff303760994p-2", "leaf 40 values 0X1.1FFF303760994P-2"),
+        ("leaf 40 values ", "leaf 40 values \t"),
+        ("leaf 43 values 0x1.23ca466208d97p-4 0x1.7dfda06f42d90p-3",
+         "leaf 43 values 0x1.23ca466208d97p-4 0x1.7dfda06f42d9p-3"),
+        ('feature_names ["a", "b", "c"]', 'feature_names   ["a", "b", "c"]  '),
+        ('feature_names ["a", "b", "c"]', 'feature_names ["a",  "b", "c"]'),
+        ('params {"objectives": ', 'params {"objectives":'),
     ], ids=["n_tasks-junk", "n_features-03", "num_trees-arabic-4", "num_log_rows-+",
             "max_bins-1_2", "tree-foo-bar", "tree-nodes-+", "tree-leaves-0",
-            "tree-3-numbered-2", "leaf-count-4_0", "boundaries-two-spaces"])
+            "tree-3-numbered-2", "leaf-count-4_0", "boundaries-two-spaces",
+            "base-score-1", "leaf-value-upper-case", "leaf-value-after-tab",
+            "leaf-value-shortened", "feature_names-spaced", "feature_names-two-spaces",
+            "params-colon-unspaced"])
     def test_line_not_as_saved_rejected(self, tmp_path, old, new):
         # But for the renumbered tree, each line loaded while integers were
-        # read as int() reads them and header lines by their first words.
+        # read as int() reads them, header lines by their first words,
+        # floats as float.fromhex reads them and JSON as json.loads does.
         lines = _golden_lines(self.golden)
         i = next(i for i, line in enumerate(lines) if line.startswith(old))
         lines[i] = new + lines[i][len(old):]
@@ -881,6 +922,19 @@ class GoldenFileEdits:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatVersionMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("text", [
+        lambda lines: "\r\n".join(lines) + "\r\n",
+        lambda lines: "\n".join(lines),
+    ], ids=["crlf", "no-final-newline"])
+    def test_line_endings_are_not_compared(self, tmp_path, text):
+        # The rule compares the lines splitlines() gives, not the bytes
+        # between them.
+        path = tmp_path / "model.txt"
+        path.write_bytes(text(_golden_lines(self.golden)).encode())
+        x = np.random.default_rng(0).normal(size=(20, 3))
+        assert predict(load_model(path), x).tobytes() == predict(load_model(self.golden),
+                                                                  x).tobytes()
 
     @pytest.mark.parametrize("edit", [
         lambda lines: _with_token(lines, 55, 1, "2"),
@@ -985,6 +1039,31 @@ class TestModelFileChecks(GoldenFileEdits):
         path = tmp_path / "again.txt"
         save_model(load_model(GOLDEN_V2), path)
         assert path.read_bytes() == GOLDEN_V2.read_bytes()
+
+    @settings(max_examples=400)
+    @given(token=st.sampled_from(GOLDEN_V2_TOKENS), respelling=st.sampled_from(list(RESPELLINGS)),
+           digits=st.sampled_from(["\u0660", "\uff10", "\u0966"]))
+    def test_respelled_token_rejected_or_saved_back(self, tmp_path_factory, token,
+                                                    respelling, digits):
+        # One integer, hex float or JSON token of the v2 golden file spelled
+        # otherwise: the file is rejected, or it is exactly what save_model
+        # writes of the model it loads as.
+        line_no, start, end = token
+        lines = _golden_lines(GOLDEN_V2)
+        old = lines[line_no][start:end]
+        new = RESPELLINGS[respelling](old, digits)
+        event(respelling)
+        lines[line_no] = lines[line_no][:start] + new + lines[line_no][end:]
+        path = tmp_path_factory.getbasetemp() / "respelled.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            model = load_model(path)
+        except FormatVersionMismatch:
+            event("rejected")
+            return
+        again = tmp_path_factory.getbasetemp() / "saved_back.txt"
+        save_model(model, again)
+        assert again.read_bytes() == path.read_bytes(), (old, new)
 
     def test_golden_v1_predicts_as_v2(self, rng):
         v1, v2 = load_model(GOLDEN), load_model(GOLDEN_V2)

@@ -493,7 +493,7 @@ def test_model_feature_listed_twice_is_one_line_error(tmp_path, capsys, command)
 
 @pytest.mark.parametrize("line, value, message", [
     ("node 0 3 2 1 1 0x1.a2da3eeb85296p+7 160", "node 0 3 2 1 1 0x1.a2da3eeb85296p+7 161",
-     "corrupt model file: tree 0 node counts must be the sums of their leaves' counts"),
+     "line 16 is not as save_model writes it, from character 37: expected '0', got '1'"),
     ("log 1 train", "log 2 train",
      "expected 'log 1 train ', got 'log 2 train 0x1.3326079bb37fbp-1 0x1.7cf'"),
 ], ids=["node-count", "log-row"])

@@ -8,6 +8,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parents[1]
+# Whole lines a demo prints besides the one its test case names.
+ALSO_PRINTS = {
+    "05_model_files.py": (
+        "base score written 1: edited.txt: line 10 is not as save_model writes it, from "
+        "character 13: expected '0x1.0000000000000p+0 0x1.e0bc3925532fap-', "
+        "got '1 0x1.e0bc3925532fap-5'\n"),
+}
 
 
 # 02_two_noisy_labels.py is left out: it trains for about 16 s.
@@ -27,4 +34,5 @@ def test_demo_runs(demo, prints, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert prints in done.stdout
+    assert ALSO_PRINTS.get(demo, "") in done.stdout
     assert list(tmp.iterdir()) == []
