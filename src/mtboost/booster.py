@@ -691,7 +691,7 @@ def load_model(path) -> BoosterModel:
         )
     except FormatVersionMismatch:
         raise
-    except (ValueError, TypeError, LookupError, OverflowError) as exc:
+    except (ValueError, TypeError, LookupError, OverflowError, RecursionError) as exc:
         raise FormatVersionMismatch(f"{path}: corrupt model file: {exc}") from None
     for number, (want, got) in enumerate(zip(_model_lines(model), lines), 1):
         if want != got:

@@ -506,13 +506,29 @@ def _sorted_quantiles(vals: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A table after binning: integer bin matrix plus untouched labels."""
+    """A table after binning: integer bin matrix plus untouched labels.
+
+    Computed once, read-only: ``rows_per_bin``, the (d, n_bins_max) float64
+    count of the rows in each (feature, bin), which is the count row of a
+    histogram over every row. ``dataclasses.replace``, pickle and copy
+    compute it anew.
+    """
 
     binned: np.ndarray  # (m, d), laid out as BinMapper.empty_binned makes it
     labels: np.ndarray  # (m, n) float64, column-major after apply_bins
     mapper: BinMapper
     feature_names: tuple[str, ...]
     task_names: tuple[str, ...]
+    rows_per_bin: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_bins = self.mapper.n_bins_max
+        rows = np.empty((self.d, n_bins))
+        for f in range(self.d):
+            rows[f] = np.bincount(self.binned[:, f], minlength=n_bins)
+        vars(self).update(rows_per_bin=read_only(rows))  # frozen: set past __setattr__
+
+    __reduce__ = rebuilt_by_init
 
     @property
     def m(self) -> int:

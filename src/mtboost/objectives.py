@@ -52,7 +52,8 @@ def transform_score(raw, kind: str):
 
 
 def loss(labels, scores, kind: str) -> float:
-    """Mean loss of one task given raw scores."""
+    """Mean loss of one task given raw scores. A binary_logloss label must be
+    0 or 1, as train() checks."""
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
@@ -63,7 +64,13 @@ def loss(labels, scores, kind: str) -> float:
         # then inf, which train() reports as LabelOverflow.
         with np.errstate(over="ignore"):
             return float(np.mean((labels - p) ** 2))
-    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+    # For y in {0, 1}, |p - (1 - y)| is p or 1 - p (p - 1 is -(1 - p)
+    # exactly), the probability given to the label, and its one log equals
+    # y log p + (1 - y) log(1 - p) bit for bit.
+    q = p - (1.0 - labels)
+    np.abs(q, out=q)
+    np.log(q, out=q)
+    return float(-np.mean(q))
 
 
 def grad_hess(labels, raw_scores, objectives, out=None) -> tuple[np.ndarray, np.ndarray]:

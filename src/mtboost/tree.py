@@ -50,23 +50,28 @@ class Histogram:
 def build_histograms(sample_indices, dataset: Dataset, g_e, h_e) -> Histogram:
     """Accumulate gradient/hessian histograms for one node.
 
-    ``sample_indices`` must be ascending (the grower's sample lists are,
-    since boolean masks keep order). Samples are then visited in ascending
-    index order per feature, so repeated calls on the same arguments are
-    bit-identical.
+    ``sample_indices`` must be ascending and distinct, as the grower's
+    sample lists are (np.compress keeps order). Samples are then visited in
+    ascending index order per feature, so repeated calls on the same
+    arguments are bit-identical. All ``dataset.m`` of them can only be every
+    row: the histogram then reads whole columns, ``g_e`` and ``h_e`` as they
+    are and the dataset's ``rows_per_bin``, the same sums without a gather.
     """
-    idx = np.asarray(sample_indices, dtype=np.intp)
-    mapper = dataset.mapper
-    n_bins = mapper.n_bins_max
+    n_bins = dataset.mapper.n_bins_max
     sums = np.empty((3, dataset.d, n_bins), dtype=np.float64)
-    g_node = g_e[idx]
-    h_node = h_e[idx]
+    every_row = len(sample_indices) == dataset.m
+    rows = slice(None) if every_row else np.asarray(sample_indices, dtype=np.intp)
+    g_node = g_e[rows]
+    h_node = h_e[rows]
+    if every_row:
+        sums[2] = dataset.rows_per_bin
     for f in range(dataset.d):
-        bins = dataset.binned[:, f][idx].astype(np.intp)
+        bins = dataset.binned[:, f][rows].astype(np.intp)
         sums[0, f] = np.bincount(bins, weights=g_node, minlength=n_bins)
         sums[1, f] = np.bincount(bins, weights=h_node, minlength=n_bins)
-        sums[2, f] = np.bincount(bins, minlength=n_bins)
-    return Histogram(sums, mapper.splittable)
+        if not every_row:
+            sums[2, f] = np.bincount(bins, minlength=n_bins)
+    return Histogram(sums, dataset.mapper.splittable)
 
 
 def subtract_histograms(parent: Histogram, child: Histogram) -> Histogram:
@@ -122,7 +127,7 @@ def find_best_split(hist: Histogram, node_totals, params: BoosterParams):
         gains *= 0.5
         gains -= params.gamma_reg
     valid &= np.isfinite(gains)
-    gains[~valid] = -np.inf
+    np.putmask(gains, ~valid, -np.inf)
     # Row-major argmax: first maximum = lowest feature, then lowest bin.
     f, b = np.unravel_index(int(np.argmax(gains)), gains.shape)
     gain = float(gains[f, b])
@@ -272,9 +277,9 @@ def grow_tree(dataset: Dataset, g_e, h_e, params: BoosterParams):
         children += [0, 0]
         children[cand.slot] = node_id
 
-        col = dataset.binned[:, best.feature][cand.samples]
-        left_mask = col <= best.threshold_bin
-        sides = cand.samples[left_mask], cand.samples[~left_mask]
+        # np.compress keeps the ascending order of the node's rows.
+        left = dataset.binned[:, best.feature][cand.samples] <= best.threshold_bin
+        sides = np.compress(left, cand.samples), np.compress(~left, cand.samples)
         depth = cand.depth + 1
         scan = [may_split(depth, len(rows)) for rows in sides]
         hists = [None, None]

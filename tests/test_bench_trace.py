@@ -109,3 +109,24 @@ def test_traced_train_predict_save(spans, rng, tmp_path):
     assert totals["booster.load_model"]["calls"] == totals["booster.save_model"]["calls"] == 1
     assert totals["booster.save_model"]["work"] == (tmp_path / "model.txt").stat().st_size
     assert booster.grow_tree is tree.grow_tree  # the phase restored the originals
+
+
+def test_traced_growth_counts_every_row_at_the_root(spans, rng):
+    # The root's histogram reads whole columns; its work count is still m.
+    m = 500
+    x = rng.normal(size=(m, 3))
+    x[::5, 0] = np.nan
+    table = RawTable(x, x[:, :1] > 0, ("a", "b", "c"), ("y",))
+    ds = apply_bins(table, fit_bins(table, 32))
+    g = rng.normal(size=m)
+    h = rng.uniform(0.5, 1.0, size=m)
+    params = booster.BoosterParams(objectives=("binary_logloss",), max_leaves=6,
+                                   min_samples_leaf=5)
+    tracer = spans.Tracer()
+    with tracer.phase("op"):
+        skeleton, _ = tree.grow_tree(ds, g, h, params)
+    built = [work for name, *_, work in tracer.spans if name == "tree.build_histograms"]
+    assert skeleton.n_leaves == 6 and len(built) >= 2
+    # Each later call builds the smaller child, at most half its parent's rows.
+    assert built[0] == m and all(0 < work <= m // 2 for work in built[1:])
+    assert tracer.totals(tracer.roots("op")[0])["tree.build_histograms"]["work"] == sum(built)

@@ -1065,6 +1065,17 @@ class TestModelFileChecks(GoldenFileEdits):
         save_model(model, again)
         assert again.read_bytes() == path.read_bytes(), (old, new)
 
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        # json.loads gives up on 100,000 nested arrays with RecursionError;
+        # load_model reports it as a corrupt file like any other.
+        lines = _golden_lines(GOLDEN_V2)
+        extra = next(i for i, line in enumerate(lines) if line.startswith("extra "))
+        lines[extra] = "extra " + "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatVersionMismatch, match="corrupt model file: maximum recursion"):
+            load_model(path)
+
     def test_golden_v1_predicts_as_v2(self, rng):
         v1, v2 = load_model(GOLDEN), load_model(GOLDEN_V2)
         # The v1 file holds seed 3 and mt.seed 2; train() keyed selection on their sum.

@@ -509,6 +509,20 @@ def test_derived_value_off_is_one_line_error(tmp_path, capsys, line, value, mess
         f"error: FormatVersionMismatch: {model}: {message}\n")
 
 
+def test_deeply_nested_model_json_is_one_line_error(tmp_path, capsys):
+    lines = (Path(__file__).parent / "golden_model_v2.txt").read_text().splitlines()
+    extra = next(i for i, line in enumerate(lines) if line.startswith("extra "))
+    lines[extra] = "extra " + "[" * 100_000 + "]" * 100_000
+    model = tmp_path / "model.txt"
+    model.write_text("\n".join(lines) + "\n")
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c\n0.5,,1.5\n")
+    assert run(["predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatVersionMismatch: {model}: corrupt model file: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_predict_reads_each_model_feature_from_one_column(tmp_path, capsys):
     # A repeated column the model does not read is ignored; a repeated
     # model feature is an error, not its first column.

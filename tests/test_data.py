@@ -1,6 +1,9 @@
 import contextlib
+import copy
 import csv
+import dataclasses
 import math
+import pickle
 import tempfile
 import warnings
 from pathlib import Path
@@ -589,6 +592,43 @@ class TestApplyBins:
         assert labels.flags.f_contiguous
         assert not np.shares_memory(labels, table.labels)
         assert np.array_equal(labels, table.labels)
+
+
+class TestRowsPerBin:
+    @pytest.mark.parametrize("max_bins, dtype", [(16, np.uint8), (300, np.uint32)])
+    def test_equals_bincount_per_feature(self, rng, max_bins, dtype):
+        x = rng.normal(size=(500, 3))
+        x[::4, 1] = np.nan
+        x[:, 2] = np.round(x[:, 2])
+        table = make_table(x, np.zeros((500, 1)))
+        ds = apply_bins(table, fit_bins(table, max_bins=max_bins))
+        assert ds.binned.dtype == dtype
+        n_bins = ds.mapper.n_bins_max
+        assert ds.rows_per_bin.shape == (3, n_bins) and ds.rows_per_bin.dtype == np.float64
+        for f in range(3):
+            assert np.array_equal(ds.rows_per_bin[f],
+                                  np.bincount(ds.binned[:, f], minlength=n_bins))
+        assert not ds.rows_per_bin.flags.writeable
+        with pytest.raises(ValueError):
+            ds.rows_per_bin[0, 0] = 1.0
+
+    def test_computed_anew_by_replace_pickle_and_copy(self):
+        table = make_table([[1.0], [2.0], [2.0], [math.nan]], [[0.0]] * 4)
+        ds = apply_bins(table, fit_bins(table, max_bins=4))
+        assert ds.rows_per_bin.tolist() == [[1.0, 2.0, 1.0]]
+        fewer = dataclasses.replace(ds, binned=ds.binned[:2])
+        assert fewer.rows_per_bin.tolist() == [[1.0, 1.0, 0.0]]
+        for again in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+            assert again.rows_per_bin.tolist() == ds.rows_per_bin.tolist()
+            assert not again.rows_per_bin.flags.writeable
+
+    def test_all_zeros_without_rows(self):
+        table = make_table([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]], [[0.0]] * 3)
+        ds = apply_bins(table, fit_bins(table, max_bins=4))
+        empty = dataclasses.replace(ds, binned=ds.binned[:0], labels=ds.labels[:0])
+        assert empty.m == 0
+        assert empty.rows_per_bin.shape == (2, ds.mapper.n_bins_max)
+        assert not empty.rows_per_bin.any()
 
 
 finite_floats = st.floats(

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtboost.errors import InvalidParameter, LengthMismatch, ShapeMismatch
 from mtboost.objectives import (
     BINARY_LOGLOSS,
+    PROB_EPS,
     REGRESSION_L2,
     grad_hess,
     loss,
@@ -60,6 +61,18 @@ class TestLoss:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             loss([1.0], [1.0, 2.0], REGRESSION_L2)
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.one_of(
+        st.sampled_from([-1e9, -40.0, 0.0, 40.0, 1e9]),
+        st.floats(min_value=-50, max_value=50, allow_nan=False))), min_size=1, max_size=40))
+    @example([(0, -1e9), (1, -1e9), (0, 1e9), (1, 1e9)])
+    def test_logloss_equals_two_log_form_bit_for_bit(self, rows):
+        # Raw scores of +-40 and past take p to the clamps PROB_EPS and 1 - PROB_EPS.
+        y, raw = (np.array(column, dtype=np.float64) for column in zip(*rows))
+        p = transform_score(raw, BINARY_LOGLOSS)
+        assert set(p[np.abs(raw) >= 40].tolist()) <= {PROB_EPS, 1.0 - PROB_EPS}
+        two_logs = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+        assert loss(y, raw, BINARY_LOGLOSS).hex() == two_logs.hex()
 
     def test_overflowing_l2_loss_is_inf_without_warning(self):
         with warnings.catch_warnings():

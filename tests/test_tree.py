@@ -141,6 +141,24 @@ class TestBuildHistograms:
                 assert np.array_equal(hist.sums[i, f], want)
         assert hist.sums[2, :, :].sum(axis=1).tolist() == [len(node)] * 3
 
+    @pytest.mark.parametrize("finite, dtype", [([300, 3, 1], np.uint32), ([7, 2, 1], np.uint8)])
+    def test_every_row_equals_the_gathered_path(self, rng, finite, dtype):
+        # All m rows take the whole columns and the count row; the same rows
+        # of a dataset with one more row go through the gather.
+        m = 400
+        binned = np.column_stack([rng.integers(0, nb + 1, size=m + 1) for nb in finite])
+        ds = make_binned_dataset(binned, finite_bins=finite)
+        ds = replace(ds, binned=np.asfortranarray(binned, dtype=dtype))
+        assert ds.binned.dtype == ds.mapper.empty_binned(1).dtype == dtype
+        every = replace(ds, binned=ds.binned[:m])
+        g = rng.normal(size=m + 1)
+        h = rng.uniform(0.5, 2.0, size=m + 1)
+        rows = np.arange(m)
+        whole = build_histograms(rows, every, g[:m], h[:m])
+        gathered = build_histograms(rows, ds, g, h)
+        assert whole.sums.tobytes() == gathered.sums.tobytes()
+        assert np.array_equal(whole.sums[2], every.rows_per_bin)
+
     def test_splittable_marks_every_boundary_but_the_last_finite_bin(self):
         mapper = make_binned_dataset([[0, 0]], finite_bins=[4, 1]).mapper
         assert mapper.n_bins_max == 5
