@@ -1,8 +1,8 @@
 """Boosting loop, prediction, model files and single-task extraction.
 
-Each iteration: compute per-task gradients at the current raw scores, run
-the updating pass (correlation damping) and the ensemble pass (weighted
-collapse to one gradient per sample), grow one shared tree from the
+Each iteration (_boost_step): compute per-task gradients at the current raw
+scores, run the ensemble pass (weighted collapse to one gradient per sample)
+and the updating pass (correlation damping), grow one shared tree from the
 ensemble gradients, fit its per-task leaf values from the updating
 gradients, and add those values to every task's score column.
 
@@ -262,15 +262,39 @@ def _check_binary_labels(labels, objectives, what: str) -> None:
             raise InvalidParameter(f"task {t} {what} must all be 0 or 1 for {kind}")
 
 
+def _boost_step(dataset: Dataset, params: BoosterParams, it: int, labels: np.ndarray,
+                scores: np.ndarray, g: np.ndarray, h: np.ndarray) -> MultiOutputTree:
+    """One boosting iteration at the (m, n) ``scores``; returns its tree.
+
+    In order: grad_hess writes every task's gradients and hessians into
+    ``g`` and ``h``; the ensemble pass reads them into one (m,) gradient and
+    hessian per row; the updating pass overwrites ``g`` with the damped
+    gradients; grow_tree grows one shared tree from the ensemble pair; its
+    per-task leaf values are fit from ``g`` and ``h``; and each task's leaf
+    values are added to its column of ``scores`` in place. The ensemble pair
+    is freed when the step returns.
+    """
+    grad_hess(labels, scores, params.objectives, out=(g, h))
+    eg = ensemble_grad_hess(g, h, params.mt, it, params.seed, params.main_task_index)
+    # The ensemble pass has read g, so the updating pass may overwrite it.
+    g_u = updating_grad_hess(g, params.mt, params.main_task_index, out=g)
+    skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params)
+    tree = fit_leaf_values(skeleton, leaf_id, g_u, h, params)
+    for t, column in enumerate(tree.leaf_values.T):
+        scores[:, t] += column.take(leaf_id)
+    return tree
+
+
 def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None) -> BoosterModel:
     """Run the boosting loop and return the fitted model.
 
     Validation data must be binned with the training mapper. With
-    early_stopping_rounds > 0 and validation data present, training stops
-    once the main task's validation loss has not improved for that many
-    iterations, and the returned model is truncated to the best iteration:
-    its trees and its training log both end there, so the last log row
-    describes the returned model.
+    early_stopping_rounds > 0 and validation data present, the best
+    iteration is the first one with the least main-task validation loss;
+    training stops once that many iterations have passed without a strictly
+    lower one, and the returned model is cut after the best iteration, also
+    when num_iterations ends the loop first: its trees and its training log
+    both end there, so the last log row describes the returned model.
     """
     if dataset.m == 0:
         raise EmptyDataset("training dataset has no rows")
@@ -303,22 +327,12 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
 
     trees: list[MultiOutputTree] = []
     log: list[IterationLog] = []
-    # Losses are finite (_losses), so the first iteration sets best_iter.
     early_stopping = params.early_stopping_rounds > 0 and valid is not None
-    best_loss = math.inf
-    best_iter = -1
+    best = 0  # the first iteration of the least main-task validation loss
 
     for it in range(params.num_iterations):
-        grad_hess(labels, scores, params.objectives, out=(g, h))
-        eg = ensemble_grad_hess(g, h, params.mt, it, params.seed, params.main_task_index)
-        # The ensemble pass has read g, so the updating pass may overwrite it.
-        g_u = updating_grad_hess(g, params.mt, params.main_task_index, out=g)
-        skeleton, leaf_id = grow_tree(dataset, eg.g_e, eg.h_e, params)
-        tree = fit_leaf_values(skeleton, leaf_id, g_u, h, params)
-        del eg  # free g_e and h_e before the next iteration allocates its own
+        tree = _boost_step(dataset, params, it, labels, scores, g, h)
         trees.append(tree)
-        for t, column in enumerate(tree.leaf_values.T):
-            scores[:, t] += column.take(leaf_id)
         train_losses = _losses(labels, scores, params.objectives, "training")
         valid_losses = None
         if valid is not None:
@@ -327,16 +341,13 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
         log.append(IterationLog(train=train_losses, valid=valid_losses))
 
         if early_stopping:
-            monitored = valid_losses[params.main_task_index]
-            if monitored < best_loss:
-                best_loss = monitored
-                best_iter = it
-            elif it - best_iter >= params.early_stopping_rounds:
+            if valid_losses[params.main_task_index] < log[best].valid[params.main_task_index]:
+                best = it
+            elif it - best >= params.early_stopping_rounds:
                 break
 
     if early_stopping:
-        trees = trees[: best_iter + 1]
-        log = log[: best_iter + 1]
+        trees, log = trees[: best + 1], log[: best + 1]
 
     return BoosterModel(
         trees=trees,

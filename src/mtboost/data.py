@@ -508,10 +508,16 @@ def _sorted_quantiles(vals: np.ndarray, probs: np.ndarray) -> np.ndarray:
 class Dataset:
     """A table after binning: integer bin matrix plus untouched labels.
 
+    Construction raises InvalidParameter unless ``binned`` is a 2-D unsigned
+    integer matrix with a column per mapper feature and every bin below its
+    feature's ``mapper.bin_counts``, ``labels`` is 2-D with as many rows,
+    and the name lists have a name per column.
+
     Computed once, read-only: ``rows_per_bin``, the (d, n_bins_max) float64
     count of the rows in each (feature, bin), which is the count row of a
-    histogram over every row. ``dataclasses.replace``, pickle and copy
-    compute it anew.
+    histogram over every row and, past a feature's bins, the check that it
+    has no row there. ``dataclasses.replace``, pickle and copy compute it
+    anew.
     """
 
     binned: np.ndarray  # (m, d), laid out as BinMapper.empty_binned makes it
@@ -522,10 +528,21 @@ class Dataset:
     rows_per_bin: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n_bins = self.mapper.n_bins_max
-        rows = np.empty((self.d, n_bins))
-        for f in range(self.d):
-            rows[f] = np.bincount(self.binned[:, f], minlength=n_bins)
+        mapper, binned, labels = self.mapper, self.binned, self.labels
+        if binned.ndim != 2 or binned.dtype.kind != "u" or self.d != mapper.n_features:
+            raise InvalidParameter(f"binned must be 2-D, unsigned and {mapper.n_features} "
+                                   f"columns wide, got {binned.dtype} {binned.shape}")
+        if labels.ndim != 2 or labels.shape[0] != self.m:
+            raise InvalidParameter(f"labels must be 2-D with {self.m} rows, got {labels.shape}")
+        if len(self.feature_names) != self.d or len(self.task_names) != self.n:
+            raise InvalidParameter("name lists disagree with the bin and label columns")
+        rows = np.zeros((self.d, mapper.n_bins_max))
+        for f, n_bins in enumerate(mapper.bin_counts):
+            count = np.bincount(binned[:, f])  # its last entry counts the top bin
+            if count.size > n_bins:
+                raise InvalidParameter(f"feature {f} has bin {count.size - 1}, "
+                                       f"past its {n_bins} bins")
+            rows[f, :count.size] = count
         vars(self).update(rows_per_bin=read_only(rows))  # frozen: set past __setattr__
 
     __reduce__ = rebuilt_by_init

@@ -6,6 +6,7 @@ work counter reads, breaks the traced benchmark without failing any other
 test; these tests catch that.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -109,6 +110,30 @@ def test_traced_train_predict_save(spans, rng, tmp_path):
     assert totals["booster.load_model"]["calls"] == totals["booster.save_model"]["calls"] == 1
     assert totals["booster.save_model"]["work"] == (tmp_path / "model.txt").stat().st_size
     assert booster.grow_tree is tree.grow_tree  # the phase restored the originals
+
+
+def test_traced_train_records_each_pass_once_per_iteration(spans, rng):
+    # The boosting step looks every pass up in booster's namespace, where
+    # the trace installs its wrappers.
+    x = rng.normal(size=(240, 3))
+    y = np.column_stack([x[:, 0] + rng.normal(scale=0.1, size=240), x[:, 2] > 0])
+    table = RawTable(x, y.astype(np.float64), ("a", "b", "c"), ("y_reg", "y_cls"))
+    mapper = fit_bins(table, 16)
+    train_ds = apply_bins(table, mapper)
+    valid_ds = dataclasses.replace(train_ds, binned=train_ds.binned[:80],
+                                   labels=train_ds.labels[:80])
+    params = booster.BoosterParams(
+        objectives=("regression_l2", "binary_logloss"), num_iterations=5,
+        learning_rate=0.3, max_leaves=4, min_samples_leaf=5, mt=MTConfig(n_selected=2),
+    )
+    tracer = spans.Tracer()
+    with tracer.phase("op"):
+        model = booster.train(train_ds, params, valid_ds)
+    totals = tracer.totals(tracer.roots("op")[0])
+    assert len(model.trees) == 5
+    for name in ("objectives.grad_hess", "gradients.ensemble", "gradients.updating",
+                 "tree.grow_tree", "tree.fit_leaf_values", "tree.route_binned"):
+        assert totals[name]["calls"] == 5, name
 
 
 def test_traced_growth_counts_every_row_at_the_root(spans, rng):

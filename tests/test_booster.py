@@ -179,6 +179,40 @@ class TestTrain:
         main_losses = [row.valid[params.main_task_index] for row in model.training_log]
         assert main_losses[-1] == min(main_losses)
 
+    @staticmethod
+    def _flat_loss_run(rng, monkeypatch, **kw):
+        # Constant training labels: every gradient and leaf value is 0, so
+        # every iteration's validation loss equals the first one's.
+        x = rng.uniform(0, 1, size=(200, 2))
+        table = RawTable(x, np.full((200, 1), 2.5), ("a", "b"), ("y",))
+        mapper = fit_bins(table, 16)
+        valid = apply_bins(regression_table(rng, m=50, d=2, n=1), mapper)
+        steps = []
+        step = booster_module._boost_step
+
+        def counted(*args):
+            steps.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(booster_module, "_boost_step", counted)
+        model = train(apply_bins(table, mapper), reg_params(n=1, **kw), valid)
+        assert {float(v) for tree in model.trees for v in tree.leaf_values.ravel()} == {0.0}
+        return model, steps
+
+    def test_early_stopping_keeps_the_first_least_loss(self, rng, monkeypatch):
+        # No later loss is strictly lower, so the first iteration stays the
+        # best and the loop stops after 3 more.
+        model, steps = self._flat_loss_run(rng, monkeypatch, num_iterations=60,
+                                           early_stopping_rounds=3)
+        assert steps == [0, 1, 2, 3]
+        assert len(model.trees) == len(model.training_log) == 1
+
+    def test_early_stopping_cuts_when_the_iterations_run_out(self, rng, monkeypatch):
+        model, steps = self._flat_loss_run(rng, monkeypatch, num_iterations=3,
+                                           early_stopping_rounds=5)
+        assert steps == [0, 1, 2]
+        assert len(model.trees) == len(model.training_log) == 1
+
     def test_invalid_parameters_are_typed(self, rng):
         with pytest.raises(InvalidParameter):
             reg_params(learning_rate=2.0)

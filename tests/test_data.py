@@ -616,7 +616,7 @@ class TestRowsPerBin:
         table = make_table([[1.0], [2.0], [2.0], [math.nan]], [[0.0]] * 4)
         ds = apply_bins(table, fit_bins(table, max_bins=4))
         assert ds.rows_per_bin.tolist() == [[1.0, 2.0, 1.0]]
-        fewer = dataclasses.replace(ds, binned=ds.binned[:2])
+        fewer = dataclasses.replace(ds, binned=ds.binned[:2], labels=ds.labels[:2])
         assert fewer.rows_per_bin.tolist() == [[1.0, 1.0, 0.0]]
         for again in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
             assert again.rows_per_bin.tolist() == ds.rows_per_bin.tolist()
@@ -629,6 +629,54 @@ class TestRowsPerBin:
         assert empty.m == 0
         assert empty.rows_per_bin.shape == (2, ds.mapper.n_bins_max)
         assert not empty.rows_per_bin.any()
+
+
+class TestDatasetChecks:
+    """A Dataset checks its bins, labels and names against its mapper."""
+
+    @staticmethod
+    def dataset(finite_counts):
+        # Feature f has finite_counts[f] finite bins plus its missing bin;
+        # each of its 4 rows is in bin 0.
+        mapper = BinMapper(tuple(np.arange(c - 1.0) for c in finite_counts), max_bins=8)
+        bins = mapper.empty_binned(4)
+        bins[:] = 0
+        names = tuple(f"f{j}" for j in range(len(finite_counts)))
+        return data.Dataset(bins, np.zeros((4, 1)), mapper, names, ("y",))
+
+    def test_bin_past_n_bins_max_is_typed(self):
+        ds = self.dataset([2])  # 3 bins, missing bin included
+        bins = ds.binned.copy(order="F")
+        bins[0, 0] = 9
+        with pytest.raises(InvalidParameter, match="feature 0 has bin 9, past its 3 bins"):
+            dataclasses.replace(ds, binned=bins)
+
+    def test_bin_past_its_own_feature_count_is_rejected(self):
+        ds = self.dataset([2, 5])  # 3 and 6 bins: n_bins_max is 6
+        bins = ds.binned.copy(order="F")
+        bins[1, 0] = 5
+        with pytest.raises(InvalidParameter, match="feature 0 has bin 5, past its 3 bins"):
+            dataclasses.replace(ds, binned=bins)
+        bins[1, 0] = 2  # the missing bin is a bin
+        assert dataclasses.replace(ds, binned=bins).rows_per_bin[0].tolist() == [3, 0, 1, 0, 0, 0]
+
+    def test_binned_column_per_mapper_feature(self):
+        ds = self.dataset([2, 3])
+        for bins in (ds.binned[:, :1], ds.binned[:, 0], ds.binned.astype(np.int64)):
+            with pytest.raises(InvalidParameter, match="2-D, unsigned and 2 columns wide"):
+                dataclasses.replace(ds, binned=bins)
+
+    def test_labels_2d_with_the_bins_rows(self):
+        ds = self.dataset([2, 3])
+        for labels in (ds.labels[:, 0], ds.labels[:3], np.zeros((5, 1))):
+            with pytest.raises(InvalidParameter, match="labels must be 2-D with 4 rows"):
+                dataclasses.replace(ds, labels=labels)
+
+    def test_a_name_per_column(self):
+        ds = self.dataset([2, 3])
+        for names in (dict(feature_names=("a",)), dict(task_names=("y", "z"))):
+            with pytest.raises(InvalidParameter, match="name lists disagree"):
+                dataclasses.replace(ds, **names)
 
 
 finite_floats = st.floats(

@@ -150,7 +150,7 @@ class TestBuildHistograms:
         ds = make_binned_dataset(binned, finite_bins=finite)
         ds = replace(ds, binned=np.asfortranarray(binned, dtype=dtype))
         assert ds.binned.dtype == ds.mapper.empty_binned(1).dtype == dtype
-        every = replace(ds, binned=ds.binned[:m])
+        every = replace(ds, binned=ds.binned[:m], labels=ds.labels[:m])
         g = rng.normal(size=m + 1)
         h = rng.uniform(0.5, 2.0, size=m + 1)
         rows = np.arange(m)
