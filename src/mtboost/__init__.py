@@ -27,31 +27,11 @@ from .data import (
     write_csv,
 )
 from .evaluation import run_kfold
-from .gradients import (
-    MTConfig,
-    ensemble_grad_hess,
-    normalize_weights,
-    select_tasks,
-    updating_grad_hess,
-)
+from .gradients import MTConfig
 from .metrics import MetricReport, mape, rmse, roc_auc
-from .objectives import (
-    BINARY_LOGLOSS,
-    REGRESSION_L2,
-    grad_hess,
-    loss,
-    transform_score,
-)
+from .objectives import BINARY_LOGLOSS, REGRESSION_L2, transform_score
 from .synthetic import SyntheticSpec, gen_synthetic
-from .tree import (
-    MultiOutputTree,
-    build_histograms,
-    find_best_split,
-    fit_leaf_values,
-    grow_tree,
-    route_binned,
-    subtract_histograms,
-)
+from .tree import MultiOutputTree
 
 __version__ = "0.1.0"
 
@@ -69,32 +49,20 @@ __all__ = [
     "RawTable",
     "SyntheticSpec",
     "apply_bins",
-    "build_histograms",
-    "ensemble_grad_hess",
     "extract_task",
-    "find_best_split",
     "fit_bins",
-    "fit_leaf_values",
     "gen_synthetic",
-    "grad_hess",
-    "grow_tree",
     "load_csv",
     "load_model",
     "log_transform",
-    "loss",
     "mape",
-    "normalize_weights",
     "predict",
     "predict_proba",
     "rmse",
     "roc_auc",
-    "route_binned",
     "run_kfold",
     "save_model",
-    "select_tasks",
-    "subtract_histograms",
     "train",
     "transform_score",
-    "updating_grad_hess",
     "write_csv",
 ]

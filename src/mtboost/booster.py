@@ -38,8 +38,8 @@ from .gradients import (
     updating_grad_hess,
 )
 from .objectives import (
-    BINARY_LOGLOSS,
-    PROB_EPS,
+    base_scores,
+    check_labels,
     grad_hess,
     loss,
     transform_score,
@@ -228,23 +228,6 @@ class BoosterModel:
         return len(self.feature_names)
 
 
-def _base_scores(labels, objectives) -> np.ndarray:
-    """Per-task starting score: label mean, or its log-odds for classifiers.
-    Raises LabelOverflow when a mean overflows."""
-    base = np.empty(labels.shape[1], dtype=np.float64)
-    for t, kind in enumerate(objectives):
-        with np.errstate(over="ignore"):
-            mean = float(np.mean(labels[:, t]))
-        if not math.isfinite(mean):
-            raise LabelOverflow(f"task {t}: the label mean overflows float64")
-        if kind == BINARY_LOGLOSS:
-            p = min(max(mean, PROB_EPS), 1.0 - PROB_EPS)
-            base[t] = math.log(p / (1.0 - p))
-        else:
-            base[t] = mean
-    return base
-
-
 def _losses(labels, scores, objectives, which: str) -> tuple[float, ...]:
     """Per-task losses; raises LabelOverflow when one is not finite."""
     losses = tuple(loss(labels[:, t], scores[:, t], kind) for t, kind in enumerate(objectives))
@@ -252,14 +235,6 @@ def _losses(labels, scores, objectives, which: str) -> tuple[float, ...]:
         if not math.isfinite(value):
             raise LabelOverflow(f"task {t}: the {which} loss overflows float64")
     return losses
-
-
-def _check_binary_labels(labels, objectives, what: str) -> None:
-    """Raise InvalidParameter unless every label of each binary_logloss task
-    is 0 or 1; ``what`` names the labels in the message."""
-    for t, kind in enumerate(objectives):
-        if kind == BINARY_LOGLOSS and not np.isin(labels[:, t], (0.0, 1.0)).all():
-            raise InvalidParameter(f"task {t} {what} must all be 0 or 1 for {kind}")
 
 
 def _boost_step(dataset: Dataset, params: BoosterParams, it: int, labels: np.ndarray,
@@ -288,20 +263,22 @@ def _boost_step(dataset: Dataset, params: BoosterParams, it: int, labels: np.nda
 def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None) -> BoosterModel:
     """Run the boosting loop and return the fitted model.
 
-    Validation data must be binned with the training mapper. With
-    early_stopping_rounds > 0 and validation data present, the best
-    iteration is the first one with the least main-task validation loss;
-    training stops once that many iterations have passed without a strictly
-    lower one, and the returned model is cut after the best iteration, also
-    when num_iterations ends the loop first: its trees and its training log
-    both end there, so the last log row describes the returned model.
+    Before the first iteration, objectives.check_labels checks the training
+    and the validation labels. Validation data must be binned with the
+    training mapper. With early_stopping_rounds > 0 and validation data
+    present, the best iteration is the first one with the least main-task
+    validation loss; training stops once that many iterations have passed
+    without a strictly lower one, and the returned model is cut after the
+    best iteration, also when num_iterations ends the loop first: its trees
+    and its training log both end there, so the last log row describes the
+    returned model.
     """
     if dataset.m == 0:
         raise EmptyDataset("training dataset has no rows")
     n = dataset.n
     if len(params.objectives) != n:
         raise InvalidParameter(f"{len(params.objectives)} objectives for {n} label columns")
-    _check_binary_labels(dataset.labels, params.objectives, "labels")
+    check_labels(dataset.labels, params.objectives, "labels")
     if params.mt.n_selected > n:
         raise InvalidParameter(f"n_selected={params.mt.n_selected} exceeds task count {n}")
     if valid is not None:
@@ -309,7 +286,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
             raise MapperMismatch("validation data was binned with a different mapper")
         if valid.n != n:
             raise InvalidParameter("validation label count differs from training")
-        _check_binary_labels(valid.labels, params.objectives, "validation labels")
+        check_labels(valid.labels, params.objectives, "validation labels")
 
     # One layout: every per-task (m, n) array is column-major, so each task's
     # column is contiguous. A no-op for apply_bins output. The scores,
@@ -318,7 +295,7 @@ def train(dataset: Dataset, params: BoosterParams, valid: Dataset | None = None)
     # and freeing (m, n) arrays, whose reuse of freed heap made a run's peak
     # memory vary from run to run.
     labels = np.asfortranarray(dataset.labels)
-    base = _base_scores(labels, params.objectives)
+    base = base_scores(labels, params.objectives)
     scores, g, h = (rows.T for rows in np.empty((3, n, dataset.m)))
     scores[:] = base
     if valid is not None:
@@ -447,8 +424,9 @@ def _add_tree_values(out, chunks, binned, tasks) -> None:
 
 
 def _task_index(model: BoosterModel, task) -> int:
-    """``task`` as an int in [0, n_tasks); raises TaskIndexOutOfRange."""
-    index = int(task) if isinstance(task, (int, np.integer)) else -1
+    """``task`` as an int in [0, n_tasks); raises TaskIndexOutOfRange, also
+    for a bool, which is no number here as in check_fields."""
+    index = int(task) if isinstance(task, (int, np.integer)) and type(task) is not bool else -1
     if not 0 <= index < model.n_tasks:
         raise TaskIndexOutOfRange(f"task {task} not in [0, {model.n_tasks})")
     return index

@@ -39,8 +39,9 @@ from .errors import (
     InvalidParameter,
     MtboostError,
 )
+from .evaluation import score_model
 from .gradients import MTConfig, check_fields, param_types
-from .metrics import METRIC_NAMES, compute_metric
+from .metrics import METRIC_NAMES
 from .synthetic import SCENARIOS, SyntheticSpec, gen_synthetic
 
 # Config keys that differ from the field they set.
@@ -231,16 +232,9 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model = bt.load_model(args.model)
     labeled = _load_table(args.data, _data_options(model)[0], model.feature_names)
-    predict = bt.predict_proba if args.metric in ("rmse", "mape") else bt.predict
-    preds = predict(model, labeled.features)
     # Every task's metric is computed before any is printed, so a failing
     # task prints only its error line.
-    values = []
-    for t, name in enumerate(model.task_names):
-        try:
-            values.append(compute_metric(args.metric, labeled.labels[:, t], preds[:, t]))
-        except MtboostError as exc:
-            raise type(exc)(f"task {name!r}: {exc}") from None
+    values = score_model(model, labeled.features, labeled.labels, args.metric)
     for name, value in zip(model.task_names, values):
         print(f"{name} {args.metric} {value!r}")
     print(f"mean {args.metric} {float(np.mean(values))!r}")

@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import InvalidParameter, LabelOverflow, LengthMismatch, SingleClass, ZeroLabelInMape
 
-METRIC_NAMES = ("rmse", "mape", "auc")
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -74,11 +72,19 @@ def roc_auc(labels, scores) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+# Each metric's name and function; the one list of metric names.
+METRICS = {"rmse": rmse, "mape": mape, "auc": roc_auc}
+METRIC_NAMES = tuple(METRICS)
+
+
+def metric_function(name: str):
+    """The function of the metric called ``name``; raises InvalidParameter
+    for a name not in METRICS."""
+    if name not in METRICS:
+        raise InvalidParameter(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    return METRICS[name]
+
+
 def compute_metric(name: str, labels, predictions) -> float:
-    if name == "rmse":
-        return rmse(labels, predictions)
-    if name == "mape":
-        return mape(labels, predictions)
-    if name == "auc":
-        return roc_auc(labels, predictions)
-    raise InvalidParameter(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    """The metric called ``name`` of the predictions (metric_function)."""
+    return metric_function(name)(labels, predictions)

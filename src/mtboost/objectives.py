@@ -1,7 +1,11 @@
-"""Per-task loss functions and their derivatives w.r.t. raw scores.
+"""Per-task objectives: what each one means, in the one module that knows.
 
 Two objectives are supported: squared error for regression and negative
-log-likelihood (with a sigmoid link) for binary classification. Derivatives
+log-likelihood (with a sigmoid link) for binary classification. For each,
+this module holds the label rule (check_labels), the starting score
+(base_scores), the output link (transform_score), the loss and the
+gradients (grad_hess), and the metric run_kfold scores it by when none is
+named (DEFAULT_METRIC); no other module branches on an objective. Derivatives
 are taken with respect to the raw additive score, which keeps the hessian
 well defined and matches standard second-order boosting; the L2 gradient
 uses the half-scaled convention g = p - y, h = 1 (any constant rescaling is
@@ -10,13 +14,17 @@ cancelled later by gradient normalization, so splitting is unaffected).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidParameter, LengthMismatch, ShapeMismatch
+from .errors import InvalidParameter, LabelOverflow, LengthMismatch, NonNumericLabel, ShapeMismatch
 
 REGRESSION_L2 = "regression_l2"
 BINARY_LOGLOSS = "binary_logloss"
-OBJECTIVE_KINDS = (REGRESSION_L2, BINARY_LOGLOSS)
+# Each objective and the metric of its main task when run_kfold is given none.
+DEFAULT_METRIC = {REGRESSION_L2: "rmse", BINARY_LOGLOSS: "auc"}
+OBJECTIVE_KINDS = tuple(DEFAULT_METRIC)
 
 # Sigmoid outputs are clamped here before any log to avoid infinities.
 PROB_EPS = 1e-15
@@ -30,6 +38,36 @@ def validate_objectives(kinds) -> tuple[str, ...]:
                 f"unknown objective {kind!r}; expected one of {OBJECTIVE_KINDS}"
             )
     return kinds
+
+
+def check_labels(labels, objectives, what: str) -> None:
+    """Check each task's column of the (m, n) ``labels``: raise
+    NonNumericLabel unless every label is finite, then InvalidParameter
+    unless every binary_logloss label is 0 or 1. ``what`` names the set in
+    the message ("labels", "validation labels")."""
+    for t, kind in enumerate(objectives):
+        column = labels[:, t]
+        if not np.isfinite(column).all():
+            raise NonNumericLabel(f"task {t} {what} must all be finite")
+        if kind == BINARY_LOGLOSS and not np.isin(column, (0.0, 1.0)).all():
+            raise InvalidParameter(f"task {t} {what} must all be 0 or 1 for {kind}")
+
+
+def base_scores(labels, objectives) -> np.ndarray:
+    """Per-task starting raw score: the label mean, or for binary_logloss the
+    log-odds of the mean clamped to [PROB_EPS, 1 - PROB_EPS]. Raises
+    LabelOverflow when a mean overflows."""
+    base = np.empty(labels.shape[1], dtype=np.float64)
+    for t, kind in enumerate(objectives):
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(labels[:, t]))
+        if not math.isfinite(mean):
+            raise LabelOverflow(f"task {t}: the label mean overflows float64")
+        if kind == BINARY_LOGLOSS:
+            p = min(max(mean, PROB_EPS), 1.0 - PROB_EPS)
+            mean = math.log(p / (1.0 - p))
+        base[t] = mean
+    return base
 
 
 def sigmoid(raw):

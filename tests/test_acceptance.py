@@ -17,25 +17,21 @@ from mtboost import (
     RawTable,
     SyntheticSpec,
     apply_bins,
-    ensemble_grad_hess,
     extract_task,
-    find_best_split,
     fit_bins,
     gen_synthetic,
-    grad_hess,
     load_model,
     mape,
     predict,
     rmse,
     roc_auc,
     save_model,
-    select_tasks,
     train,
-    updating_grad_hess,
 )
 from mtboost.cli import main as cli_main
-from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2
-from mtboost.tree import build_histograms
+from mtboost.gradients import ensemble_grad_hess, select_tasks, updating_grad_hess
+from mtboost.objectives import BINARY_LOGLOSS, REGRESSION_L2, grad_hess
+from mtboost.tree import build_histograms, find_best_split
 
 from conftest import make_binned_dataset
 from oracles import (

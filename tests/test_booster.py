@@ -40,6 +40,7 @@ from mtboost.errors import (
     LabelOverflow,
     MapperMismatch,
     MtboostError,
+    NonNumericLabel,
     TaskIndexOutOfRange,
 )
 from mtboost.gradients import MTConfig, param_types
@@ -128,7 +129,8 @@ class TestTrain:
     def test_classification_labels_validated(self, rng):
         table = regression_table(rng, n=1)
         ds = binned(table)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter,
+                           match="^task 0 labels must all be 0 or 1 for binary_logloss$"):
             train(ds, reg_params(n=1, objectives=(BINARY_LOGLOSS,)))
 
     def test_validation_classification_labels_validated(self, rng, monkeypatch):
@@ -150,6 +152,25 @@ class TestTrain:
         # Task 0 is regression_l2, so 7.0 there is a fine label.
         valid_table.labels[7] = (7.0, 1.0)
         train(ds, params, apply_bins(valid_table, mapper))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", [REGRESSION_L2, BINARY_LOGLOSS])
+    @pytest.mark.parametrize("which", ["labels", "validation labels"])
+    def test_non_finite_label_is_a_non_numeric_label(self, rng, monkeypatch, bad, kind, which):
+        # RawTable rejects such labels, but a Dataset built around it does not.
+        table = regression_table(rng, n=2)
+        table.labels[:, 1] = rng.integers(0, 2, table.m)
+        ds = binned(table)
+        labels = ds.labels.copy()
+        labels[17, 1] = bad
+        broken = dataclasses.replace(ds, labels=labels)
+        train_ds, valid_ds = (broken, ds) if which == "labels" else (ds, broken)
+        params = reg_params(objectives=(REGRESSION_L2, kind))
+        grown = []
+        monkeypatch.setattr(booster_module, "grow_tree", lambda *args: grown.append(args))
+        with pytest.raises(NonNumericLabel, match=f"^task 1 {which} must all be finite$"):
+            train(train_ds, params, valid_ds)
+        assert not grown  # raised before the first iteration
 
     def test_early_stopping_truncates(self, rng):
         table = regression_table(rng, m=300, n=1)
@@ -1497,8 +1518,10 @@ class TestExtractTask:
         for call in (lambda task: predict(model, x, task),
                      lambda task: predict_proba(model, x, task),
                      lambda task: extract_task(model, task)):
-            with pytest.raises(TaskIndexOutOfRange, match=r"task 1\.5 not in \[0, 2\)"):
-                call(1.5)
+            for task in (1.5, True):
+                with pytest.raises(TaskIndexOutOfRange,
+                                   match=rf"task {re.escape(str(task))} not in \[0, 2\)"):
+                    call(task)
         np.testing.assert_array_equal(predict(model, x, np.int64(1)), predict(model, x, 1))
         np.testing.assert_array_equal(predict_proba(model, x, np.int64(1)),
                                       predict_proba(model, x, 1))

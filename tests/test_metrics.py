@@ -12,7 +12,7 @@ from mtboost.errors import (
     SingleClass,
     ZeroLabelInMape,
 )
-from mtboost.metrics import compute_metric, mape, rmse, roc_auc
+from mtboost.metrics import METRIC_NAMES, METRICS, compute_metric, mape, rmse, roc_auc
 
 from oracles import pairwise_auc
 
@@ -110,3 +110,12 @@ def test_unknown_metric_is_an_invalid_parameter():
     with pytest.raises(InvalidParameter, match="unknown metric 'gini'") as excinfo:
         compute_metric("gini", [1.0], [1.0])
     assert isinstance(excinfo.value, ValueError)
+
+
+def test_metric_names_are_the_table():
+    assert METRIC_NAMES == tuple(METRICS) == ("rmse", "mape", "auc")
+    predictions = [0.2, 0.7, 0.4, 0.5]
+    for name, metric, labels in (("rmse", rmse, [1.0, 2.0, 0.5, 1.0]),
+                                 ("mape", mape, [1.0, 2.0, 0.5, 1.0]),
+                                 ("auc", roc_auc, [0.0, 1.0, 0.0, 1.0])):
+        assert compute_metric(name, labels, predictions) == metric(labels, predictions)

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtboost.errors import InvalidParameter, LengthMismatch, ShapeMismatch
+import mtboost
 from mtboost.objectives import (
     BINARY_LOGLOSS,
     PROB_EPS,
@@ -157,3 +160,51 @@ class TestDerivativeProperties:
         for kind, label in ((REGRESSION_L2, y), (BINARY_LOGLOSS, float(y > 0))):
             _, h = grad_hess(np.array([[label]]), np.array([[raw]]), (kind,))
             assert h[0, 0] >= 0.0
+
+
+def objective_mentions(path: Path) -> list[str]:
+    """Where the module at ``path`` names an objective or PROB_EPS: a name,
+    attribute or import of REGRESSION_L2, BINARY_LOGLOSS or PROB_EPS, or a
+    string equal to an objective's name. __init__.py may re-export them from
+    .objectives."""
+    names = {"REGRESSION_L2", "BINARY_LOGLOSS", "PROB_EPS"}
+    reexports = set()
+    tree = ast.parse(path.read_text(), str(path))
+    if path.name == "__init__.py":
+        reexports = {id(alias) for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "objectives"
+                     for alias in node.names}
+    found = []
+    for node in sorted((n for n in ast.walk(tree) if hasattr(n, "lineno")),
+                       key=lambda n: (n.lineno, n.col_offset)):
+        named = (node.id if isinstance(node, ast.Name)
+                 else node.attr if isinstance(node, ast.Attribute)
+                 else node.name if isinstance(node, ast.alias) and id(node) not in reexports
+                 else None)
+        literal = isinstance(node, ast.Constant) and node.value in (REGRESSION_L2, BINARY_LOGLOSS)
+        if named in names or literal:
+            found.append(f"{path.name}:{node.lineno}: {named or node.value}")
+    return found
+
+
+def test_only_objectives_names_an_objective():
+    package = Path(mtboost.__file__).parent
+    found = [hit for path in sorted(package.glob("*.py")) if path.name != "objectives.py"
+             for hit in objective_mentions(path)]
+    assert found == []
+
+
+def test_objective_mentions_finds_each_form(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("from .objectives import PROB_EPS\n"
+                      "from . import objectives as ob\n"
+                      "if kind == ob.BINARY_LOGLOSS or kind == 'regression_l2':\n"
+                      "    x = REGRESSION_L2\n")
+    assert objective_mentions(module) == [
+        "probe.py:1: PROB_EPS", "probe.py:3: BINARY_LOGLOSS", "probe.py:3: regression_l2",
+        "probe.py:4: REGRESSION_L2"]
+    init = tmp_path / "__init__.py"
+    init.write_text("from .objectives import BINARY_LOGLOSS\n"
+                    "from .booster import REGRESSION_L2\n"
+                    "__all__ = ['BINARY_LOGLOSS']\n")
+    assert objective_mentions(init) == ["__init__.py:2: REGRESSION_L2"]
